@@ -1,10 +1,11 @@
-"""Test catalog infrastructure: TestCase, TestOutcome, cell pooling."""
+"""Test catalog infrastructure: TestCase, TestOutcome, the block-scan
+driver, cell pooling."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -96,6 +97,36 @@ class TestCase:
                 aborted=reason,
             )
         return self.analyze(results, levels)
+
+
+_FIRST_BLOCK = 65536
+_MAX_BLOCK = 1 << 22
+
+
+def scan(stream: RandomStream, needed: int,
+         step: Callable[[np.ndarray, int], tuple[int, int]]) -> None:
+    """Feed raw blocks of `stream` to `step` until `needed` units are done.
+
+    `step(raw, remaining)` scans one block and returns (units_done,
+    consumed): the units it completed, and the raw outputs used through
+    the end of the last completed unit.  The unconsumed tail is pushed
+    back onto the stream, so consumption is exact whatever the block
+    size.  A block that completes no unit doubles the next one, up to
+    _MAX_BLOCK; no progress at that size aborts the test.
+    """
+    block = _FIRST_BLOCK
+    while needed > 0:
+        raw = stream.next_block(block)
+        done, consumed = step(raw, needed)
+        if consumed < raw.size:
+            stream.unread(raw[consumed:])
+        needed -= done
+        if done == 0:
+            if block >= _MAX_BLOCK:
+                raise TestAborted(
+                    "scanner made no progress at maximum buffer size"
+                )
+            block = min(block * 2, _MAX_BLOCK)
 
 
 def pool_cells(counts: np.ndarray, probs: np.ndarray,

@@ -14,20 +14,10 @@ from ..errors import ConfigurationError, TestAborted
 from ..genkit.adapters import bit_extract
 from ..genkit.base import RandomStream
 from ..genkit.bits import BitReader
-from ..genkit.distributions import uniform_int_block
-from .base import TestCase, chi_square_result, gaussian_result
+from ..genkit.distributions import uniform01_map, uniform_int_block
+from .base import TestCase, chi_square_result, gaussian_result, scan
 from .kernels import craps_kernel, gcd_kernel, maurer_kernel, \
     repetition_kernel, squeeze_kernel
-
-_MAX_BLOCK = 1 << 22
-
-
-def _stalled(block: int, progressed: bool) -> int:
-    if progressed:
-        return block
-    if block >= _MAX_BLOCK:
-        raise TestAborted("scanner made no progress at maximum buffer size")
-    return min(block * 2, _MAX_BLOCK)
 
 
 # Iteration-count frequencies for cells 6..48 from a 10^8-game
@@ -65,24 +55,18 @@ class SqueezeTest(TestCase):
     def run(self, stream: RandomStream):
         """Consumes through the draw finishing the last game."""
         counts = np.zeros(SQUEEZE_CELL_PROBS.size, dtype=np.int64)
-        remaining = self.games
-        block = 65536
-        lo = stream.min_value
-        rng = stream.range_size
-        while remaining > 0:
-            raw = stream.next_block(block)
-            u = (raw.astype(np.float64) - lo) / rng
+
+        def step(raw, remaining):
             done, consumed, aborted = squeeze_kernel(
-                u, counts, remaining, self._GAME_CAP
+                uniform01_map(stream, raw), counts, remaining, self._GAME_CAP
             )
             if aborted:
                 raise TestAborted(
                     f"squeeze game exceeded {self._GAME_CAP} iterations"
                 )
-            if consumed < raw.size:
-                stream.unread(raw[consumed:])
-            remaining -= done
-            block = _stalled(block, done > 0)
+            return done, consumed
+
+        scan(stream, self.games, step)
         return [chi_square_result(counts, SQUEEZE_CELL_PROBS, self.games)]
 
 
@@ -142,23 +126,21 @@ class CrapsTest(TestCase):
         limit = stream.range_size - stream.range_size % 6
         throws = np.zeros(self._CELLS, dtype=np.int64)
         wins = 0
-        remaining = self.games
-        block = 65536
-        while remaining > 0:
-            raw = stream.next_block(block)
-            w = raw.astype(np.int64) - lo
+
+        def step(raw, remaining):
+            nonlocal wins
             done, won, consumed, aborted = craps_kernel(
-                w, limit, throws, remaining, self._THROW_CAP
+                raw.astype(np.int64) - lo, limit, throws, remaining,
+                self._THROW_CAP
             )
             if aborted:
                 raise TestAborted(
                     f"craps game exceeded {self._THROW_CAP} throws"
                 )
-            if consumed < raw.size:
-                stream.unread(raw[consumed:])
             wins += won
-            remaining -= done
-            block = _stalled(block, done > 0)
+            return done, consumed
+
+        scan(stream, self.games, step)
         p_w = float(craps_win_probability())
         z = (wins - self.games * p_w) / math.sqrt(
             self.games * p_w * (1.0 - p_w)
@@ -263,16 +245,16 @@ class RepetitionTest(TestCase):
         ts = np.empty(self.reps, dtype=np.int64)
         done = 0
         tag = 0
-        block = 65536
-        while done < self.reps:
-            vals = sub.next_block(block).astype(np.int64)
+
+        def step(vals, remaining):
+            nonlocal done, tag
             prev = done
             done, consumed, tag = repetition_kernel(
-                vals, epoch, tag, ts, done, self.reps
+                vals.astype(np.int64), epoch, tag, ts, done, self.reps
             )
-            if consumed < vals.size:
-                sub.unread(vals[consumed:])
-            block = _stalled(block, done > prev)
+            return done - prev, consumed
+
+        scan(sub, self.reps, step)
         n_bins = max(10, min(30, self.reps // 25))
         edges, probs = repetition_bins(self.bits, n_bins)
         cells = np.searchsorted(edges, ts, side="left")

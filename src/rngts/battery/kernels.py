@@ -2,10 +2,11 @@
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
-segment, run), and report how much they consumed plus an abort flag.  The
-caller pushes the unconsumed tail back onto the stream and refills, so
-consumption is exact regardless of buffer sizes.  All arithmetic is
-written to behave identically interpreted and compiled.
+segment, run), and report how much they consumed plus an abort flag.  Each
+test wraps its kernel in a step for the driver `base.scan`, which pushes
+the unconsumed tail back onto the stream and refills, so consumption is
+exact regardless of buffer sizes.  All arithmetic is written to behave
+identically interpreted and compiled.
 """
 
 from __future__ import annotations

@@ -1,53 +1,43 @@
 """Digit- and uniform-based tests: frequency, gap, serial, poker, coupon
 collector, permutation, runs, max-of-t, serial correlation.
 
-Tests that scan a data-dependent number of draws read raw blocks, map
-them to uniforms themselves, and push unconsumed raw outputs back onto
-the stream, so every draw is accounted for exactly.
+Tests that scan a data-dependent number of draws (gap, coupon collector,
+runs) supply a per-block step to `base.scan`, which pushes unconsumed raw
+outputs back onto the stream, so every draw is accounted for exactly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from ..errors import ConfigurationError, TestAborted
 from ..genkit.base import RandomStream
-from ..genkit.distributions import uniform01_block, uniform_int_block
-from .base import TestCase, chi_square_result, gaussian_result, ks_result
+from ..genkit.distributions import (
+    uniform01_block,
+    uniform01_map,
+    uniform_int_block,
+)
+from .base import TestCase, chi_square_result, gaussian_result, ks_result, \
+    scan
 from .kernels import coupon_kernel, runs_kernel
 
-_MAX_BLOCK = 1 << 22
 
+def _stirling2_rows(n: int, k: int) -> list:
+    """Stirling numbers of the second kind S(m, j), m <= n, j <= k.
 
-def _uniforms(raw: np.ndarray, stream: RandomStream) -> np.ndarray:
-    # same map as distributions.uniform01_block, applied to a raw block
-    u = (raw.astype(np.float64) - stream.min_value) / stream.range_size
-    if stream.range_size > 2**53:
-        np.minimum(u, np.nextafter(1.0, 0.0), out=u)
-    return u
-
-
-def _stalled(block: int, progressed: bool) -> int:
-    """Next block size for a scanner; abort if already maxed out."""
-    if progressed:
-        return block
-    if block >= _MAX_BLOCK:
-        raise TestAborted("scanner made no progress at maximum buffer size")
-    return min(block * 2, _MAX_BLOCK)
-
-
-@lru_cache(maxsize=None)
-def _stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind."""
-    if n == k:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+    Row m is built from row m - 1 by S(m, j) = j S(m-1, j) + S(m-1, j-1)
+    in exact integers, without recursion, so n is not bounded by the
+    interpreter's stack.
+    """
+    row = [1] + [0] * k
+    rows = [row]
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
+        rows.append(row)
+    return rows
 
 
 class ChisqrUniformityTest(TestCase):
@@ -136,34 +126,32 @@ class GapTest(TestCase):
     def run(self, stream: RandomStream):
         """Consumes through the hit closing the n_gaps-th gap."""
         counts = np.zeros(self.t + 1, dtype=np.int64)
-        carry = 0
-        remaining = self.n_gaps
-        block = 65536
-        while remaining > 0:
-            raw = stream.next_block(block)
-            u = _uniforms(raw, stream)
+        carry = 0  # draws since the last hit, across blocks
+
+        def step(raw, remaining):
+            nonlocal carry
+            u = uniform01_map(stream, raw)
             hits = np.flatnonzero((u >= self.alpha) & (u < self.beta))
-            final = hits.size >= remaining
-            if final:
-                hits = hits[:remaining]
-                consumed = int(hits[-1]) + 1
-                stream.unread(raw[consumed:])
+            hits = hits[:remaining]  # stop at the hit closing the last gap
             if hits.size:
                 gaps = np.concatenate(
                     [[carry + int(hits[0])], np.diff(hits) - 1]
                 )
-                counts += np.bincount(
+                counts[:] += np.bincount(
                     np.minimum(gaps, self.t), minlength=self.t + 1
                 )
-                remaining -= hits.size
-                carry = 0 if final else raw.size - (int(hits[-1]) + 1)
+                if hits.size == remaining:
+                    return hits.size, int(hits[-1]) + 1
+                carry = raw.size - (int(hits[-1]) + 1)
             else:
                 carry += raw.size
             if carry > self._GAP_CAP:
                 raise TestAborted(
                     f"open gap exceeded {self._GAP_CAP} draws without a hit"
                 )
-            block = _stalled(block, hits.size > 0)
+            return hits.size, raw.size
+
+        scan(stream, self.n_gaps, step)
         return [chi_square_result(counts, self.cell_probabilities(),
                                   self.n_gaps)]
 
@@ -217,12 +205,13 @@ class PokerTest(TestCase):
     def cell_probabilities(self) -> np.ndarray:
         # P(r distinct) = S(5, r) * d(d-1)...(d-r+1) / d^5; r > d impossible
         d = self.d
+        s5 = _stirling2_rows(5, 5)[5]
         probs = []
         for r in range(1, min(5, d) + 1):
             ff = Fraction(1)
             for i in range(r):
                 ff *= d - i
-            probs.append(float(_stirling2(5, r) * ff / d**5))
+            probs.append(float(s5[r] * ff / d**5))
         return np.asarray(probs)
 
     def run(self, stream: RandomStream):
@@ -267,13 +256,12 @@ class CouponCollectorTest(TestCase):
         # P(r) = d!/d^r * S(r-1, d-1) for r = d..t-1, plus the complement tail
         d, t = self.d, self.t
         dfact = math.factorial(d)
+        s = _stirling2_rows(t - 1, d)
         probs = [
-            float(Fraction(dfact, d**r) * _stirling2(r - 1, d - 1))
+            float(Fraction(dfact, d**r) * s[r - 1][d - 1])
             for r in range(d, t)
         ]
-        tail = 1.0 - float(
-            Fraction(dfact, d ** (t - 1)) * _stirling2(t - 1, d)
-        )
+        tail = 1.0 - float(Fraction(dfact, d ** (t - 1)) * s[t - 1][d])
         return np.asarray(probs + [tail])
 
     def run(self, stream: RandomStream):
@@ -281,22 +269,19 @@ class CouponCollectorTest(TestCase):
         lo = stream.min_value
         limit = stream.range_size - stream.range_size % self.d
         counts = np.zeros(self.t - self.d + 1, dtype=np.int64)
-        remaining = self.n_segments
-        block = 65536
-        while remaining > 0:
-            raw = stream.next_block(block)
-            w = raw.astype(np.int64) - lo
+
+        def step(raw, remaining):
             done, consumed, aborted = coupon_kernel(
-                w, limit, self.d, self.t, counts, remaining, self._SEGMENT_CAP
+                raw.astype(np.int64) - lo, limit, self.d, self.t, counts,
+                remaining, self._SEGMENT_CAP
             )
             if aborted:
                 raise TestAborted(
                     f"coupon segment exceeded {self._SEGMENT_CAP} draws"
                 )
-            if consumed < raw.size:
-                stream.unread(raw[consumed:])
-            remaining -= done
-            block = _stalled(block, done > 0)
+            return done, consumed
+
+        scan(stream, self.n_segments, step)
         return [chi_square_result(counts, self.cell_probabilities(),
                                   self.n_segments)]
 
@@ -376,22 +361,18 @@ class RunsTest(TestCase):
     def run(self, stream: RandomStream):
         """Consumes through the draw breaking the last run."""
         counts = np.zeros(6, dtype=np.int64)
-        remaining = self.n_runs
-        block = 65536
-        while remaining > 0:
-            raw = stream.next_block(block)
-            u = _uniforms(raw, stream)
+
+        def step(raw, remaining):
             done, consumed, aborted = runs_kernel(
-                u, counts, remaining, self._RUN_CAP
+                uniform01_map(stream, raw), counts, remaining, self._RUN_CAP
             )
             if aborted:
                 raise TestAborted(
                     f"ascending run exceeded {self._RUN_CAP} draws"
                 )
-            if consumed < raw.size:
-                stream.unread(raw[consumed:])
-            remaining -= done
-            block = _stalled(block, done > 0)
+            return done, consumed
+
+        scan(stream, self.n_runs, step)
         return [chi_square_result(counts, self._PROBS, self.n_runs)]
 
 

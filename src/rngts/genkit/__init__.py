@@ -3,11 +3,9 @@
 from .base import RandomStream, SeedableStream
 from .bits import BitReader
 from .distributions import (
-    Distribution,
-    Uniform01,
-    UniformInt,
     uniform01,
     uniform01_block,
+    uniform01_map,
     uniform_int,
     uniform_int_block,
 )
@@ -18,35 +16,23 @@ from .engines import (
     Mt19937,
     Randu,
     ShuffledStream,
-    make_ecuyer1988,
-    make_lagged_fibonacci_1279,
-    make_minstd,
-    make_mt19937,
-    make_randu,
-    make_shuffled,
 )
 from .adapters import (
     BitExtractStream,
-    BitMaskWindowStream,
     ExternalStream,
     FileStream,
-    ParallelImitatorStream,
     bit_extract,
-    bit_mask_windows,
     external_stream,
     file_stream,
-    parallel_imitator,
 )
 
 __all__ = [
     "RandomStream",
     "SeedableStream",
     "BitReader",
-    "Distribution",
-    "Uniform01",
-    "UniformInt",
     "uniform01",
     "uniform01_block",
+    "uniform01_map",
     "uniform_int",
     "uniform_int_block",
     "Ecuyer1988",
@@ -55,20 +41,10 @@ __all__ = [
     "Mt19937",
     "Randu",
     "ShuffledStream",
-    "make_ecuyer1988",
-    "make_lagged_fibonacci_1279",
-    "make_minstd",
-    "make_mt19937",
-    "make_randu",
-    "make_shuffled",
     "BitExtractStream",
-    "BitMaskWindowStream",
     "ExternalStream",
     "FileStream",
-    "ParallelImitatorStream",
     "bit_extract",
-    "bit_mask_windows",
     "external_stream",
     "file_stream",
-    "parallel_imitator",
 ]

@@ -1,5 +1,4 @@
-"""Stream adapters: bit extraction, mask windows, interleaving, file and
-child-process sources."""
+"""Stream adapters: bit extraction, file and child-process sources."""
 
 from __future__ import annotations
 
@@ -9,8 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, StreamExhausted
-from .base import RandomStream, SeedableStream
+from ..errors import ConfigurationError
+from .base import RandomStream
 
 
 class BitExtractStream(RandomStream):
@@ -37,84 +36,6 @@ class BitExtractStream(RandomStream):
 
 def bit_extract(inner: RandomStream, hi: int, lo: int) -> RandomStream:
     return BitExtractStream(inner, hi, lo)
-
-
-class BitMaskWindowStream(RandomStream):
-    """Slides a right-aligned mask left over each raw output.
-
-    One value is emitted per window position, lowest position first,
-    masked bits shifted back down to bit 0.
-    """
-
-    def __init__(self, inner: RandomStream, mask: int, step: int):
-        if mask <= 0:
-            raise ConfigurationError("mask must be non-zero")
-        width = inner.bit_width
-        if mask.bit_length() > width:
-            raise ConfigurationError("mask wider than the source word")
-        if step < 1 or step >= width:
-            raise ConfigurationError("step must be in [1, source width)")
-        super().__init__()
-        self._inner = inner
-        self._mask = mask
-        self._shifts = list(range(0, width - mask.bit_length() + 1, step))
-        self.min_value = 0
-        self.max_value = mask
-        self.name = f"maskwin({inner.name})"
-
-    @property
-    def windows_per_output(self) -> int:
-        return len(self._shifts)
-
-    def _generate(self, n: int) -> np.ndarray:
-        k = len(self._shifts)
-        n_raw = max(1, min((n + k - 1) // k, 65536))
-        raw = self._inner.next_block(n_raw)
-        cols = [(raw >> np.uint64(s)) & np.uint64(self._mask) for s in self._shifts]
-        return np.stack(cols, axis=1).ravel()
-
-
-def bit_mask_windows(inner: RandomStream, mask: int, step: int) -> RandomStream:
-    return BitMaskWindowStream(inner, mask, step)
-
-
-class ParallelImitatorStream(SeedableStream):
-    """Round-robin interleaving of several same-range streams.
-
-    seed(s) seeds member i with s + i so members start on distinct
-    sequences; documented behavior, not derivable from the interface.
-    """
-
-    def __init__(self, streams: Sequence[RandomStream]):
-        if not streams:
-            raise ConfigurationError("parallel imitator needs at least one stream")
-        lo = streams[0].min_value
-        hi = streams[0].max_value
-        for s in streams[1:]:
-            if s.min_value != lo or s.max_value != hi:
-                raise ConfigurationError("member streams must share one range")
-        super().__init__()
-        self._streams = list(streams)
-        self.min_value = lo
-        self.max_value = hi
-        self.name = "parallel(" + ",".join(s.name for s in self._streams) + ")"
-
-    def seed(self, s: int) -> None:
-        for i, member in enumerate(self._streams):
-            if not isinstance(member, SeedableStream):
-                raise ConfigurationError(f"member {member.name} is not seedable")
-            member.seed(s + i)
-        self._reset_buffer()
-
-    def _generate(self, n: int) -> np.ndarray:
-        k = len(self._streams)
-        rounds = max(1, min((n + k - 1) // k, 16384))
-        cols = [s.next_block(rounds) for s in self._streams]
-        return np.stack(cols, axis=1).ravel()
-
-
-def parallel_imitator(streams: Sequence[RandomStream]) -> RandomStream:
-    return ParallelImitatorStream(streams)
 
 
 class FileStream(RandomStream):

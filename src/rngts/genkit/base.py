@@ -87,6 +87,16 @@ class RandomStream:
         self._buf = np.concatenate([values, self._buf[self._pos:]])
         self._pos = 0
 
+    def warmup(self, w: int) -> None:
+        """Discard exactly w raw outputs."""
+        if w < 0:
+            raise ConfigurationError("warmup count must be non-negative")
+        left = w
+        while left > 0:
+            step = min(left, 65536)
+            self.next_block(step)
+            left -= step
+
     def _reset_buffer(self) -> None:
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0
@@ -97,13 +107,3 @@ class SeedableStream(RandomStream):
 
     def seed(self, s: int) -> None:
         raise NotImplementedError
-
-    def warmup(self, w: int) -> None:
-        """Discard exactly w raw outputs."""
-        if w < 0:
-            raise ConfigurationError("warmup count must be non-negative")
-        left = w
-        while left > 0:
-            step = min(left, 65536)
-            self.next_block(step)
-            left -= step

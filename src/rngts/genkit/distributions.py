@@ -8,8 +8,6 @@ modulo alone, so every value in [a, b] is exactly equiprobable.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..errors import ConfigurationError, StreamExhausted
@@ -22,13 +20,17 @@ def uniform01(stream: RandomStream) -> float:
     return u if u < 1.0 else np.nextafter(1.0, 0.0)
 
 
-def uniform01_block(stream: RandomStream, n: int) -> np.ndarray:
-    """n draws in [0, 1) as a float64 array."""
-    raw = stream.next_block(n)
+def uniform01_map(stream: RandomStream, raw: np.ndarray) -> np.ndarray:
+    """Map raw outputs of `stream` to [0, 1) as a float64 array."""
     u = (raw.astype(np.float64) - stream.min_value) / stream.range_size
     if stream.range_size > 2**53:
         np.minimum(u, np.nextafter(1.0, 0.0), out=u)
     return u
+
+
+def uniform01_block(stream: RandomStream, n: int) -> np.ndarray:
+    """n draws in [0, 1) as a float64 array."""
+    return uniform01_map(stream, stream.next_block(n))
 
 
 def _int_params(stream: RandomStream, a: int, b: int) -> tuple[int, int]:
@@ -85,28 +87,3 @@ def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarra
             parts.append(a + w[acc] % m)
             need -= acc.size
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-class Distribution:
-    """Lazy mapper from a raw stream to a target codomain."""
-
-    def map(self, stream: RandomStream) -> Iterator:
-        raise NotImplementedError
-
-
-class Uniform01(Distribution):
-    def map(self, stream: RandomStream) -> Iterator[float]:
-        while True:
-            yield uniform01(stream)
-
-
-class UniformInt(Distribution):
-    def __init__(self, a: int, b: int):
-        if a > b:
-            raise ConfigurationError(f"empty integer interval [{a}, {b}]")
-        self.a = a
-        self.b = b
-
-    def map(self, stream: RandomStream) -> Iterator[int]:
-        while True:
-            yield uniform_int(stream, self.a, self.b)

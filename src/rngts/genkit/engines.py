@@ -272,27 +272,3 @@ class ShuffledStream(SeedableStream):
             out[i] = v
         self._prev = prev
         return out
-
-
-def make_minstd() -> SeedableStream:
-    return Minstd()
-
-
-def make_ecuyer1988() -> SeedableStream:
-    return Ecuyer1988()
-
-
-def make_mt19937() -> SeedableStream:
-    return Mt19937()
-
-
-def make_lagged_fibonacci_1279() -> SeedableStream:
-    return LaggedFibonacci1279()
-
-
-def make_randu() -> SeedableStream:
-    return Randu()
-
-
-def make_shuffled(inner: SeedableStream, table_size: int = 32) -> SeedableStream:
-    return ShuffledStream(inner, table_size)

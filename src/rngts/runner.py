@@ -211,14 +211,6 @@ class RunManifest:
     jobs: Optional[int] = None
 
 
-def _discard(stream: RandomStream, count: int) -> None:
-    left = count
-    while left > 0:
-        step = min(left, 65536)
-        stream.next_block(step)
-        left -= step
-
-
 def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
               test_factory: Callable[[], TestCase],
               levels: Sequence[float]) -> TestOutcome:
@@ -229,7 +221,7 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
         if isinstance(stream, SeedableStream):
             stream.seed(seed)
         if warmup:
-            _discard(stream, warmup)
+            stream.warmup(warmup)
         return case.execute(stream, levels)
     except (ConfigurationError, StreamExhausted, TestAborted) as exc:
         # execute() already contains aborts raised inside run(); this
@@ -317,6 +309,11 @@ def document_has_failures(doc: ReportDocument) -> bool:
 # manifest loading
 
 
+def _is_count(value) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _generator_entry(entry) -> tuple:
     if not isinstance(entry, dict) or "name" not in entry:
         raise ConfigurationError(
@@ -324,7 +321,7 @@ def _generator_entry(entry) -> tuple:
         )
     name = entry["name"]
     warmup = entry.get("warmup", 0)
-    if not isinstance(warmup, int) or warmup < 0:
+    if not _is_count(warmup) or warmup < 0:
         raise ConfigurationError(
             f"generator {name!r}: warmup must be a non-negative integer"
         )
@@ -385,7 +382,7 @@ def load_manifest(path) -> RunManifest:
     generators = tuple(_generator_entry(e) for e in data["generators"])
     seeds = []
     for seed in data["seeds"]:
-        if not isinstance(seed, int) or seed < 0:
+        if not _is_count(seed) or seed < 0:
             raise ConfigurationError(
                 f"seed {seed!r} must be a non-negative integer"
             )
@@ -399,7 +396,7 @@ def load_manifest(path) -> RunManifest:
         levels.append(float(level))
     tests = tuple(_test_entry(e) for e in data["tests"])
     jobs = data.get("jobs")
-    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
+    if jobs is not None and (not _is_count(jobs) or jobs < 1):
         raise ConfigurationError("'jobs' must be a positive integer")
     output = data.get("output")
     html = data.get("html")

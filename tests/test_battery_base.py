@@ -9,10 +9,12 @@ from rngts.battery.base import (
     gaussian_result,
     ks_result,
     pool_cells,
+    scan,
 )
 from rngts.battery.base import TestCase as BatteryCase
 from rngts.errors import ConfigurationError, StreamExhausted
 from rngts.errors import TestAborted as AbortedError
+from rngts.genkit.base import RandomStream
 from rngts.report import Verdict
 from rngts.stats import StatKind, StatisticResult
 
@@ -107,6 +109,33 @@ class TestResultHelpers:
         assert gaussian_result(-1.96).statistic_value == -1.96
         assert gaussian_result(-1.96).p_values["p"] == pytest.approx(
             gaussian_result(1.96).p_values["p"])
+
+
+class _Zeros(RandomStream):
+    """Serves zeros and records every block size requested."""
+
+    max_value = 2**32 - 1
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def next_block(self, n):
+        self.requests.append(n)
+        return super().next_block(n)
+
+    def _generate(self, n):
+        return np.zeros(n, dtype=np.uint64)
+
+
+class TestScan:
+    def test_no_progress_doubles_the_block_then_aborts(self):
+        stream = _Zeros()
+        with pytest.raises(AbortedError,
+                           match="no progress at maximum buffer size"):
+            scan(stream, 1, lambda raw, remaining: (0, 0))
+        assert stream.requests == [65536 << i for i in range(7)]
+        assert stream.requests[-1] == 1 << 22
 
 
 class _FixedResults(BatteryCase):

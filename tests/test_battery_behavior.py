@@ -392,11 +392,17 @@ class TestMonkeyConsistency:
 
 class TestGapRecount:
     def test_gap_lengths_match(self):
-        alpha, beta, t, n_gaps, seed = 0.25, 0.75, 8, 400, 116
+        self._recount(0.25, 0.75, 8, 400, 116, 10000)
+
+    def test_sparse_hits_cross_blocks(self):
+        # mean gap 1e5 draws: gaps span blocks and empty blocks double
+        self._recount(0.0, 1e-5, 100000, 12, 120, 2_000_000)
+
+    def _recount(self, alpha, beta, t, n_gaps, seed, draws):
         stream = Mt19937(seed)
         case = GapTest(alpha=alpha, beta=beta, t=t, n_gaps=n_gaps)
         out = case.execute(stream, LEVELS)
-        slab = _slab(seed, 10000)
+        slab = _slab(seed, draws)
         counts = np.zeros(t + 1, dtype=np.int64)
         pos = gap = hits = 0
         while hits < n_gaps:

@@ -475,6 +475,11 @@ class TestCouponOracle:
             .cell_probabilities()
         # lengths 2, 3, then the >= 4 tail: 1/2, 1/4, 1/4
         assert list(probs) == [0.5, 0.25, 0.25]
+        # a long tail is computed without recursion: P(r) = 2^(1-r)
+        probs = CouponCollectorTest(d=2, t=3000).cell_probabilities()
+        assert probs.size == 2999
+        assert list(probs[:3]) == [0.5, 0.25, 0.125]
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_d3(self):
         case = CouponCollectorTest(d=3, t=7, n_segments=100)

@@ -122,6 +122,8 @@ class TestErrorExits:
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")
         assert main(["run", "--config", str(bad)]) == 2
+        boolean_seed = _manifest(tmp_path, seeds=[True])
+        assert main(["run", "--config", boolean_seed]) == 2
 
     def test_bad_date(self, tmp_path, capfd):
         code = main(["run", "--config", _manifest(tmp_path),

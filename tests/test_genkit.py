@@ -16,16 +16,13 @@ import pytest
 from rngts.errors import ConfigurationError, StreamExhausted
 from rngts.genkit.adapters import (
     BitExtractStream,
-    BitMaskWindowStream,
     ExternalStream,
     FileStream,
-    ParallelImitatorStream,
     bit_extract,
 )
 from rngts.genkit.base import RandomStream
 from rngts.genkit.bits import BitReader
 from rngts.genkit.distributions import (
-    Uniform01,
     uniform01,
     uniform01_block,
     uniform_int,
@@ -366,11 +363,6 @@ class TestUniformInt:
             # interval larger than an 8-value stream range
             uniform_int(Scripted([0], max_value=7), 0, 8)
 
-    def test_distribution_class(self):
-        it = Uniform01().map(Mt19937(4))
-        vals = [next(it) for _ in range(10)]
-        assert all(0.0 <= v < 1.0 for v in vals)
-
 
 # ---------------------------------------------------------------------------
 # bit access
@@ -417,48 +409,6 @@ class TestBitExtract:
             BitExtractStream(s, 6, 0)  # hi beyond 6-bit width
         with pytest.raises(ConfigurationError):
             BitExtractStream(s, 1, 2)  # lo > hi
-
-
-class TestBitMaskWindows:
-    def test_positions_low_first(self):
-        s = Scripted([0b11010110], max_value=255)
-        g = BitMaskWindowStream(s, 0b1111, 2)
-        # windows at shifts 0, 2, 4: 0110, 0101, 1101
-        assert list(g.next_block(3)) == [0b0110, 0b0101, 0b1101]
-
-    def test_validation(self):
-        s = Scripted([0], max_value=255)
-        with pytest.raises(ConfigurationError):
-            BitMaskWindowStream(s, 0, 1)
-        with pytest.raises(ConfigurationError):
-            BitMaskWindowStream(s, 0b111111111, 1)  # wider than source
-        with pytest.raises(ConfigurationError):
-            BitMaskWindowStream(s, 0b1111, 0)
-
-
-class TestParallelImitator:
-    def test_round_robin_interleave(self):
-        g = ParallelImitatorStream([Minstd(1), Minstd(500)])
-        a = Minstd(1).next_block(30)
-        b = Minstd(500).next_block(30)
-        out = g.next_block(60)
-        assert np.array_equal(out[0::2], a)
-        assert np.array_equal(out[1::2], b)
-
-    def test_seed_offsets_members(self):
-        g = ParallelImitatorStream([Minstd(1), Minstd(1)])
-        g.seed(10)
-        out = g.next_block(20)
-        assert np.array_equal(out[0::2], Minstd(10).next_block(10))
-        assert np.array_equal(out[1::2], Minstd(11).next_block(10))
-
-    def test_mixed_ranges_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelImitatorStream([Minstd(1), Mt19937(1)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelImitatorStream([])
 
 
 class TestFileStream:

@@ -15,7 +15,11 @@ import pytest
 
 from rngts import runner
 from rngts.battery.base import TestCase as BatteryCase
-from rngts.battery.uniformity import ChisqrUniformityTest, GapTest
+from rngts.battery.uniformity import (
+    ChisqrUniformityTest,
+    CouponCollectorTest,
+    GapTest,
+)
 from rngts.errors import ConfigurationError
 from rngts.genkit.engines import Minstd, Mt19937
 from rngts.report import write_xml
@@ -213,6 +217,21 @@ class TestRunSuite:
         assert aborted.analyses == ()
         assert healthy.aborted is None and healthy.analyses
 
+    def test_long_coupon_tail_completes_after_earlier_cells(self):
+        # the t=3000 tail law needs Stirling numbers S(2999, 8)
+        matrix = RunMatrix(
+            generators=(("minstd", Minstd, 0),),
+            seeds=(1,),
+            levels=(0.05,),
+            tests=(lambda: ChisqrUniformityTest(n=2000, k=64),
+                   lambda: CouponCollectorTest(t=3000)),
+        )
+        doc = run_suite(matrix, date="2025-06-01")
+        first, coupon = doc.generators[0].seeds[0].tests
+        assert first.aborted is None and first.analyses
+        assert coupon.name == "Coupon-Collector-Test"
+        assert coupon.aborted is None and coupon.analyses
+
     def test_short_file_generator_aborts_cell(self, tmp_path):
         path = tmp_path / "short.bin"
         path.write_bytes(struct.pack("<50I", *range(50)))
@@ -354,6 +373,9 @@ class TestLoadManifest:
         data["seeds"] = [-4]
         with pytest.raises(ConfigurationError, match="seed"):
             load_manifest(self._write(tmp_path, data))
+        data["seeds"] = [True]
+        with pytest.raises(ConfigurationError, match="seed"):
+            load_manifest(self._write(tmp_path, data))
 
     def test_bad_level(self, tmp_path):
         data = self._base()
@@ -364,6 +386,9 @@ class TestLoadManifest:
     def test_bad_jobs_and_output_types(self, tmp_path):
         data = self._base()
         data["jobs"] = 0
+        with pytest.raises(ConfigurationError, match="jobs"):
+            load_manifest(self._write(tmp_path, data))
+        data["jobs"] = True
         with pytest.raises(ConfigurationError, match="jobs"):
             load_manifest(self._write(tmp_path, data))
         data = self._base()
@@ -396,6 +421,9 @@ class TestLoadManifest:
         with pytest.raises(ConfigurationError, match="name"):
             load_manifest(self._write(tmp_path, data))
         data["generators"] = [{"name": "mt19937", "warmup": -1}]
+        with pytest.raises(ConfigurationError, match="warmup"):
+            load_manifest(self._write(tmp_path, data))
+        data["generators"] = [{"name": "mt19937", "warmup": False}]
         with pytest.raises(ConfigurationError, match="warmup"):
             load_manifest(self._write(tmp_path, data))
 
