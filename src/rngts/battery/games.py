@@ -16,7 +16,7 @@ from ..genkit.base import RandomStream
 from ..genkit.bits import BitReader
 from ..genkit.distributions import uniform01_map, uniform_int_block
 from .base import TestCase, chi_square_result, gaussian_result, scan
-from .kernels import craps_kernel, gcd_kernel, maurer_kernel, \
+from .kernels import craps_kernel, euclid, maurer_kernel, \
     repetition_kernel, squeeze_kernel
 
 
@@ -285,11 +285,7 @@ class GcdTest(TestCase):
     def run(self, stream: RandomStream):
         """Consumes raw draws through the one yielding integer 2*pairs."""
         vals = uniform_int_block(stream, 1, 2**31 - 1, 2 * self.pairs)
-        a = np.ascontiguousarray(vals[0::2])
-        b = np.ascontiguousarray(vals[1::2])
-        gs = np.empty(self.pairs, dtype=np.int64)
-        steps = np.empty(self.pairs, dtype=np.int64)
-        gcd_kernel(a, b, gs, steps)
+        gs, steps = euclid(vals[0::2], vals[1::2])
         counts = np.bincount(
             np.minimum(gs, self._TOP + 1) - 1, minlength=self._TOP + 1
         )

@@ -1,4 +1,8 @@
-"""Hot loops of the battery, compiled with numba when enabled.
+"""Hot loops of the battery.
+
+The sequential scanners, parking and Maurer's sums are loop kernels,
+compiled with numba when enabled.  Minimum distance, GF(2) rank and gcd
+are plain numpy functions over whole arrays and never compiled.
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
@@ -233,20 +237,28 @@ def repetition_kernel(vals, epoch, tag_start, ts, done_start, reps_needed):
     return done, pos, tag
 
 
-@njit(cache=True)
-def gcd_kernel(a, b, gs, steps):
-    """Euclid's algorithm per pair; records gcd and division-step count."""
-    for i in range(a.shape[0]):
-        x = a[i]
-        y = b[i]
-        s = 0
-        while y != 0:
-            r = x % y
-            x = y
-            y = r
-            s += 1
-        gs[i] = x
-        steps[i] = s
+def euclid(a, b):
+    """gcd and division-step count of every pair (a[i], b[i]).
+
+    Euclid's algorithm runs over the whole array at once; each round
+    takes one division step on the pairs still live and retires those
+    whose remainder reached 0.  Returns (gcds, steps) as int64 arrays.
+    """
+    gs = np.array(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    steps = np.zeros(gs.size, dtype=np.int64)
+    live = np.flatnonzero(b)
+    x, y = gs[live], b[live]
+    s = 0
+    while live.size:
+        x, y = y, x % y
+        s += 1
+        done = y == 0
+        gs[live[done]] = x[done]
+        steps[live[done]] = s
+        keep = ~done
+        live, x, y = live[keep], x[keep], y[keep]
+    return gs, steps
 
 
 @njit(cache=True)
@@ -280,91 +292,59 @@ def parking_kernel(xs, ys, grid, px, py):
     return k
 
 
-@njit(cache=True)
-def mindist_grid_kernel(xs, ys, cell, ncells, head, nxt):
-    """Minimum squared pairwise distance via a uniform grid.
+def min_squared_distance(xs, ys):
+    """Minimum squared pairwise distance by a sweep over x-sorted points.
 
-    Exact when the result is below cell^2 (more distant pairs span
-    non-adjacent cells); the caller falls back to brute force otherwise.
+    With points sorted by x, lag k pairs each point with the k-th next
+    one.  Lag differences only grow with k, and rounding preserves that
+    order, so once every lag-k dx^2 reaches the best d^2 no larger lag
+    can beat it (the strip method of Shamos & Hoey).  Each d^2 is
+    computed as (xi - xj)^2 + (yi - yj)^2, the same float whichever
+    point comes first.
     """
-    n = xs.shape[0]
-    for i in range(n):
-        cx = int(xs[i] / cell)
-        cy = int(ys[i] / cell)
-        if cx >= ncells:
-            cx = ncells - 1
-        if cy >= ncells:
-            cy = ncells - 1
-        nxt[i] = head[cx, cy]
-        head[cx, cy] = i
-    best = 1e300
-    for i in range(n):
-        cx = int(xs[i] / cell)
-        cy = int(ys[i] / cell)
-        if cx >= ncells:
-            cx = ncells - 1
-        if cy >= ncells:
-            cy = ncells - 1
-        for dx in range(-1, 2):
-            ax = cx + dx
-            if ax < 0 or ax >= ncells:
-                continue
-            for dy in range(-1, 2):
-                ay = cy + dy
-                if ay < 0 or ay >= ncells:
-                    continue
-                j = head[ax, ay]
-                while j >= 0:
-                    if j > i:
-                        ddx = xs[i] - xs[j]
-                        ddy = ys[i] - ys[j]
-                        d2 = ddx * ddx + ddy * ddy
-                        if d2 < best:
-                            best = d2
-                    j = nxt[j]
+    order = np.argsort(xs, kind="stable")
+    x = xs[order]
+    y = ys[order]
+    best = math.inf
+    for k in range(1, x.size):
+        dx = x[k:] - x[:-k]
+        dx2 = dx * dx
+        if dx2.min() >= best:
+            break
+        dy = y[k:] - y[:-k]
+        best = min(best, float((dx2 + dy * dy).min()))
     return best
 
 
-@njit(cache=True)
-def mindist_brute_kernel(xs, ys):
-    n = xs.shape[0]
-    best = 1e300
-    for i in range(n):
-        for j in range(i + 1, n):
-            ddx = xs[i] - xs[j]
-            ddy = ys[i] - ys[j]
-            d2 = ddx * ddx + ddy * ddy
-            if d2 < best:
-                best = d2
-    return best
+def gf2_rank_counts(mats, cols):
+    """Census of GF(2) ranks of bit-packed matrices.
 
-
-@njit(cache=True)
-def rank_kernel(mats, rows, cols, counts):
-    """GF(2) rank of bit-packed matrices; counts[rank] accumulates."""
-    n = mats.shape[0]
-    for idx in range(n):
-        m = mats[idx].copy()
-        rank = 0
-        for bit in range(cols - 1, -1, -1):
-            mask = np.uint64(1) << np.uint64(bit)
-            pivot = -1
-            for r in range(rank, rows):
-                if m[r] & mask:
-                    pivot = r
-                    break
-            if pivot < 0:
-                continue
-            tmp = m[rank]
-            m[rank] = m[pivot]
-            m[pivot] = tmp
-            for r in range(rank + 1, rows):
-                if m[r] & mask:
-                    m[r] = m[r] ^ m[rank]
-            rank += 1
-            if rank == rows:
-                break
-        counts[rank] += 1
+    mats has one row of `cols` bits per uint64 entry, shape
+    (n_matrices, rows).  Gaussian elimination runs on all matrices at
+    once, from the most significant column down: each matrix with a
+    pivot in the column swaps it into row `rank` and clears the column
+    from the rows below.  Returns counts indexed by rank.
+    """
+    m = mats.copy()
+    n, rows = m.shape
+    rank = np.zeros(n, dtype=np.int64)
+    row_ids = np.arange(rows)
+    for bit in range(cols - 1, -1, -1):
+        has = ((m >> np.uint64(bit)) & np.uint64(1)).astype(bool)
+        has &= row_ids >= rank[:, None]
+        live = np.flatnonzero(has.any(axis=1))
+        top = rank[live]
+        hit = has[live]
+        pivot = hit.argmax(axis=1)
+        prow = m[live, pivot]
+        m[live, pivot] = m[live, top]
+        m[live, top] = prow
+        # rows between top and the pivot lack the bit, so after the swap
+        # the rows to clear are the other rows that had it
+        hit[np.arange(live.size), pivot] = False
+        m[live] ^= prow[:, None] * hit
+        rank[live] += 1
+    return np.bincount(rank, minlength=min(rows, cols) + 1)
 
 
 @njit(cache=True)

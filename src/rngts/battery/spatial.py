@@ -16,8 +16,7 @@ from ..genkit.bits import BitReader
 from ..genkit.distributions import uniform01_block, uniform_int_block
 from ..stats import StatKind, StatisticResult
 from .base import TestCase, chi_square_result, gaussian_result, ks_result
-from .kernels import mindist_brute_kernel, mindist_grid_kernel, \
-    parking_kernel, rank_kernel
+from .kernels import gf2_rank_counts, min_squared_distance, parking_kernel
 
 
 @lru_cache(maxsize=8)
@@ -189,8 +188,7 @@ class BinaryRankTest(TestCase):
                        * weights).sum(axis=1, dtype=np.uint64)
         mats = np.ascontiguousarray(rows_packed.reshape(self.n_matrices,
                                                         self.rows))
-        rank_counts = np.zeros(min(self.rows, self.cols) + 1, dtype=np.int64)
-        rank_kernel(mats, self.rows, self.cols, rank_counts)
+        rank_counts = gf2_rank_counts(mats, self.cols)
         named, probs = self._categories()
         counts = [int(rank_counts[r]) for r in named]
         if len(probs) > len(named):
@@ -214,6 +212,8 @@ class ParkingLotTest(TestCase):
     def __init__(self, attempts: int = 12000, side: float = 100.0):
         if attempts < 1:
             raise ConfigurationError("need at least 1 attempt")
+        if not math.isfinite(side):
+            raise ConfigurationError("side must be finite")
         if side <= 1.0:
             raise ConfigurationError("side must exceed the crash distance 1")
         self.attempts = attempts
@@ -259,6 +259,8 @@ class MinimumDistanceTest(TestCase):
                  reps: int = 100):
         if points < 2:
             raise ConfigurationError("need at least 2 points per repetition")
+        if not math.isfinite(side):
+            raise ConfigurationError("side must be finite")
         if side <= 0.0:
             raise ConfigurationError("side must be positive")
         if reps < 1:
@@ -276,17 +278,7 @@ class MinimumDistanceTest(TestCase):
 
     def minimum_squared_distance(self, stream: RandomStream) -> float:
         u = uniform01_block(stream, 2 * self.points)
-        xs = np.ascontiguousarray(u[0::2] * self.side)
-        ys = np.ascontiguousarray(u[1::2] * self.side)
-        ncells = max(1, int(math.sqrt(self.points / 2.0)))
-        cell = self.side / ncells
-        head = np.full((ncells, ncells), -1, dtype=np.int64)
-        nxt = np.empty(self.points, dtype=np.int64)
-        best = float(mindist_grid_kernel(xs, ys, cell, ncells, head, nxt))
-        if best >= cell * cell:
-            # pairs farther than a cell may span non-adjacent cells
-            best = float(mindist_brute_kernel(xs, ys))
-        return best
+        return min_squared_distance(u[0::2] * self.side, u[1::2] * self.side)
 
     def run(self, stream: RandomStream):
         """Consumes exactly 2 * points * reps draws."""

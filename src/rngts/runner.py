@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -56,6 +57,9 @@ from .report import (
     SeedSection,
     test_section_from_outcome,
 )
+
+_log = logging.getLogger(__name__)
+
 
 # ---------------------------------------------------------------------------
 # registries
@@ -227,17 +231,21 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
         # execute() already contains aborts raised inside run(); this
         # catches stream construction, seeding, and warmup failures
         reason = exc.reason if isinstance(exc, TestAborted) else str(exc)
-        return TestOutcome(
-            test_name=case.test_name,
-            parameters=tuple(case.parameters()),
-            results=(),
-            verdicts=(),
-            aborted=reason,
-        )
+    except Exception as exc:
+        # any other fault ends this cell only; the traceback goes to the log
+        _log.exception("cell %s aborted", case.test_name)
+        reason = f"{type(exc).__name__}: {exc}"
     finally:
         close = getattr(stream, "close", None)
         if close is not None:
             close()
+    return TestOutcome(
+        test_name=case.test_name,
+        parameters=tuple(case.parameters()),
+        results=(),
+        verdicts=(),
+        aborted=reason,
+    )
 
 
 def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
@@ -246,7 +254,8 @@ def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
 
     Cells run on up to `jobs` threads; output order and content are
     independent of the job count.  Aborted cells (exhausted or
-    misconfigured streams) appear in the report and never halt the run.
+    misconfigured streams, or any other exception in a cell) appear in
+    the report and never halt the run.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")

@@ -592,6 +592,34 @@ class TestGcdRecount:
 
 
 # ---------------------------------------------------------------------------
+# default-size results pinned bit for bit
+
+
+class TestPinnedDefaults:
+    """Default-size runs on Mt19937(1), recorded from the loop kernels
+    that the whole-array minimum-distance, rank and gcd code replaced:
+    p-values as float.hex, raw words consumed, and diagnostics."""
+
+    @pytest.mark.parametrize("case, p_values, words, diagnostics", [
+        (MinimumDistanceTest(),
+         {"plus": "0x1.fa648dab8462ap-1", "minus": "0x1.28ac1aa198c4ap-3"},
+         1600000, ()),
+        (BinaryRankTest(), {"p": "0x1.74a41c276b538p-2"}, 128000, ()),
+        (GcdTest(), {"p": "0x1.ccd5d33fe428ap-1"}, 200000,
+         (("Mean Division Steps", 18.1683), ("Max Division Steps", 34))),
+    ], ids=["minimum_distance", "binary_rank", "gcd"])
+    def test_matches_recorded_run(self, case, p_values, words, diagnostics):
+        stream = Mt19937(1)
+        out = case.execute(stream, LEVELS)
+        got = {k: float(v).hex() for k, v in out.results[0].p_values.items()}
+        assert got == p_values
+        assert out.diagnostics == diagnostics
+        reference = Mt19937(1)
+        reference.next_block(words)
+        assert stream.next() == reference.next()  # consumed exactly words
+
+
+# ---------------------------------------------------------------------------
 # aborts stay contained and leave a reason
 
 

@@ -27,12 +27,11 @@ from rngts.battery.games import (
 from rngts.battery.kernels import (
     coupon_kernel,
     craps_kernel,
-    gcd_kernel,
+    euclid,
+    gf2_rank_counts,
     maurer_kernel,
-    mindist_brute_kernel,
-    mindist_grid_kernel,
+    min_squared_distance,
     parking_kernel,
-    rank_kernel,
     repetition_kernel,
     runs_kernel,
     squeeze_kernel,
@@ -40,6 +39,8 @@ from rngts.battery.kernels import (
 from rngts.battery.spatial import (
     BirthdaySpacingsTest,
     CollisionTest,
+    MinimumDistanceTest,
+    ParkingLotTest,
     collision_null_distribution,
     rank_distribution,
 )
@@ -168,10 +169,8 @@ class TestRankOracle:
         dist = rank_distribution(3, 3)
         for r in range(4):
             assert dist[r] == Fraction(census[r], 512)
-        # the compiled kernel reproduces the census exactly
-        counts = np.zeros(4, dtype=np.int64)
-        rank_kernel(packed, 3, 3, counts)
-        assert list(counts) == census
+        # the batched elimination reproduces the census exactly
+        assert list(gf2_rank_counts(packed, 3)) == census
 
     def test_census_2x4(self):
         census = [0, 0, 0]
@@ -190,9 +189,31 @@ class TestRankOracle:
         zero = np.zeros((1, 3), dtype=np.uint64)           # rank 0
         twice = np.array([[4, 4, 1]], dtype=np.uint64)     # rank 2
         for mats, expect in ((identity, 3), (zero, 0), (twice, 2)):
-            counts = np.zeros(4, dtype=np.int64)
-            rank_kernel(mats, 3, 3, counts)
+            counts = gf2_rank_counts(mats, 3)
             assert counts[expect] == 1 and counts.sum() == 1
+
+    def test_batch_reaches_full_rank_at_different_columns(self):
+        mats = np.array([
+            [0b10000, 0b01000, 0b00100],  # full rank after column 3
+            [0b00001, 0b10000, 0b00010],  # full rank only at column 5
+            [0b01110, 0b00111, 0b01001],  # rows sum to 0: rank 2
+            [0b11000, 0b11000, 0b00000],  # rank 1
+            [0b00000, 0b00100, 0b10000],  # pivots below a zero row: 2
+        ], dtype=np.uint64)
+        assert list(gf2_rank_counts(mats, 5)) == [0, 1, 2, 2]
+
+    @pytest.mark.parametrize("rows, cols", [(6, 9), (9, 6), (32, 32)])
+    def test_batch_matches_scalar_elimination(self, rows, cols):
+        rng = np.random.default_rng(rows * 100 + cols)
+        # sparse bits spread the ranks over several values
+        bits = (rng.random((300, rows, cols)) < 0.2).astype(np.uint64)
+        weights = np.uint64(1) << np.arange(cols - 1, -1, -1,
+                                            dtype=np.uint64)
+        mats = (bits * weights).sum(axis=2, dtype=np.uint64)
+        expect = np.zeros(min(rows, cols) + 1, dtype=np.int64)
+        for m in bits.tolist():
+            expect[_rank_gf2(m)] += 1
+        assert list(gf2_rank_counts(mats, cols)) == list(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -617,14 +638,33 @@ class TestGcdOracle:
     def test_euclid_known_pairs(self):
         a = np.array([48, 1, 7, 1071], dtype=np.int64)
         b = np.array([36, 1, 13, 462], dtype=np.int64)
-        gs = np.empty(4, dtype=np.int64)
-        steps = np.empty(4, dtype=np.int64)
-        gcd_kernel(a, b, gs, steps)
+        gs, steps = euclid(a, b)
         assert list(gs) == [12, 1, 1, 21]
         assert steps[0] == 2   # 48,36 -> 36,12 -> 12,0
         assert steps[1] == 1   # 1,1 -> 1,0
         for i in range(4):
             assert gs[i] == math.gcd(int(a[i]), int(b[i]))
+
+    def test_divisor_equal_and_swapped_pairs(self):
+        a = np.array([48, 7, 3, 10], dtype=np.int64)
+        b = np.array([12, 7, 10, 3], dtype=np.int64)
+        gs, steps = euclid(a, b)
+        assert list(gs) == [12, 7, 1, 1]
+        assert steps[0] == 1   # b | a: 48,12 -> 12,0
+        assert steps[1] == 1   # a == b: 7,7 -> 7,0
+        # a < b spends one step swapping: 3,10 -> 10,3 -> 3,1 -> 1,0
+        assert steps[2] == 3 and steps[3] == 2
+
+    def test_matches_scalar_euclid(self):
+        rng = np.random.default_rng(17)
+        a = rng.integers(1, 2**31 - 1, 3000)
+        b = rng.integers(1, 2**31 - 1, 3000)
+        gs, steps = euclid(a, b)
+        for i in range(a.size):
+            x, y, s = int(a[i]), int(b[i]), 0
+            while y:
+                x, y, s = y, x % y, s + 1
+            assert (gs[i], steps[i]) == (x, s)
 
 
 # ---------------------------------------------------------------------------
@@ -689,27 +729,60 @@ class TestParkingOracle:
         grid = np.full((102, 102), -1, dtype=np.int64)
         assert parking_kernel(xs, ys, grid, np.empty(2), np.empty(2)) == 1
 
+    @pytest.mark.parametrize("side", [math.nan, math.inf, -math.inf])
+    def test_side_must_be_finite(self, side):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ParkingLotTest(side=side)
+
+
+def _brute_min_d2(xs, ys):
+    """Minimum of (xi - xj)^2 + (yi - yj)^2 over all pairs i < j."""
+    best = math.inf
+    for i in range(xs.size - 1):
+        dx = xs[i] - xs[i + 1:]
+        dy = ys[i] - ys[i + 1:]
+        best = min(best, float((dx * dx + dy * dy).min()))
+    return best
+
 
 class TestMinimumDistanceOracle:
     def test_known_configuration(self):
         xs = np.array([0.0, 3.0, 1.0, 7.0])
         ys = np.array([0.0, 4.0, 1.0, 1.0])
-        assert mindist_brute_kernel(xs, ys) == pytest.approx(2.0)
+        assert min_squared_distance(xs, ys) == pytest.approx(2.0)
 
-    def test_grid_matches_brute_force(self):
+    @pytest.mark.parametrize("case", [
+        "two", "coincident", "equal_x", "one_x", "random", "dense",
+    ])
+    def test_sweep_matches_brute_force(self, case):
         rng = np.random.default_rng(5)
-        for _ in range(5):
-            xs = np.ascontiguousarray(rng.random(300) * 100.0)
-            ys = np.ascontiguousarray(rng.random(300) * 100.0)
-            ncells = 12
-            cell = 100.0 / ncells
-            head = np.full((ncells, ncells), -1, dtype=np.int64)
-            nxt = np.empty(300, dtype=np.int64)
-            got = mindist_grid_kernel(xs, ys, cell, ncells, head, nxt)
-            brute = mindist_brute_kernel(xs, ys)
-            # grid answer is exact whenever it is below one cell size
-            if got < cell * cell:
-                assert got == brute
+        if case == "two":
+            xs, ys = np.array([3.5, 1.25]), np.array([2.0, 9.0])
+        elif case == "coincident":
+            xs = rng.random(300) * 100.0
+            ys = rng.random(300) * 100.0
+            xs[200], ys[200] = xs[17], ys[17]
+        elif case == "equal_x":
+            xs = rng.integers(0, 6, 400).astype(np.float64)
+            ys = rng.random(400) * 100.0
+        elif case == "one_x":
+            xs = np.full(300, 42.0)
+            ys = rng.random(300) * 100.0
+        elif case == "random":
+            xs = rng.random(300) * 100.0
+            ys = rng.random(300) * 100.0
+        else:
+            xs = rng.random(8000) * 100.0
+            ys = rng.random(8000) * 100.0
+        got = min_squared_distance(xs, ys)
+        assert got == _brute_min_d2(xs, ys)
+        if case == "coincident":
+            assert got == 0.0
+
+    @pytest.mark.parametrize("side", [math.nan, math.inf, -math.inf])
+    def test_side_must_be_finite(self, side):
+        with pytest.raises(ConfigurationError, match="finite"):
+            MinimumDistanceTest(side=side)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,14 @@ class TestErrorExits:
         assert main(["run", "--config", str(bad)]) == 2
         boolean_seed = _manifest(tmp_path, seeds=[True])
         assert main(["run", "--config", boolean_seed]) == 2
+        # JSON's NaN and 1e309 load as non-finite floats
+        for test in ("minimum_distance", "parking_lot"):
+            for side in (float("nan"), float("1e309")):
+                config = _manifest(tmp_path, tests=[
+                    {"name": test, "parameters": {"side": side}}])
+                capfd.readouterr()
+                assert main(["run", "--config", config]) == 2
+                assert "side must be finite" in capfd.readouterr().err
 
     def test_bad_date(self, tmp_path, capfd):
         code = main(["run", "--config", _manifest(tmp_path),

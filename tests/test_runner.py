@@ -20,9 +20,10 @@ from rngts.battery.uniformity import (
     CouponCollectorTest,
     GapTest,
 )
+from rngts.cli import main
 from rngts.errors import ConfigurationError
 from rngts.genkit.engines import Minstd, Mt19937
-from rngts.report import write_xml
+from rngts.report import parse_xml, write_xml
 from rngts.runner import (
     RunManifest,
     RunMatrix,
@@ -143,6 +144,16 @@ class TestRunMatrixValidation:
             self._matrix(levels=(level,))
 
 
+class _Faulty(BatteryCase):
+    test_name = "Faulty-Test"
+
+    def parameters(self):
+        return []
+
+    def run(self, stream):
+        raise RuntimeError("kernel fell over")
+
+
 def _small_matrix():
     return RunMatrix(
         generators=(("mt19937", Mt19937, 0), ("minstd", Minstd, 16)),
@@ -216,6 +227,52 @@ class TestRunSuite:
         assert aborted.aborted == "backing store vanished"
         assert aborted.analyses == ()
         assert healthy.aborted is None and healthy.analyses
+
+    def test_unexpected_error_in_run_aborts_only_its_cell(
+            self, tmp_path, pristine_registries, caplog):
+        register_test("faulty_test", _Faulty)
+        tests = (lambda: ChisqrUniformityTest(n=2000, k=64), _Faulty,
+                 lambda: GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500))
+        matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
+                           seeds=(1,), levels=(0.05, 0.95), tests=tests)
+        doc = run_suite(matrix, date="2025-06-01")
+        before, faulty, after = doc.generators[0].seeds[0].tests
+        assert faulty.name == "Faulty-Test"
+        assert faulty.aborted == "RuntimeError: kernel fell over"
+        assert faulty.analyses == ()
+        # the neighbours read as in a run without the faulty cell
+        clean = run_suite(RunMatrix(generators=matrix.generators,
+                                    seeds=(1,), levels=(0.05, 0.95),
+                                    tests=(tests[0], tests[2])),
+                          date="2025-06-01")
+        assert clean.generators[0].seeds[0].tests == (before, after)
+        assert before.analyses and after.analyses
+        # the traceback goes to the log, not into the report
+        [record] = caplog.records
+        assert record.exc_info[0] is RuntimeError
+
+        # through the CLI: the report is written and the exit code
+        # follows its verdicts
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "generators": [{"name": "mt19937"}],
+            "seeds": [1],
+            "levels": [0.05, 0.95],
+            "tests": [
+                {"name": "chisqr_uniformity",
+                 "parameters": {"n": 2000, "k": 64}},
+                {"name": "faulty_test"},
+                {"name": "gap", "parameters": {
+                    "alpha": 0.0, "beta": 0.5, "t": 8, "n_gaps": 500}},
+            ],
+        }))
+        out = tmp_path / "report.xml"
+        code = main(["run", "--config", str(config), "--out", str(out),
+                     "--date", "2025-06-01"])
+        written = parse_xml(str(out))
+        assert written.generators[0].seeds[0].tests[1].aborted == (
+            "RuntimeError: kernel fell over")
+        assert code == (1 if document_has_failures(written) else 0)
 
     def test_long_coupon_tail_completes_after_earlier_cells(self):
         # the t=3000 tail law needs Stirling numbers S(2999, 8)
