@@ -52,6 +52,8 @@ class TestCase:
     """
 
     test_name: str = "test"
+    # (label, value) pairs for the report, set by `run` for its last stream
+    diagnostics: tuple = ()
 
     def parameters(self) -> list:
         raise NotImplementedError
@@ -76,11 +78,8 @@ class TestCase:
             parameters=tuple(self.parameters()),
             results=tuple(results),
             verdicts=tuple(verdicts),
-            diagnostics=tuple(self._diagnostics()),
+            diagnostics=self.diagnostics,
         )
-
-    def _diagnostics(self) -> list:
-        return []
 
     def execute(self, stream: RandomStream,
                 levels: Sequence[float]) -> TestOutcome:

@@ -145,17 +145,12 @@ class CrapsTest(TestCase):
         z = (wins - self.games * p_w) / math.sqrt(
             self.games * p_w * (1.0 - p_w)
         )
-        self._last_wins = wins
+        self.diagnostics = (("Games Won", wins),)
         return [
             gaussian_result(z),
             chi_square_result(throws, craps_throw_probabilities(self._CELLS),
                               self.games),
         ]
-
-    def _diagnostics(self):
-        if hasattr(self, "_last_wins"):
-            return [("Games Won", self._last_wins)]
-        return []
 
 
 def repetition_pmf(bits: int, coverage: float = 1.0 - 1e-9) -> np.ndarray:
@@ -289,18 +284,12 @@ class GcdTest(TestCase):
         counts = np.bincount(
             np.minimum(gs, self._TOP + 1) - 1, minlength=self._TOP + 1
         )
-        self._steps_mean = float(steps.mean())
-        self._steps_max = int(steps.max())
+        self.diagnostics = (
+            ("Mean Division Steps", float(steps.mean())),
+            ("Max Division Steps", int(steps.max())),
+        )
         return [chi_square_result(counts, self.cell_probabilities(),
                                   self.pairs)]
-
-    def _diagnostics(self):
-        if hasattr(self, "_steps_mean"):
-            return [
-                ("Mean Division Steps", self._steps_mean),
-                ("Max Division Steps", self._steps_max),
-            ]
-        return []
 
 
 @lru_cache(maxsize=32)
@@ -372,10 +361,5 @@ class MaurersUniversalTest(TestCase):
         c = (0.7 - 0.8 / self.L
              + (4.0 + 32.0 / self.L) * self.K ** (-3.0 / self.L) / 15.0)
         sigma = c * math.sqrt(var / self.K)
-        self._last_f = f
+        self.diagnostics = (("Statistic f", f),)
         return [gaussian_result((f - e) / sigma)]
-
-    def _diagnostics(self):
-        if hasattr(self, "_last_f"):
-            return [("Statistic f", self._last_f)]
-        return []

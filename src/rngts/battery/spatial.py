@@ -238,13 +238,8 @@ class ParkingLotTest(TestCase):
         k = self.park(stream)
         z = (k - self._MEAN) / self._SIGMA
         result = gaussian_result(z)
-        self._last_k = k
+        self.diagnostics = (("Cars Parked", k),)
         return [result]
-
-    def _diagnostics(self):
-        if hasattr(self, "_last_k"):
-            return [("Cars Parked", self._last_k)]
-        return []
 
 
 class MinimumDistanceTest(TestCase):
@@ -361,10 +356,5 @@ class Monkey20BitTest(TestCase):
         missing = int((occupied == 0).sum())
         mean = 2.0**self._WORD_BITS * math.exp(-2.0)
         z = (missing - mean) / self._SIGMA
-        self._last_missing = missing
+        self.diagnostics = (("Missing Words", missing),)
         return [gaussian_result(z)]
-
-    def _diagnostics(self):
-        if hasattr(self, "_last_missing"):
-            return [("Missing Words", self._last_missing)]
-        return []

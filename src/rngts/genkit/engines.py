@@ -2,8 +2,10 @@
 
 Every engine produces raw unsigned integers in its declared range and is
 seedable.  Block generation is vectorized: the multiplicative congruential
-engines use a precomputed multiplier table (x_{k+j} = a^j x_k mod m), the
-twisted generator runs its update over whole state arrays.
+engines, and both components of L'Ecuyer's combined generator, step
+through one precomputed multiplier table (x_{k+j} = a^j x_k mod m); the
+Mersenne Twister is numpy's own MT19937; the Bays-Durham shuffle draws
+its inner words a block at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +16,16 @@ from ..errors import ConfigurationError
 from .base import SeedableStream
 
 _BLOCK = 4096
+
+
+def _power_table(a: int, m: int) -> np.ndarray:
+    """A[j] = a^(j+1) mod m for j < _BLOCK, as int64."""
+    table = np.empty(_BLOCK, dtype=np.int64)
+    acc = 1
+    for j in range(_BLOCK):
+        acc = (acc * a) % m
+        table[j] = acc
+    return table
 
 
 class _MultiplicativeLcg(SeedableStream):
@@ -30,13 +42,7 @@ class _MultiplicativeLcg(SeedableStream):
         super().__init__()
         self.min_value = 1
         self.max_value = self._m - 1
-        # A[j] = a^(j+1) mod m
-        table = np.empty(_BLOCK, dtype=np.int64)
-        acc = 1
-        for j in range(_BLOCK):
-            acc = (acc * self._a) % self._m
-            table[j] = acc
-        self._table = table
+        self._table = _power_table(self._a, self._m)
         self.seed(seed)
 
     def _remap_seed(self, s: int) -> int:
@@ -49,11 +55,14 @@ class _MultiplicativeLcg(SeedableStream):
         self._x = self._remap_seed(s)
         self._reset_buffer()
 
-    def _generate(self, n: int) -> np.ndarray:
-        c = min(n, _BLOCK)
-        out = (self._table[:c] * self._x) % self._m
+    def _step(self, n: int) -> np.ndarray:
+        """Advance by min(n, _BLOCK) steps; return those states as int64."""
+        out = (self._table[:min(n, _BLOCK)] * self._x) % self._m
         self._x = int(out[-1])
-        return out.astype(np.uint64)
+        return out
+
+    def _generate(self, n: int) -> np.ndarray:
+        return self._step(n).astype(np.uint64)
 
 
 class Minstd(_MultiplicativeLcg):
@@ -77,6 +86,16 @@ class Randu(_MultiplicativeLcg):
         return x | 1
 
 
+class _Ecuyer1988First(_MultiplicativeLcg):
+    _a = 40014
+    _m = 2147483563
+
+
+class _Ecuyer1988Second(_MultiplicativeLcg):
+    _a = 40692
+    _m = 2147483399
+
+
 class Ecuyer1988(SeedableStream):
     """L'Ecuyer's 1988 combined generator.
 
@@ -87,105 +106,63 @@ class Ecuyer1988(SeedableStream):
     """
 
     name = "ecuyer1988"
-    _m1, _a1 = 2147483563, 40014
-    _m2, _a2 = 2147483399, 40692
 
     def __init__(self, seed: int = 1):
         super().__init__()
+        self._c1 = _Ecuyer1988First()
+        self._c2 = _Ecuyer1988Second()
         self.min_value = 1
-        self.max_value = self._m1 - 1
-        self._t1 = self._power_table(self._a1, self._m1)
-        self._t2 = self._power_table(self._a2, self._m2)
+        self.max_value = self._c1.max_value
         self.seed(seed)
 
-    @staticmethod
-    def _power_table(a: int, m: int) -> np.ndarray:
-        table = np.empty(_BLOCK, dtype=np.int64)
-        acc = 1
-        for j in range(_BLOCK):
-            acc = (acc * a) % m
-            table[j] = acc
-        return table
-
     def seed(self, s: int) -> None:
-        if s < 0:
-            raise ConfigurationError("seed must be non-negative")
-        self._x1 = (s % self._m1) or 1
-        self._x2 = (s % self._m2) or 1
+        self._c1.seed(s)
+        self._c2.seed(s)
         self._reset_buffer()
 
     def _generate(self, n: int) -> np.ndarray:
-        c = min(n, _BLOCK)
-        v1 = (self._t1[:c] * self._x1) % self._m1
-        v2 = (self._t2[:c] * self._x2) % self._m2
-        self._x1 = int(v1[-1])
-        self._x2 = int(v2[-1])
-        z = (v1 - v2) % (self._m1 - 1)
-        z[z == 0] = self._m1 - 1
+        z = (self._c1._step(n) - self._c2._step(n)) % self.max_value
+        z[z == 0] = self.max_value
         return z.astype(np.uint64)
 
 
 class Mt19937(SeedableStream):
-    """Mersenne Twister MT19937 with the 2002 integer seeding recurrence."""
+    """Mersenne Twister MT19937 with the 2002 integer seeding recurrence,
+    run by numpy's MT19937 bit generator.
+
+    numpy.random is reached only through `np.random` here, so importing
+    this module does not load it.
+    """
 
     name = "mt-19937"
-    _N = 624
-    _M = 397
 
     def __init__(self, seed: int = 5489):
         super().__init__()
         self.min_value = 0
         self.max_value = 2**32 - 1
+        self._bg = np.random.MT19937()
         self.seed(seed)
 
     def seed(self, s: int) -> None:
         if s < 0:
             raise ConfigurationError("seed must be non-negative")
-        state = np.empty(self._N, dtype=np.uint32)
-        prev = s & 0xFFFFFFFF
-        state[0] = prev
-        for i in range(1, self._N):
-            prev = (1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF
-            state[i] = prev
-        self._mt = state
+        # RandomState seeds an integer by the 2002 recurrence (init_genrand)
+        self._bg.state = np.random.RandomState(
+            s & 0xFFFFFFFF
+        ).get_state(legacy=False)
         self._reset_buffer()
 
     def load_state(self, words) -> None:
         """Load a full 624-word state directly (historical/reference runs)."""
         state = np.asarray(words, dtype=np.uint32)
-        if state.shape != (self._N,):
+        if state.shape != (624,):
             raise ConfigurationError("state must hold exactly 624 words")
-        self._mt = state.copy()
+        self._bg.state = {"bit_generator": "MT19937",
+                          "state": {"key": state, "pos": 624}}
         self._reset_buffer()
 
-    def _twist(self) -> None:
-        mt = self._mt
-        upper = np.uint32(0x80000000)
-        lower = np.uint32(0x7FFFFFFF)
-        matrix = np.uint32(0x9908B0DF)
-        y = (mt[:623] & upper) | (mt[1:] & lower)
-        tw = (y >> np.uint32(1)) ^ np.where(y & np.uint32(1), matrix, np.uint32(0))
-        new = np.empty_like(mt)
-        new[:227] = mt[397:] ^ tw[:227]
-        new[227:454] = new[:227] ^ tw[227:454]
-        new[454:623] = new[227:396] ^ tw[454:623]
-        y_last = (int(mt[623]) & 0x80000000) | (int(new[0]) & 0x7FFFFFFF)
-        last = (y_last >> 1) ^ (0x9908B0DF if y_last & 1 else 0)
-        new[623] = np.uint32(int(new[396]) ^ last)
-        self._mt = new
-
     def _generate(self, n: int) -> np.ndarray:
-        blocks = []
-        for _ in range((n + self._N - 1) // self._N):
-            self._twist()
-            y = self._mt.copy()
-            y ^= y >> np.uint32(11)
-            y ^= (y << np.uint32(7)) & np.uint32(0x9D2C5680)
-            y ^= (y << np.uint32(15)) & np.uint32(0xEFC60000)
-            y ^= y >> np.uint32(18)
-            blocks.append(y)
-        out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        return out.astype(np.uint64)
+        return self._bg.random_raw(n)
 
 
 class LaggedFibonacci1279(SeedableStream):
@@ -247,7 +224,7 @@ class ShuffledStream(SeedableStream):
         self._fill()
 
     def _fill(self) -> None:
-        self._tbl = [self._inner.next() for _ in range(self._size)]
+        self._tbl = self._inner.next_block(self._size).tolist()
         self._prev = self._tbl[-1]
         self._reset_buffer()
 
@@ -256,19 +233,19 @@ class ShuffledStream(SeedableStream):
         self._fill()
 
     def _generate(self, n: int) -> np.ndarray:
-        c = min(n, 1024)
-        out = np.empty(c, dtype=np.uint64)
+        # each output refills its slot with one inner word, so drawing
+        # exactly as many inner words as outputs keeps consumption exact
+        fresh = self._inner.next_block(min(n, 1024)).tolist()
+        out = []
         lo = self.min_value
         span = self.range_size
         size = self._size
         tbl = self._tbl
-        inner = self._inner
         prev = self._prev
-        for i in range(c):
+        for w in fresh:
             j = ((prev - lo) * size) // span
-            v = tbl[j]
-            tbl[j] = inner.next()
-            prev = v
-            out[i] = v
+            prev = tbl[j]
+            tbl[j] = w
+            out.append(prev)
         self._prev = prev
-        return out
+        return np.array(out, dtype=np.uint64)

@@ -229,7 +229,6 @@ class IterateTestCase(TestCase):
         self.repetitions = repetitions
         self.p_name = p_name
         self.test_name = f"Iterate-{inner.test_name}"
-        self._last: Optional[MetaOutcome] = None
 
     def parameters(self):
         return [
@@ -240,18 +239,12 @@ class IterateTestCase(TestCase):
     def run(self, stream: RandomStream):
         outcome = iterate_test(self.inner, self.repetitions, stream,
                                self.p_name)
-        self._last = outcome
         if outcome.aborted is not None:
             raise TestAborted(outcome.aborted)
+        self.diagnostics = (("Successful Repetitions", outcome.repetitions),)
+        if outcome.aborted_runs:
+            self.diagnostics += (("Aborted Repetitions", outcome.aborted_runs),)
         return [outcome.meta_result]
-
-    def _diagnostics(self):
-        if self._last is None:
-            return []
-        out = [("Successful Repetitions", self._last.repetitions)]
-        if self._last.aborted_runs:
-            out.append(("Aborted Repetitions", self._last.aborted_runs))
-        return out
 
 
 class CountFailsTestCase(TestCase):
@@ -266,7 +259,6 @@ class CountFailsTestCase(TestCase):
         self.levels = list(levels)
         self.p_name = p_name
         self.test_name = f"Count-Fails-{inner.test_name}"
-        self._last: Optional[MetaOutcome] = None
 
     def parameters(self):
         return [
@@ -278,15 +270,10 @@ class CountFailsTestCase(TestCase):
     def run(self, stream: RandomStream):
         outcome = count_fails_test(self.inner, self.repetitions, self.levels,
                                    stream, self.p_name)
-        self._last = outcome
         if outcome.aborted is not None:
             raise TestAborted(outcome.aborted)
-        return [outcome.meta_result]
-
-    def _diagnostics(self):
-        if self._last is None or self._last.fail_counts is None:
-            return []
-        return [
+        self.diagnostics = tuple(
             (f"Failures at {key}", count)
-            for key, count in self._last.fail_counts.items()
-        ]
+            for key, count in outcome.fail_counts.items()
+        )
+        return [outcome.meta_result]

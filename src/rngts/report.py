@@ -13,6 +13,7 @@ both suspiciously bad and suspiciously good fits.
 from __future__ import annotations
 
 import html as _html
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -168,8 +169,28 @@ def test_section_from_outcome(outcome, levels: Sequence[float]) -> TestSection:
 # XML emission
 
 
+# characters XML 1.0 cannot carry (C0 controls other than tab, LF and CR;
+# U+FFFE, U+FFFF) or UTF-8 cannot encode (lone surrogates)
+_UNWRITABLE = re.compile(
+    "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
+)
+_ATTR_ENTITIES = {'"': "&quot;", "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"}
+
+
+def _writable(text: str) -> str:
+    """Replace each character of _UNWRITABLE by its Python escape text."""
+    return _UNWRITABLE.sub(lambda m: ascii(m.group())[1:-1], text)
+
+
 def _attr(value: str) -> str:
-    return '"%s"' % _xml_escape(value, {'"': "&quot;"})
+    """Quote an attribute value so that write, parse, write gives the
+    same bytes.
+
+    Tab, LF and CR are written as character references, which parsers do
+    not normalize to spaces; a character XML or UTF-8 cannot hold at all
+    is written as its Python escape text (U+0001 becomes \\x01).
+    """
+    return '"%s"' % _xml_escape(_writable(value), _ATTR_ENTITIES)
 
 
 class _Writer:
@@ -388,7 +409,7 @@ td.aborted { background: #ffd27f; font-style: italic; }
 
 
 def _esc(text: str) -> str:
-    return _html.escape(str(text), quote=True)
+    return _html.escape(_writable(str(text)), quote=True)
 
 
 def _analysis_cells(analysis: AnalysisSection) -> tuple[str, str, list]:

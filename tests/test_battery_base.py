@@ -151,10 +151,8 @@ class _FixedResults(BatteryCase):
     def run(self, stream):
         if self._fail is not None:
             raise self._fail
+        self.diagnostics = (("Note", 7),)
         return self._results
-
-    def _diagnostics(self):
-        return [("Note", 7)]
 
 
 def _result(p):

@@ -17,6 +17,7 @@ import pytest
 
 import rngts
 from rngts.cli import main
+from rngts.report import parse_xml
 from rngts.runner import generator_names, test_names as catalog_test_names
 
 GOLDEN = Path(__file__).parent / "data" / "golden.xml"
@@ -96,6 +97,22 @@ class TestRun:
         text = page.read_bytes()
         assert text.startswith(b"<!DOCTYPE html>")
         assert b"241.761" in text
+
+    def test_unencodable_label_still_writes_report(self, tmp_path, capfd):
+        # a lone surrogate cannot be encoded as UTF-8; the cell aborts on
+        # the short file, and both reports are written all the same
+        words = tmp_path / "words.bin"
+        words.write_bytes(bytes(400))
+        config = _manifest(tmp_path, generators=[
+            {"name": "file", "path": str(words), "label": "bad\ud800"}])
+        out = tmp_path / "r.xml"
+        page = tmp_path / "r.html"
+        assert main(["run", "--config", config, "--out", str(out),
+                     "--html", str(page)]) in (0, 1)
+        doc = parse_xml(str(out))
+        assert doc.generators[0].name == "bad\\ud800"
+        assert doc.generators[0].seeds[0].tests[0].aborted is not None
+        assert b"bad\\ud800" in page.read_bytes()
 
     def test_jobs_flag_beats_garbage_env(self, tmp_path, capfd, monkeypatch):
         monkeypatch.setenv("RNGTS_JOBS", "junk")

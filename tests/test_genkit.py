@@ -157,8 +157,11 @@ class TestMt19937:
         assert out[0] == 3499211612
         assert out[9999] == 4123659995
 
-    def test_matches_scalar_loop(self):
-        assert np.array_equal(Mt19937(331).next_block(2000), _mt_scalar(331, 2000))
+    # 2**32 + 7 checks that seeding keeps the low 32 bits
+    @pytest.mark.parametrize("seed", [0, 331, 5489, 2**32 + 7])
+    def test_matches_scalar_loop(self, seed):
+        assert np.array_equal(Mt19937(seed).next_block(2000),
+                              _mt_scalar(seed, 2000))
 
     def test_reseed_restarts(self):
         g = Mt19937(9)
@@ -175,8 +178,12 @@ class TestMt19937:
             p = state[i - 1]
             state[i] = (1812433253 * (p ^ (p >> 30)) + i) & 0xFFFFFFFF
         g = Mt19937(1)
+        g.next_block(5)
         g.load_state(state)
-        assert np.array_equal(g.next_block(50), Mt19937(4357).next_block(50))
+        # mixed read sizes across the 624-word twist boundaries
+        got = [*g.next_block(1), *g.next_block(623), *g.next_block(700),
+               g.next()]
+        assert np.array_equal(got, Mt19937(4357).next_block(1325))
 
     def test_load_state_shape_checked(self):
         with pytest.raises(ConfigurationError):
@@ -205,14 +212,20 @@ class TestShuffledStream:
         prev = tbl[-1]
         lo, span = inner.min_value, inner.range_size
         ref = []
-        for _ in range(500):
+        for _ in range(3000):
             j = ((int(prev) - lo) * size) // span
             v = tbl[j]
             tbl[j] = inner.next()
             prev = v
             ref.append(int(v))
-        g = ShuffledStream(Minstd(44), size)
-        assert np.array_equal(g.next_block(500), ref)
+        shuffled_inner = Minstd(44)
+        g = ShuffledStream(shuffled_inner, size)
+        # mixed read sizes across the 1024-output chunks
+        got = [*g.next_block(1), *g.next_block(1023), *g.next_block(1500),
+               g.next(), *g.next_block(475)]
+        assert np.array_equal(got, ref)
+        # one inner word per table slot, then exactly one per output
+        assert shuffled_inner.next() == Minstd(44).next_block(size + 3001)[-1]
 
     def test_same_range_as_inner(self):
         g = ShuffledStream(Minstd(1), 8)
@@ -230,7 +243,10 @@ class TestShuffledStream:
 
 
 class TestSeedPolicing:
-    @pytest.mark.parametrize("cls", [Minstd, Randu, Ecuyer1988, Mt19937])
+    @pytest.mark.parametrize("cls", [
+        Minstd, Randu, Ecuyer1988, Mt19937, LaggedFibonacci1279,
+        lambda s: ShuffledStream(Minstd(s)),
+    ])
     def test_negative_seed_rejected(self, cls):
         with pytest.raises(ConfigurationError):
             cls(-1)

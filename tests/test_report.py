@@ -228,21 +228,39 @@ class TestXmlRoundTrip:
         write_xml(parsed, second)
         assert second.getvalue() == first.getvalue()
 
-    def test_escaping_round_trips(self):
+    # (label or reason, what parsing gives back): characters XML or UTF-8
+    # cannot hold come back as their Python escape text
+    @pytest.mark.parametrize("text, read_back", [
+        ('ext "a" & <b>', 'ext "a" & <b>'),
+        ("ValueError: boom\nsecond line", "ValueError: boom\nsecond line"),
+        ("tab\tand cr\r", "tab\tand cr\r"),
+        ("control \x01 char", "control \\x01 char"),
+        ("bad\ud800", "bad\\ud800"),
+        ("\ufffe\uffff", "\\ufffe\\uffff"),
+    ], ids=["markup", "newline", "tab-cr", "control", "surrogate",
+            "noncharacters"])
+    def test_escaping_round_trips(self, text, read_back):
         doc = ReportDocument(date="2025-01-01", generators=(
-            RngSection(name='ext "a" & <b>', warmup="0", seeds=(
+            RngSection(name=text, warmup="0", seeds=(
                 SeedSection(seed="7", tests=(
                     ResultTestSection(name="T", parameters=(
                         ("Command", 'run "x" < y & z'),
                     )),
+                    ResultTestSection(name="U", aborted=text),
                 )),
             )),
         ))
-        buf = io.BytesIO()
-        write_xml(doc, buf)
-        text = buf.getvalue().decode()
+        first = io.BytesIO()
+        write_xml(doc, first)
+        text = first.getvalue().decode()
         assert "&quot;" in text and "&amp;" in text and "&lt;" in text
-        assert parse_xml(io.BytesIO(buf.getvalue())) == doc
+        parsed = parse_xml(io.BytesIO(first.getvalue()))
+        rng = parsed.generators[0]
+        assert rng.name == read_back
+        assert rng.seeds[0].tests[1].aborted == read_back
+        second = io.BytesIO()
+        write_xml(parsed, second)
+        assert second.getvalue() == first.getvalue()
 
     def test_write_to_path(self, tmp_path):
         target = tmp_path / "out.xml"
