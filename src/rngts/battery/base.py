@@ -103,7 +103,8 @@ _MAX_BLOCK = 1 << 22
 
 
 def scan(stream: RandomStream, needed: int,
-         step: Callable[[np.ndarray, int], tuple[int, int]]) -> None:
+         step: Callable[[np.ndarray, int], tuple[int, int]],
+         words_per_unit: int = 0) -> None:
     """Feed raw blocks of `stream` to `step` until `needed` units are done.
 
     `step(raw, remaining)` scans one block and returns (units_done,
@@ -112,20 +113,34 @@ def scan(stream: RandomStream, needed: int,
     back onto the stream, so consumption is exact whatever the block
     size.  A block that completes no unit doubles the next one, up to
     _MAX_BLOCK; no progress at that size aborts the test.
+
+    With `words_per_unit`, a block holds at least that many words per
+    unit still needed, clamped to [_FIRST_BLOCK, _MAX_BLOCK].  A stream
+    too short for such a block keeps the words it read, and the scan
+    goes on without the hint.
     """
     block = _FIRST_BLOCK
     while needed > 0:
-        raw = stream.next_block(block)
+        size = block
+        if words_per_unit:
+            size = max(block, min(words_per_unit * needed, _MAX_BLOCK))
+        try:
+            raw = stream.next_block(size)
+        except StreamExhausted:
+            if size == block:
+                raise
+            words_per_unit = 0
+            continue
         done, consumed = step(raw, needed)
         if consumed < raw.size:
             stream.unread(raw[consumed:])
         needed -= done
         if done == 0:
-            if block >= _MAX_BLOCK:
+            if size >= _MAX_BLOCK:
                 raise TestAborted(
                     "scanner made no progress at maximum buffer size"
                 )
-            block = min(block * 2, _MAX_BLOCK)
+            block = min(size * 2, _MAX_BLOCK)
 
 
 def pool_cells(counts: np.ndarray, probs: np.ndarray,

@@ -16,8 +16,8 @@ from ..genkit.base import RandomStream
 from ..genkit.bits import BitReader
 from ..genkit.distributions import uniform01_map, uniform_int_block
 from .base import TestCase, chi_square_result, gaussian_result, scan
-from .kernels import craps_kernel, euclid, maurer_kernel, \
-    repetition_kernel, squeeze_kernel
+from .kernels import craps_kernel, euclid, maurer_sum, repetition_times, \
+    squeeze_kernel
 
 
 # Iteration-count frequencies for cells 6..48 from a 10^8-game
@@ -43,6 +43,9 @@ class SqueezeTest(TestCase):
     test_name = "Squeeze-Test"
 
     _GAME_CAP = 10000
+    # raw words read per game still needed: a game takes 23.07 on
+    # average, and the lockstep kernel wants one large buffer
+    _WORDS_PER_GAME = 24
 
     def __init__(self, games: int = 100000):
         if games < 1:
@@ -66,7 +69,7 @@ class SqueezeTest(TestCase):
                 )
             return done, consumed
 
-        scan(stream, self.games, step)
+        scan(stream, self.games, step, words_per_unit=self._WORDS_PER_GAME)
         return [chi_square_result(counts, SQUEEZE_CELL_PROBS, self.games)]
 
 
@@ -236,18 +239,15 @@ class RepetitionTest(TestCase):
             )
         sub = bit_extract(stream, stream.bit_width - 1,
                           stream.bit_width - self.bits)
-        epoch = np.zeros(2**self.bits, dtype=np.int64)
         ts = np.empty(self.reps, dtype=np.int64)
         done = 0
-        tag = 0
 
         def step(vals, remaining):
-            nonlocal done, tag
-            prev = done
-            done, consumed, tag = repetition_kernel(
-                vals.astype(np.int64), epoch, tag, ts, done, self.reps
-            )
-            return done - prev, consumed
+            nonlocal done
+            times, consumed = repetition_times(vals, remaining)
+            ts[done:done + times.size] = times
+            done += times.size
+            return times.size, consumed
 
         scan(sub, self.reps, step)
         n_bins = max(10, min(30, self.reps // 25))
@@ -354,8 +354,7 @@ class MaurersUniversalTest(TestCase):
         vals = np.ascontiguousarray(
             reader.read_values(self.Q + self.K, self.L)
         )
-        table = np.zeros(2**self.L, dtype=np.int64)
-        total = float(maurer_kernel(vals, self.Q, self.K, table))
+        total = maurer_sum(vals, self.Q, self.K)
         f = total / self.K
         e, var = maurer_reference(self.L)
         c = (0.7 - 0.8 / self.L

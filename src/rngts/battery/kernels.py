@@ -1,8 +1,9 @@
 """Hot loops of the battery.
 
-The sequential scanners, parking and Maurer's sums are loop kernels,
-compiled with numba when enabled.  Minimum distance, GF(2) rank and gcd
-are plain numpy functions over whole arrays and never compiled.
+Coupon collector, runs and parking are loop kernels, compiled with numba
+when enabled.  Squeeze, craps, repetition, Maurer's sums, minimum
+distance, GF(2) rank and gcd are plain numpy functions over whole arrays
+and never compiled.
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
@@ -22,112 +23,125 @@ import numpy as np
 from .._jit import njit
 
 
-@njit(cache=True)
+# squeeze lanes start this many words apart and each plays this many
+# draws in lockstep
+_SQUEEZE_SPAN = 2048
+_SQUEEZE_HORIZON = 4096
+
+
+def _squeeze_game(u, start, cap):
+    """Draws the squeeze game from `start` takes; -1 if it reaches the
+    cap first, 0 if the buffer runs out first."""
+    k = 2147483648
+    draw = u.item
+    stop = min(start + cap, u.shape[0])
+    for pos in range(start, stop):
+        k = math.ceil(k * draw(pos))
+        if k <= 1:
+            return pos + 1 - start
+    return -1 if stop - start >= cap else 0
+
+
 def squeeze_kernel(u, counts, games_needed, cap):
     """Play squeeze games over a uniform buffer.
 
+    A game counts k = 2^31 down by k = ceil(k*u) until k <= 1, and the
+    next game starts at the following draw.  That chain is sequential,
+    so it is speculated on (Mytkowicz, Musuvathi & Schulte, ASPLOS
+    2014): lanes start every _SQUEEZE_SPAN words and play games from
+    there for _SQUEEZE_HORIZON draws, all in lockstep, one draw per
+    lane per numpy step.  A game's length depends only on its start, so
+    each finished game is recorded by its start position.  Chains from
+    different starts soon meet, so the true chain, walked from 0, finds
+    its games recorded; one it does not find is played by a scalar
+    loop.  A game longer than `cap` aborts, and one the buffer cannot
+    finish is rolled back.
+
     Returns (games_done, consumed, aborted).
     """
-    pos = 0
     n = u.shape[0]
-    done = 0
-    while done < games_needed:
-        k = 2147483648
-        steps = 0
-        start = pos
-        while True:
-            if steps >= cap:
-                return done, start, 1
-            if pos >= n:
-                return done, start, 0
-            k = int(np.ceil(k * u[pos]))
-            pos += 1
-            steps += 1
-            if k <= 1:
-                break
-        j = steps
-        if j < 6:
-            j = 6
-        elif j > 48:
-            j = 48
-        counts[j - 6] += 1
-        done += 1
-    return done, pos, 0
+    # game length by start; 0 where no lane finished one, and at n
+    record = np.zeros(n + 1, dtype=np.int32)
+    if n >= _SQUEEZE_HORIZON:
+        window = np.lib.stride_tricks.sliding_window_view(
+            u, _SQUEEZE_HORIZON)[::_SQUEEZE_SPAN]
+        base = np.arange(window.shape[0]) * _SQUEEZE_SPAN
+        start = base.copy()
+        k = np.full(base.size, 2147483648.0)
+        for t in range(1, _SQUEEZE_HORIZON + 1):
+            np.multiply(k, window[:, t - 1], out=k)
+            np.ceil(k, out=k)
+            fin = np.flatnonzero(k <= 1.0)
+            if fin.size:
+                at = base[fin] + t
+                record[start[fin]] = at - start[fin]
+                start[fin] = at
+                k[fin] = 2147483648.0
+    at = 0
+    lengths = []
+    length = record.item
+    steps = 0
+    for _ in range(games_needed):
+        steps = length(at) or _squeeze_game(u, at, cap)
+        if not 0 < steps <= cap:
+            break
+        lengths.append(steps)
+        at += steps
+    done = len(lengths)
+    if done:
+        cells = np.clip(np.asarray(lengths), 6, 48) - 6
+        counts += np.bincount(cells, minlength=counts.size)
+    return done, at, int(steps < 0 or steps > cap)
 
 
-@njit(cache=True)
 def craps_kernel(w, limit, throws_counts, games_needed, cap):
     """Play craps games; dice come from inline rejection over raw offsets.
 
     w holds raw outputs minus the stream minimum; a value below `limit`
-    yields a die as w % 6 + 1.  Returns (games, wins, consumed, aborted).
+    yields a die as w % 6 + 1.  A throw is two consecutive accepted
+    dice wherever the games split, so all throws are read at once.  A
+    come-out throw with point v ends at the next throw summing to 7 or
+    v (one searchsorted per point), and a walk over the game ends
+    chains the games.  A game aborts once `cap` throws pass without a
+    resolution inside the buffer; one that runs out of buffer first is
+    rolled back.  Returns (games, wins, consumed, aborted).
     """
-    pos = 0
-    n = w.shape[0]
-    games = 0
-    wins = 0
-    while games < games_needed:
-        start = pos
-        throws = 0
-        point = 0
-        won = 0
-        aborted = False
-        dry = False
-        while True:
-            if throws >= cap:
-                aborted = True
-                break
-            d1 = -1
-            while d1 < 0:
-                if pos >= n:
-                    dry = True
-                    break
-                v = w[pos]
-                pos += 1
-                if v < limit:
-                    d1 = v % 6
-            if dry:
-                break
-            d2 = -1
-            while d2 < 0:
-                if pos >= n:
-                    dry = True
-                    break
-                v = w[pos]
-                pos += 1
-                if v < limit:
-                    d2 = v % 6
-            if dry:
-                break
-            s = d1 + d2 + 2
-            throws += 1
-            if point == 0:
-                if s == 7 or s == 11:
-                    won = 1
-                    break
-                elif s == 2 or s == 3 or s == 12:
-                    won = 0
-                    break
-                else:
-                    point = s
-            else:
-                if s == point:
-                    won = 1
-                    break
-                elif s == 7:
-                    won = 0
-                    break
-        if aborted:
-            return games, wins, start, 1
-        if dry:
-            return games, wins, start, 0
-        t = throws
-        if t > 21:
-            t = 21
-        throws_counts[t - 1] += 1
-        wins += won
-        games += 1
-    return games, wins, pos, 0
+    acc = np.flatnonzero(w < limit)
+    n = acc.size // 2
+    dice = w[acc[:2 * n]] % 6
+    s = dice[0::2] + dice[1::2] + 2
+    throw = np.arange(n)
+    end = throw.copy()  # the throw deciding the game that starts here
+    won = (s == 7) | (s == 11)
+    for v in (4, 5, 6, 8, 9, 10):
+        ends = np.flatnonzero((s == 7) | (s == v))
+        here = np.flatnonzero(s == v)
+        nxt = np.searchsorted(ends, here, side="right")
+        e = ends[np.minimum(nxt, ends.size - 1)]
+        end[here] = np.where(nxt == ends.size, n, e)
+        won[here] = s[e] == v
+    need = end - throw + 1
+    chain = np.where((end < n) & (need <= cap), end + 1, -1).tolist()
+    chain.append(-1)
+    starts = []
+    g = 0
+    for _ in range(games_needed):
+        nxt = chain[g]
+        if nxt < 0:
+            break
+        starts.append(g)
+        g = nxt
+    games = len(starts)
+    # the chain stops at a game decided past the cap (so more than cap
+    # throws remain) or at one the buffer leaves undecided
+    aborted = int(games < games_needed and n - g >= cap)
+    if games == 0:
+        return 0, 0, 0, aborted
+    first = np.asarray(starts)
+    throws_counts += np.bincount(np.minimum(need[first], 21) - 1,
+                                 minlength=throws_counts.size)
+    wins = int(np.count_nonzero(won[first]))
+    return games, wins, int(acc[2 * g - 1]) + 1, aborted
 
 
 @njit(cache=True)
@@ -206,35 +220,50 @@ def runs_kernel(u, counts, runs_needed, cap):
     return done, pos, 0
 
 
-@njit(cache=True)
-def repetition_kernel(vals, epoch, tag_start, ts, done_start, reps_needed):
-    """Draw values until the first repeat, per repetition.
+def previous_occurrence(vals):
+    """Index of the previous entry equal to each entry, or -1.
 
-    epoch tags `seen` entries without clearing the table between
-    repetitions; every (re)scan attempt takes a fresh tag so a rolled
-    back partial repetition cannot pollute the next attempt.
-    Returns (reps_done, consumed, tag_counter).
+    Sorting value-then-index keys orders equal values by position, so
+    an entry's predecessor in that order is its previous occurrence.
+    Values and indexes must fit in 64 bits together.
     """
-    pos = 0
     n = vals.shape[0]
-    done = done_start
-    tag = tag_start
-    while done < reps_needed:
-        start = pos
-        tag += 1
-        count = 0
-        while True:
-            if pos >= n:
-                return done, start, tag
-            v = vals[pos]
-            pos += 1
-            count += 1
-            if epoch[v] == tag:
-                break
-            epoch[v] = tag
-        ts[done] = count
-        done += 1
-    return done, pos, tag
+    shift = np.uint64(max(n - 1, 1).bit_length())
+    keys = np.sort((vals.astype(np.uint64) << shift)
+                   | np.arange(n, dtype=np.uint64))
+    order = (keys & np.uint64((1 << int(shift)) - 1)).astype(np.int64)
+    keys >>= shift
+    same = keys[1:] == keys[:-1]
+    prev = np.full(n, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def repetition_times(vals, reps_needed):
+    """Draws until the first repeated value, per repetition.
+
+    A repetition starting at p ends at the first j >= p whose value
+    already occurred at or after p: the earliest next occurrence of any
+    entry from p on.  One suffix minimum of the next-occurrence index
+    thus ends a repetition at every start, and a walk chains them.  A
+    repetition the buffer does not finish is rolled back.
+    Returns (times, consumed).
+    """
+    n = vals.shape[0]
+    prev = previous_occurrence(vals)
+    nxt = np.full(n + 1, n, dtype=np.int64)
+    later = np.flatnonzero(prev >= 0)
+    nxt[prev[later]] = later
+    end = np.minimum.accumulate(nxt[::-1])[::-1].item
+    times = []
+    at = 0
+    for _ in range(reps_needed):
+        e = end(at)
+        if e >= n:
+            break
+        times.append(e + 1 - at)
+        at = e + 1
+    return np.asarray(times, dtype=np.int64), at
 
 
 def euclid(a, b):
@@ -347,20 +376,17 @@ def gf2_rank_counts(mats, cols):
     return np.bincount(rank, minlength=min(rows, cols) + 1)
 
 
-@njit(cache=True)
-def maurer_kernel(vals, q, k, table):
+def maurer_sum(vals, q, k):
     """Sum of log2 distances to the previous occurrence of each block.
 
-    table holds last positions (1-based); a value unseen during the
-    initialization segment keeps position 0, so its first distance is
-    its own index.
+    Blocks q..q+k-1 are tested; a value unseen before has distance
+    i + 1 for 0-based index i.  log2 comes from math.log2 over the
+    distinct distances (np.log2 rounds differently on some integers),
+    and a cumulative sum adds them in order, as a loop would.
     """
-    for i in range(q):
-        table[vals[i]] = i + 1
-    total = 0.0
-    for i in range(q, q + k):
-        pos = i + 1
-        d = pos - table[vals[i]]
-        total += math.log2(d)
-        table[vals[i]] = pos
-    return total
+    i = np.arange(q, q + k)
+    d = i - previous_occurrence(vals[:q + k])[q:]
+    seen = np.flatnonzero(np.bincount(d))
+    log2 = np.zeros(seen[-1] + 1)
+    log2[seen] = [math.log2(x) for x in seen.tolist()]
+    return float(np.cumsum(log2[d])[-1])

@@ -24,17 +24,24 @@ def collision_null_distribution(m: int, n: int) -> tuple:
     """Exact distribution of the collision count for n balls in m urns.
 
     Returns (pmf, cdf) over c = 0..n; built by the occupancy recurrence
-    over the number of occupied urns, one ball at a time.
+    over the number of occupied urns, one ball at a time.  After i
+    balls, no more than i urns are occupied, and the entries below the
+    first nonzero one have underflowed to 0 for good; each step updates
+    only the band between.
     """
     p = np.zeros(n + 1)
     p[0] = 1.0
     occ = np.arange(n + 1, dtype=np.float64)
     stay = occ / m
     grow = (m - occ) / m
-    for _ in range(n):
-        shifted = (p * grow)[:-1]
-        p = p * stay
-        p[1:] += shifted
+    lo = 0
+    for i in range(n):
+        band = p[lo:i + 2]
+        shifted = band[:-1] * grow[lo:i + 1]
+        band *= stay[lo:i + 2]
+        band[1:] += shifted
+        while p[lo] == 0.0:
+            lo += 1
     # p[occ] = P(occupied == occ); collisions c = n - occ
     pmf = p[::-1].copy()
     cdf = np.cumsum(pmf)

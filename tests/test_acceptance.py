@@ -240,11 +240,6 @@ def test_criterion_05_known_defects_detected():
                  f"minstd chisqr p={p_ms:.4f} ({dt:.1f}s)")
 
 
-@pytest.mark.skipif(
-    not JIT_ENABLED,
-    reason="the 1e7-game table check needs compiled kernels to meet its "
-           "time budget; fallback bit-identity is proven in the kernel tests",
-)
 def test_criterion_06_calibrated_game_laws():
     """Game-law tables agree with fresh Monte Carlo at fixed seeds."""
     t0 = time.perf_counter()

@@ -137,6 +137,54 @@ class TestScan:
         assert stream.requests == [65536 << i for i in range(7)]
         assert stream.requests[-1] == 1 << 22
 
+    def test_hint_sizes_blocks_by_units_still_needed(self):
+        stream = _Zeros()
+        scan(stream, 100000, lambda raw, remaining:
+             (min(remaining, raw.size // 30), raw.size), words_per_unit=24)
+        # 24 words per unit left: 100000, 20000, 4000, then 800 (clamped)
+        assert stream.requests == [2400000, 480000, 96000, 65536]
+        stream = _Zeros()
+        scan(stream, 10**6, lambda raw, remaining: (remaining, raw.size),
+             words_per_unit=24)
+        assert stream.requests == [1 << 22]
+
+    def test_hint_falls_back_on_a_short_stream(self):
+        stream = _Counting(200000)
+        seen = []
+
+        def step(raw, remaining):
+            seen.append(int(raw[0]))
+            return 1, 1000
+
+        scan(stream, 3, step, words_per_unit=100000)
+        # the hinted read fails, keeps its words, and the ladder goes on
+        assert stream.requests == [300000, 65536, 65536, 65536]
+        assert seen == [0, 1000, 2000]
+        assert stream.next() == 3000
+
+
+class _Counting(RandomStream):
+    """Serves 0, 1, 2, ... up to `size` words; records block sizes."""
+
+    max_value = 2**32 - 1
+
+    def __init__(self, size):
+        super().__init__()
+        self.requests = []
+        self._left = size
+        self._next = 0
+
+    def next_block(self, n):
+        self.requests.append(n)
+        return super().next_block(n)
+
+    def _generate(self, n):
+        n = min(n, self._left, 65536)
+        out = np.arange(self._next, self._next + n, dtype=np.uint64)
+        self._left -= n
+        self._next += n
+        return out
+
 
 class _FixedResults(BatteryCase):
     test_name = "Fixed"

@@ -597,26 +597,65 @@ class TestGcdRecount:
 
 class TestPinnedDefaults:
     """Default-size runs on Mt19937(1), recorded from the loop kernels
-    that the whole-array minimum-distance, rank and gcd code replaced:
-    p-values as float.hex, raw words consumed, and diagnostics."""
+    that the whole-array code replaced (minimum distance, rank, gcd,
+    squeeze, craps, repetition, Maurer) and from the full-width
+    collision recurrence: p-values of every result as float.hex, raw
+    words consumed, and diagnostics."""
 
     @pytest.mark.parametrize("case, p_values, words, diagnostics", [
         (MinimumDistanceTest(),
-         {"plus": "0x1.fa648dab8462ap-1", "minus": "0x1.28ac1aa198c4ap-3"},
+         [{"plus": "0x1.fa648dab8462ap-1", "minus": "0x1.28ac1aa198c4ap-3"}],
          1600000, ()),
-        (BinaryRankTest(), {"p": "0x1.74a41c276b538p-2"}, 128000, ()),
-        (GcdTest(), {"p": "0x1.ccd5d33fe428ap-1"}, 200000,
+        (BinaryRankTest(), [{"p": "0x1.74a41c276b538p-2"}], 128000, ()),
+        (GcdTest(), [{"p": "0x1.ccd5d33fe428ap-1"}], 200000,
          (("Mean Division Steps", 18.1683), ("Max Division Steps", 34))),
-    ], ids=["minimum_distance", "binary_rank", "gcd"])
+        (SqueezeTest(), [{"p": "0x1.825e5f1400b34p-3"}], 2308617, ()),
+        (CrapsTest(),
+         [{"p": "0x1.335e926241992p-1"}, {"p": "0x1.5dfca516fa51cp-1"}],
+         1353334, (("Games Won", 98703),)),
+        (RepetitionTest(), [{"p": "0x1.4fcb2b1f2b82cp-1"}], 713165, ()),
+        (MaurersUniversalTest(), [{"p": "0x1.5212e5babfba4p-2"}], 64640,
+         (("Statistic f", 7.1815700299479035),)),
+        (CollisionTest(),
+         [{"lower": "0x1.baab78db6b468p-3", "upper": "0x1.8597f089f552ap-3"}],
+         16384, ()),
+    ], ids=["minimum_distance", "binary_rank", "gcd", "squeeze", "craps",
+            "repetition", "maurers_universal", "collision"])
     def test_matches_recorded_run(self, case, p_values, words, diagnostics):
         stream = Mt19937(1)
         out = case.execute(stream, LEVELS)
-        got = {k: float(v).hex() for k, v in out.results[0].p_values.items()}
+        got = [{k: float(v).hex() for k, v in res.p_values.items()}
+               for res in out.results]
         assert got == p_values
         assert out.diagnostics == diagnostics
         reference = Mt19937(1)
         reference.next_block(words)
         assert stream.next() == reference.next()  # consumed exactly words
+
+    @pytest.mark.parametrize("length, aborted, next_word", [
+        (2370000, None, 2308617),
+        (2350000,
+         "file(words.bin): stream exhausted, 56648 of 65536 outputs available",
+         2350000 - 56648),
+    ], ids=["completes", "exhausted"])
+    def test_squeeze_on_a_file_shorter_than_its_block_hint(
+            self, tmp_path, length, aborted, next_word):
+        # squeeze asks for a 2400000-word block; read in 65536-word
+        # blocks it uses 2308617 words and reads up to 2358888.  A file
+        # shorter than the hint ends as it did under that ladder alone,
+        # and a failed read keeps the words it collected.
+        path = tmp_path / "words.bin"
+        path.write_bytes(Mt19937(1).next_block(length)
+                         .astype("<u4").tobytes())
+        stream = file_stream(str(path))
+        out = SqueezeTest().execute(stream, LEVELS)
+        assert out.aborted == aborted
+        if aborted is None:
+            assert (out.results[0].p_values["p"].hex()
+                    == "0x1.825e5f1400b34p-3")
+        reference = Mt19937(1)
+        reference.next_block(next_word)
+        assert stream.next() == reference.next()
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ from rngts.battery.kernels import (
     craps_kernel,
     euclid,
     gf2_rank_counts,
-    maurer_kernel,
+    maurer_sum,
     min_squared_distance,
     parking_kernel,
-    repetition_kernel,
+    repetition_times,
     runs_kernel,
     squeeze_kernel,
 )
@@ -127,6 +127,25 @@ class TestCollisionOracle:
     def test_dense_case_rejected(self):
         with pytest.raises(ConfigurationError):
             CollisionTest(m=64, n=64)
+
+    @pytest.mark.parametrize("m, n", [
+        (2**20, 2**14), (2**16, 2**12), (1024, 1000), (100, 50), (7, 6),
+    ])
+    def test_banded_law_matches_full_recurrence(self, m, n):
+        # the full-width occupancy recurrence the banded one replaced
+        p = np.zeros(n + 1)
+        p[0] = 1.0
+        occ = np.arange(n + 1, dtype=np.float64)
+        stay = occ / m
+        grow = (m - occ) / m
+        for _ in range(n):
+            shifted = (p * grow)[:-1]
+            p = p * stay
+            p[1:] += shifted
+        pmf = p[::-1].copy()
+        got_pmf, got_cdf = collision_null_distribution(m, n)
+        assert np.array_equal(got_pmf, pmf)
+        assert np.array_equal(got_cdf, np.cumsum(pmf))
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +295,20 @@ class TestRepetitionOracle:
     def test_kernel_counts_draws(self):
         # 3 1 4 1 -> repeat of 1 at draw 4; then 5 9 2 6 5 -> draw 5
         vals = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5], dtype=np.int64)
-        epoch = np.zeros(16, dtype=np.int64)
-        ts = np.zeros(4, dtype=np.int64)
-        done, consumed, tag = repetition_kernel(vals, epoch, 0, ts, 0, 2)
-        assert (done, consumed) == (2, 9)
+        ts, consumed = repetition_times(vals, 2)
+        assert (ts.size, consumed) == (2, 9)
         assert list(ts[:2]) == [4, 5]
 
     def test_kernel_rolls_back_partial(self):
         vals = np.array([3, 1, 4, 1, 5, 9], dtype=np.int64)
-        epoch = np.zeros(16, dtype=np.int64)
-        ts = np.zeros(4, dtype=np.int64)
-        done, consumed, tag = repetition_kernel(vals, epoch, 0, ts, 0, 2)
-        assert (done, consumed) == (1, 4)
+        ts, consumed = repetition_times(vals, 2)
+        assert (ts.size, consumed) == (1, 4)
         # rescan of the tail must not see the rolled-back 5 and 9:
-        # a fresh tag makes the table state irrelevant
+        # each call reads only its own buffer
         again = np.array([5, 9, 2, 6, 5], dtype=np.int64)
-        done, consumed, tag = repetition_kernel(again, epoch, tag, ts, 1, 2)
-        assert (done, consumed) == (2, 5)
-        assert list(ts[:2]) == [4, 5]
+        more, consumed = repetition_times(again, 1)
+        assert (ts.size + more.size, consumed) == (2, 5)
+        assert list(ts) + list(more) == [4, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +699,16 @@ class TestMaurerOracle:
         assert got_var == pytest.approx(var, abs=5e-10)
 
     def test_kernel_distances(self):
-        # init: table[3]=1, table[1]=2, table[3]=3
+        # init: 3 at 1, 1 at 2, 3 at 3 (1-based positions)
         # test: 2 unseen at position 4 -> log2(4); 1 seen at 2, now 5 -> log2(3)
         vals = np.ascontiguousarray([3, 1, 3, 2, 1], dtype=np.int64)
-        table = np.zeros(4, dtype=np.int64)
-        total = maurer_kernel(vals, 3, 2, table)
+        total = maurer_sum(vals, 3, 2)
         assert total == pytest.approx(2.0 + math.log2(3.0), abs=1e-12)
 
     def test_kernel_repeat_next_block(self):
         # immediate repeats have distance 1 and contribute zero
         vals = np.ascontiguousarray([0, 0, 0, 0], dtype=np.int64)
-        table = np.zeros(2, dtype=np.int64)
-        assert maurer_kernel(vals, 1, 3, table) == 0.0
+        assert maurer_sum(vals, 1, 3) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -803,3 +816,237 @@ class TestBirthdayOracle:
         assert math.exp(-lam) == pytest.approx(0.1353352832366127, abs=1e-15)
         assert math.exp(-lam) * lam**3 / 6 == pytest.approx(
             0.18044704431548356, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# whole-array kernels against the scalar loops they replaced, kept here
+# as oracles
+
+
+def _squeeze_loop(u, counts, games_needed, cap):
+    pos = 0
+    n = u.shape[0]
+    done = 0
+    while done < games_needed:
+        k = 2147483648
+        steps = 0
+        start = pos
+        while True:
+            if steps >= cap:
+                return done, start, 1
+            if pos >= n:
+                return done, start, 0
+            k = int(np.ceil(k * u[pos]))
+            pos += 1
+            steps += 1
+            if k <= 1:
+                break
+        j = min(max(steps, 6), 48)
+        counts[j - 6] += 1
+        done += 1
+    return done, pos, 0
+
+
+def _craps_loop(w, limit, throws_counts, games_needed, cap):
+    pos = 0
+    n = w.shape[0]
+    games = 0
+    wins = 0
+    while games < games_needed:
+        start = pos
+        throws = 0
+        point = 0
+        won = 0
+        aborted = False
+        dry = False
+        while True:
+            if throws >= cap:
+                aborted = True
+                break
+            dice = []
+            while len(dice) < 2:
+                if pos >= n:
+                    dry = True
+                    break
+                v = w[pos]
+                pos += 1
+                if v < limit:
+                    dice.append(v % 6)
+            if dry:
+                break
+            s = dice[0] + dice[1] + 2
+            throws += 1
+            if point == 0:
+                if s in (7, 11):
+                    won = 1
+                    break
+                elif s in (2, 3, 12):
+                    won = 0
+                    break
+                else:
+                    point = s
+            elif s == point:
+                won = 1
+                break
+            elif s == 7:
+                won = 0
+                break
+        if aborted:
+            return games, wins, start, 1
+        if dry:
+            return games, wins, start, 0
+        throws_counts[min(throws, 21) - 1] += 1
+        wins += won
+        games += 1
+    return games, wins, pos, 0
+
+
+def _repetition_loop(vals, reps_needed):
+    pos = 0
+    n = vals.shape[0]
+    ts = []
+    while len(ts) < reps_needed:
+        start = pos
+        seen = set()
+        while True:
+            if pos >= n:
+                return ts, start
+            v = int(vals[pos])
+            pos += 1
+            if v in seen:
+                break
+            seen.add(v)
+        ts.append(pos - start)
+    return ts, pos
+
+
+def _maurer_loop(vals, q, k, size):
+    table = np.zeros(size, dtype=np.int64)
+    for i in range(q):
+        table[vals[i]] = i + 1
+    total = 0.0
+    for i in range(q, q + k):
+        pos = i + 1
+        d = pos - table[vals[i]]
+        total += math.log2(d)
+        table[vals[i]] = pos
+    return total
+
+
+# buffer lengths: empty, tiny, around and off the 2048-word lane span
+_LENGTHS = [0, 1, 2, 7, 31, 100, 2047, 2048, 2049, 5000, 12289]
+
+
+class TestWholeArrayKernels:
+    @pytest.mark.parametrize("cap", [30, 10000])
+    @pytest.mark.parametrize("n", _LENGTHS)
+    def test_squeeze_matches_loop(self, n, cap):
+        rng = np.random.default_rng(1000 + n)
+        u = rng.random(n)
+        for needed in (1, 3, n // 20 + 1, 10**6):
+            got_counts = np.zeros(43, dtype=np.int64)
+            want_counts = np.zeros(43, dtype=np.int64)
+            got = squeeze_kernel(u, got_counts, needed, cap)
+            want = _squeeze_loop(u, want_counts, needed, cap)
+            assert tuple(int(x) for x in got) == want
+            assert np.array_equal(got_counts, want_counts)
+
+    def test_squeeze_stalling_games_hit_the_cap_first(self):
+        # u near 1 stalls small k; with cap 30 the true chain meets such
+        # a game, and the cap wins over the end of the buffer
+        rng = np.random.default_rng(5)
+        u = rng.random(9000)
+        u[3000:3100] = 0.999999
+        for n in (3050, 3100, 3200, 9000):
+            counts = np.zeros(43, dtype=np.int64)
+            want_counts = np.zeros(43, dtype=np.int64)
+            want = _squeeze_loop(u[:n], want_counts, 10**6, 30)
+            got = squeeze_kernel(u[:n], counts, 10**6, 30)
+            assert want[2] == 1
+            assert tuple(int(x) for x in got) == want
+            assert np.array_equal(counts, want_counts)
+
+    def test_squeeze_speculative_lane_over_cap_does_not_abort(self):
+        # Games on [0, 2046) end within 30 draws (u < 0.3).  u[2046]
+        # ends any game, and the game from 2047 halves 2^29 over the
+        # 0.5s to finish in 30 draws.  The lane that starts a game at
+        # 2048 halves 2^31 thirty times and reaches the cap there; the
+        # true chain never starts a game at 2048.
+        rng = np.random.default_rng(7)
+        u = rng.random(6000) * 0.3
+        u[2046] = 1e-12
+        u[2047] = 0.25
+        u[2048:2078] = 0.5
+        u[2078] = 1e-12
+        assert _squeeze_loop(u[2048:], np.zeros(43, dtype=np.int64),
+                             1, 30)[2] == 1
+        counts = np.zeros(43, dtype=np.int64)
+        want_counts = np.zeros(43, dtype=np.int64)
+        want = _squeeze_loop(u, want_counts, 10**6, 30)
+        got = squeeze_kernel(u, counts, 10**6, 30)
+        assert want[2] == 0 and want[1] > 2078
+        assert tuple(int(x) for x in got) == want
+        assert np.array_equal(counts, want_counts)
+
+    def test_squeeze_cap_zero_aborts_at_once(self):
+        counts = np.zeros(43, dtype=np.int64)
+        for n in (0, 10):
+            assert squeeze_kernel(np.full(n, 0.5), counts, 1, 0) == (0, 0, 1)
+            assert _squeeze_loop(np.full(n, 0.5), counts, 1, 0) == (0, 0, 1)
+
+    @pytest.mark.parametrize("cap", [0, 1, 3, 10000])
+    @pytest.mark.parametrize("limit, top", [(6, 6), (6, 9), (4294967292, 2**32)])
+    @pytest.mark.parametrize("n", _LENGTHS)
+    def test_craps_matches_loop(self, n, limit, top, cap):
+        rng = np.random.default_rng(2000 + n)
+        w = rng.integers(0, top, n, dtype=np.int64)
+        for needed in (1, 2, n // 7 + 1, 10**6):
+            got_throws = np.zeros(21, dtype=np.int64)
+            want_throws = np.zeros(21, dtype=np.int64)
+            got = craps_kernel(w, limit, got_throws, needed, cap)
+            want = _craps_loop(w, limit, want_throws, needed, cap)
+            assert tuple(int(x) for x in got) == want
+            assert np.array_equal(got_throws, want_throws)
+
+    def test_craps_long_points_meet_small_caps(self):
+        # points of 4 and 10 resolve slowly: many games need > 3 throws
+        rng = np.random.default_rng(9)
+        w = rng.choice(np.array([0, 0, 0, 1, 2, 3, 4, 5, 6, 7]), 4000)
+        for cap in (2, 3, 4, 6):
+            for n in (0, 3, 40, 999, 4000):
+                got_throws = np.zeros(21, dtype=np.int64)
+                want_throws = np.zeros(21, dtype=np.int64)
+                got = craps_kernel(w[:n], 6, got_throws, 10**6, cap)
+                want = _craps_loop(w[:n], 6, want_throws, 10**6, cap)
+                assert tuple(int(x) for x in got) == want
+                assert np.array_equal(got_throws, want_throws)
+
+    @pytest.mark.parametrize("bits", [1, 3, 10, 20])
+    @pytest.mark.parametrize("n", _LENGTHS)
+    def test_repetition_matches_loop(self, n, bits):
+        rng = np.random.default_rng(3000 + n)
+        vals = rng.integers(0, 2**bits, n).astype(np.uint64)
+        for needed in (1, 4, 10**6):
+            times, consumed = repetition_times(vals, needed)
+            want, want_consumed = _repetition_loop(vals, needed)
+            assert times.tolist() == want
+            assert consumed == want_consumed
+
+    @pytest.mark.parametrize("L, q, k", [
+        (1, 20, 1), (2, 40, 500), (4, 160, 5000), (8, 2560, 25600),
+        (12, 40960, 100000),
+    ])
+    def test_maurer_matches_loop(self, L, q, k):
+        rng = np.random.default_rng(L)
+        vals = rng.integers(0, 2**L, q + k)
+        assert maurer_sum(vals, q, k) == _maurer_loop(vals, q, k, 2**L)
+
+    @pytest.mark.parametrize("d", [1621, 7957, 57803])
+    def test_maurer_log2_comes_from_math(self, d):
+        # np.log2 and math.log2 disagree on these integers; a value cycle
+        # of period d makes both test distances d, and the sum must
+        # follow math.log2, as the loop did
+        vals = np.arange(d + 2) % d
+        assert maurer_sum(vals, d, 2) == _maurer_loop(vals, d, 2, d)
+        assert maurer_sum(vals, d, 2) == 2 * math.log2(d)
+        assert np.log2(np.array([d]))[0] != math.log2(d)
