@@ -1,27 +1,8 @@
-"""JIT glue: numba when available and enabled, no-op wrappers otherwise.
+"""Kernel mode flag, kept for the benchmark harness.
 
-Set RNGTS_JIT=0 to force the pure-Python/numpy fallback path.  The fallback
-executes the same kernel source uncompiled, so results are bit-identical;
-only speed differs.
+Every battery kernel runs as plain Python over numpy; there is no
+compiled path.  `perfbench/harness.py` still imports this constant to
+label its runs, so it stays until the harness stops reading it.
 """
 
-import os
-
-JIT_ENABLED = os.environ.get("RNGTS_JIT", "1") != "0"
-
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        JIT_ENABLED = False
-
-if not JIT_ENABLED:
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+JIT_ENABLED = False

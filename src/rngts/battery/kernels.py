@@ -1,17 +1,16 @@
 """Hot loops of the battery.
 
-Coupon collector, runs and parking are loop kernels, compiled with numba
-when enabled.  Squeeze, craps, repetition, Maurer's sums, minimum
-distance, GF(2) rank and gcd are plain numpy functions over whole arrays
-and never compiled.
+Every kernel is plain Python over numpy arrays.  Squeeze, craps,
+coupon collector, runs, repetition, Maurer's sums, minimum distance,
+GF(2) rank and gcd work on whole arrays; parking, which is sequential
+by nature, is a loop over Python floats.
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
 segment, run), and report how much they consumed plus an abort flag.  Each
 test wraps its kernel in a step for the driver `base.scan`, which pushes
 the unconsumed tail back onto the stream and refills, so consumption is
-exact regardless of buffer sizes.  All arithmetic is written to behave
-identically interpreted and compiled.
+exact regardless of buffer sizes.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .._jit import njit
 
 
 # squeeze lanes start this many words apart and each plays this many
@@ -144,80 +141,77 @@ def craps_kernel(w, limit, throws_counts, games_needed, cap):
     return games, wins, int(acc[2 * g - 1]) + 1, aborted
 
 
-@njit(cache=True)
 def coupon_kernel(w, limit, d, t, counts, segments_needed, cap):
     """Collect coupon segments; digits from inline rejection (w % d).
+
+    A segment starting at accepted digit p ends at the latest of the d
+    next occurrences of each digit at or after p.  With one entry of
+    every digit put before the digits, that is the running maximum of
+    the next-occurrence index over all entries before p, so one pass
+    ends a segment at every start and a walk chains them.  A segment
+    aborts once `cap` digits pass without completing it; one that runs
+    out of buffer first is rolled back.
 
     counts has t - d + 1 cells for lengths d..t-1 and >= t.
     Returns (segments, consumed, aborted).
     """
-    pos = 0
-    n = w.shape[0]
-    done = 0
-    seen = np.zeros(d, dtype=np.uint8)
-    while done < segments_needed:
-        start = pos
-        for i in range(d):
-            seen[i] = 0
-        distinct = 0
-        length = 0
-        while distinct < d:
-            if length >= cap:
-                return done, start, 1
-            if pos >= n:
-                return done, start, 0
-            v = w[pos]
-            pos += 1
-            if v >= limit:
-                continue
-            digit = v % d
-            length += 1
-            if seen[digit] == 0:
-                seen[digit] = 1
-                distinct += 1
-        idx = length - d
-        if idx > t - d:
-            idx = t - d
-        counts[idx] += 1
-        done += 1
-    return done, pos, 0
+    acc = np.flatnonzero(w < limit)
+    m = acc.size
+    digits = np.concatenate([np.arange(d), w[acc] % d])
+    end = np.maximum.accumulate(next_occurrence(digits))[d - 1:-1] - d
+    need = end - np.arange(m) + 1
+    chain = np.where((end < m) & (need <= cap), end + 1, -1).tolist()
+    chain.append(-1)
+    starts = []
+    g = 0
+    for _ in range(segments_needed):
+        nxt = chain[g]
+        if nxt < 0:
+            break
+        starts.append(g)
+        g = nxt
+    done = len(starts)
+    aborted = int(done < segments_needed and g + cap <= m)
+    if done == 0:
+        return 0, 0, aborted
+    counts += np.bincount(np.minimum(need[starts], t) - d,
+                          minlength=counts.size)
+    return done, int(acc[g - 1]) + 1, aborted
 
 
-@njit(cache=True)
 def runs_kernel(u, counts, runs_needed, cap):
     """Scan maximal ascending runs, discarding the breaking draw after each.
+
+    A run starting at s breaks at the first descent after s (one
+    searchsorted over the descents), and the next run starts after the
+    breaking draw, so a walk over the break indexes chains the runs.
+    A run aborts once it passes `cap` draws; one that the buffer does
+    not break is rolled back.
 
     counts has 6 cells for run lengths 1..5 and >= 6.
     Returns (runs, consumed, aborted); consumption includes the breaker.
     """
-    pos = 0
     n = u.shape[0]
-    done = 0
-    while done < runs_needed:
-        start = pos
-        if pos >= n:
-            return done, start, 0
-        prev = u[pos]
-        pos += 1
-        length = 1
-        while True:
-            if length > cap:
-                return done, start, 1
-            if pos >= n:
-                return done, start, 0
-            cur = u[pos]
-            pos += 1
-            if cur > prev:
-                prev = cur
-                length += 1
-            else:
-                break
-        j = length
-        if j > 6:
-            j = 6
-        counts[j - 1] += 1
-        done += 1
-    return done, pos, 0
+    descents = np.flatnonzero(u[1:] <= u[:-1]) + 1
+    starts = np.arange(n + 1)
+    brk = np.append(descents, n)[np.searchsorted(descents, starts,
+                                                  side="right")]
+    length = brk - starts
+    chain = np.where((brk < n) & (length <= cap), brk + 1, -1).tolist()
+    firsts = []
+    s = 0
+    for _ in range(runs_needed):
+        nxt = chain[s]
+        if nxt < 0:
+            break
+        firsts.append(s)
+        s = nxt
+    done = len(firsts)
+    aborted = int(done < runs_needed and length[s] > cap)
+    if done:
+        counts += np.bincount(np.minimum(length[firsts], 6) - 1,
+                              minlength=counts.size)
+    return done, s, aborted
 
 
 def previous_occurrence(vals):
@@ -239,6 +233,16 @@ def previous_occurrence(vals):
     return prev
 
 
+def next_occurrence(vals):
+    """Index of the next entry equal to each entry, or len(vals)."""
+    n = vals.shape[0]
+    prev = previous_occurrence(vals)
+    nxt = np.full(n, n, dtype=np.int64)
+    later = np.flatnonzero(prev >= 0)
+    nxt[prev[later]] = later
+    return nxt
+
+
 def repetition_times(vals, reps_needed):
     """Draws until the first repeated value, per repetition.
 
@@ -250,10 +254,7 @@ def repetition_times(vals, reps_needed):
     Returns (times, consumed).
     """
     n = vals.shape[0]
-    prev = previous_occurrence(vals)
-    nxt = np.full(n + 1, n, dtype=np.int64)
-    later = np.flatnonzero(prev >= 0)
-    nxt[prev[later]] = later
+    nxt = np.append(next_occurrence(vals), n)
     end = np.minimum.accumulate(nxt[::-1])[::-1].item
     times = []
     at = 0
@@ -290,35 +291,29 @@ def euclid(a, b):
     return gs, steps
 
 
-@njit(cache=True)
-def parking_kernel(xs, ys, grid, px, py):
-    """Sequential parking: succeed unless a prior point is within 1 in
-    both axes.  grid is padded by one cell on each side and holds the
-    parked-point index per unit cell (at most one can fit).  Returns k.
+# a car's own unit cell and the eight around it
+_NEIGHBOURS = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+
+
+def parking_kernel(xs, ys):
+    """Sequential parking: a car parks unless an earlier parked car is
+    within 1 in both axes.  At most one parked car fits in a unit cell,
+    so a dict maps each occupied cell to its car, and a new car checks
+    the cells around its own.  Returns the number parked.
     """
-    n = xs.shape[0]
-    k = 0
-    for i in range(n):
-        x = xs[i]
-        y = ys[i]
-        cx = int(x) + 1
-        cy = int(y) + 1
-        crash = False
-        for dx in range(-1, 2):
-            for dy in range(-1, 2):
-                idx = grid[cx + dx, cy + dy]
-                if idx >= 0:
-                    if abs(x - px[idx]) < 1.0 and abs(y - py[idx]) < 1.0:
-                        crash = True
-                        break
-            if crash:
+    parked = {}
+    near = parked.get
+    for x, y in zip(xs.tolist(), ys.tolist()):
+        cx = int(x)
+        cy = int(y)
+        for dx, dy in _NEIGHBOURS:
+            car = near((cx + dx, cy + dy))
+            if car is not None and abs(x - car[0]) < 1.0 \
+                    and abs(y - car[1]) < 1.0:
                 break
-        if not crash:
-            px[k] = x
-            py[k] = y
-            grid[cx, cy] = k
-            k += 1
-    return k
+        else:
+            parked[cx, cy] = (x, y)
+    return len(parked)
 
 
 def min_squared_distance(xs, ys):

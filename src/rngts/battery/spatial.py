@@ -232,13 +232,7 @@ class ParkingLotTest(TestCase):
     def park(self, stream: RandomStream) -> int:
         """Park up to `attempts` cars; returns the success count."""
         u = uniform01_block(stream, 2 * self.attempts)
-        xs = np.ascontiguousarray(u[0::2] * self.side)
-        ys = np.ascontiguousarray(u[1::2] * self.side)
-        ncells = int(math.ceil(self.side))
-        grid = np.full((ncells + 2, ncells + 2), -1, dtype=np.int64)
-        px = np.empty(self.attempts)
-        py = np.empty(self.attempts)
-        return int(parking_kernel(xs, ys, grid, px, py))
+        return parking_kernel(u[0::2] * self.side, u[1::2] * self.side)
 
     def run(self, stream: RandomStream):
         """Consumes exactly 2 * attempts draws."""

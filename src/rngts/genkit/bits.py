@@ -19,28 +19,48 @@ class BitReader:
     def __init__(self, stream: RandomStream):
         self._stream = stream
         self._width = stream.bit_width
-        self._pending = np.empty(0, dtype=np.uint8)
+        # the last output drawn, and how many of its bits are unread
+        self._tail = np.empty(0, dtype=np.uint64)
+        self._left = 0
+
+    def _words(self, n_bits: int) -> tuple[np.ndarray, int]:
+        """Raw outputs holding the next n_bits bits, and the bit of the
+        first output they start at."""
+        w = self._width
+        words = self._tail
+        start = words.size * w - self._left
+        n_raw = -(-(n_bits - self._left) // w)
+        if n_raw > 0:
+            words = np.concatenate([words, self._stream.next_block(n_raw)])
+        self._left = words.size * w - start - n_bits
+        self._tail = words[-1:]
+        return words, start
 
     def read(self, n_bits: int) -> np.ndarray:
         """Return exactly n_bits bits as a uint8 array of 0s and 1s."""
-        have = self._pending.size
-        if have >= n_bits:
-            out = self._pending[:n_bits]
-            self._pending = self._pending[n_bits:]
-            return out
-        w = self._width
-        n_raw = (n_bits - have + w - 1) // w
-        raw = self._stream.next_block(n_raw)
-        shifts = np.arange(w - 1, -1, -1, dtype=np.uint64)
-        bits = ((raw[:, None] >> shifts) & np.uint64(1)).astype(np.uint8).ravel()
-        if have:
-            bits = np.concatenate([self._pending, bits])
-        out = bits[:n_bits]
-        self._pending = bits[n_bits:]
-        return out
+        words, start = self._words(n_bits)
+        shifts = np.arange(self._width - 1, -1, -1, dtype=np.uint64)
+        bits = ((words[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+        return bits.ravel()[start:start + n_bits]
 
     def read_values(self, count: int, value_bits: int) -> np.ndarray:
-        """Return `count` integers of `value_bits` bits each (big-endian)."""
-        bits = self.read(count * value_bits).reshape(count, value_bits)
-        weights = (1 << np.arange(value_bits - 1, -1, -1)).astype(np.int64)
-        return bits.astype(np.int64) @ weights
+        """Return `count` integers of `value_bits` bits each (big-endian).
+
+        Each field is cut from the output holding its last bit, shifted
+        right, and from the outputs before it, shifted left.  Shifts
+        stay below 64 while value_bits plus the stream width is at most
+        65.
+        """
+        w = self._width
+        words, start = self._words(count * value_bits)
+        # earlier outputs a field may reach into; zeros pad the first ones
+        back = (value_bits + w - 2) // w
+        words = np.concatenate([np.zeros(back, dtype=np.uint64), words])
+        ends = start + back * w + value_bits * np.arange(1, count + 1)
+        last = (ends - 1) // w
+        right = ((last + 1) * w - ends).astype(np.uint64)
+        vals = words[last] >> right
+        for s in range(1, back + 1):
+            vals |= words[last - s] << (np.uint64(s * w) - right)
+        vals &= np.uint64((1 << value_bits) - 1)
+        return vals.astype(np.int64)

@@ -19,7 +19,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 from xml.etree import ElementTree
-from xml.sax.saxutils import escape as _xml_escape
 
 from .errors import ConfigurationError, ReportParseError
 from .stats import KsStatisticResult, MetaStatisticResult, StatKind
@@ -190,7 +189,11 @@ def _attr(value: str) -> str:
     not normalize to spaces; a character XML or UTF-8 cannot hold at all
     is written as its Python escape text (U+0001 becomes \\x01).
     """
-    return '"%s"' % _xml_escape(_writable(value), _ATTR_ENTITIES)
+    text = (_writable(value).replace("&", "&amp;")
+            .replace("<", "&lt;").replace(">", "&gt;"))
+    for char, entity in _ATTR_ENTITIES.items():
+        text = text.replace(char, entity)
+    return '"%s"' % text
 
 
 class _Writer:

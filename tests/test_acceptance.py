@@ -47,7 +47,6 @@ from rngts.battery.games import (
 from rngts.battery.kernels import squeeze_kernel
 from rngts.battery.spatial import collision_null_distribution, rank_distribution
 from rngts.battery.uniformity import RunsTest
-from rngts._jit import JIT_ENABLED
 from rngts.genkit import Minstd, Mt19937, Randu
 from rngts.meta import ks_of_pvalues
 from rngts.report import Verdict, format_number, parse_xml, verdict, write_xml
@@ -190,11 +189,6 @@ def _catalog_meta_p(name: str, seed_base: int) -> float:
     return ks_of_pvalues(ps).p_values["p"]
 
 
-@pytest.mark.skipif(
-    not JIT_ENABLED,
-    reason="catalog sweep needs compiled kernels to meet its time budget; "
-           "fallback bit-identity is proven in the kernel tests",
-)
 def test_criterion_04_catalog_null_behavior():
     """Every catalog test yields uniform p-values on a healthy source.
 

@@ -598,9 +598,9 @@ class TestGcdRecount:
 class TestPinnedDefaults:
     """Default-size runs on Mt19937(1), recorded from the loop kernels
     that the whole-array code replaced (minimum distance, rank, gcd,
-    squeeze, craps, repetition, Maurer) and from the full-width
-    collision recurrence: p-values of every result as float.hex, raw
-    words consumed, and diagnostics."""
+    squeeze, craps, repetition, Maurer, coupon, runs, parking) and from
+    the full-width collision recurrence: p-values of every result as
+    float.hex, raw words consumed, and diagnostics."""
 
     @pytest.mark.parametrize("case, p_values, words, diagnostics", [
         (MinimumDistanceTest(),
@@ -619,8 +619,13 @@ class TestPinnedDefaults:
         (CollisionTest(),
          [{"lower": "0x1.baab78db6b468p-3", "upper": "0x1.8597f089f552ap-3"}],
          16384, ()),
+        (CouponCollectorTest(), [{"p": "0x1.2d2d7048258f1p-1"}], 108994, ()),
+        (RunsTest(), [{"p": "0x1.258c2323dcb5ep-1"}], 27172, ()),
+        (ParkingLotTest(), [{"p": "0x1.3b1eac4d6cdacp-1"}], 24000,
+         (("Cars Parked", 3512),)),
     ], ids=["minimum_distance", "binary_rank", "gcd", "squeeze", "craps",
-            "repetition", "maurers_universal", "collision"])
+            "repetition", "maurers_universal", "collision", "coupon",
+            "runs", "parking"])
     def test_matches_recorded_run(self, case, p_values, words, diagnostics):
         stream = Mt19937(1)
         out = case.execute(stream, LEVELS)

@@ -719,28 +719,24 @@ class TestParkingOracle:
     def test_far_apart_both_park(self):
         xs = np.array([10.0, 50.0])
         ys = np.array([10.0, 50.0])
-        grid = np.full((102, 102), -1, dtype=np.int64)
-        assert parking_kernel(xs, ys, grid, np.empty(2), np.empty(2)) == 2
+        assert parking_kernel(xs, ys) == 2
 
     def test_overlap_crashes(self):
         xs = np.array([10.0, 10.5])
         ys = np.array([10.0, 10.5])
-        grid = np.full((102, 102), -1, dtype=np.int64)
-        assert parking_kernel(xs, ys, grid, np.empty(2), np.empty(2)) == 1
+        assert parking_kernel(xs, ys) == 1
 
     def test_crash_needs_both_axes_close(self):
         # |dx| = 0.5 but |dy| = 1.0 exactly: no crash (strict < 1)
         xs = np.array([10.0, 10.5])
         ys = np.array([10.0, 11.0])
-        grid = np.full((102, 102), -1, dtype=np.int64)
-        assert parking_kernel(xs, ys, grid, np.empty(2), np.empty(2)) == 2
+        assert parking_kernel(xs, ys) == 2
 
     def test_cross_cell_crash_detected(self):
         # neighbors in adjacent unit cells still collide
         xs = np.array([10.99, 11.01])
         ys = np.array([10.99, 11.01])
-        grid = np.full((102, 102), -1, dtype=np.int64)
-        assert parking_kernel(xs, ys, grid, np.empty(2), np.empty(2)) == 1
+        assert parking_kernel(xs, ys) == 1
 
     @pytest.mark.parametrize("side", [math.nan, math.inf, -math.inf])
     def test_side_must_be_finite(self, side):
@@ -933,6 +929,102 @@ def _maurer_loop(vals, q, k, size):
     return total
 
 
+def _coupon_loop(w, limit, d, t, counts, segments_needed, cap):
+    pos = 0
+    n = w.shape[0]
+    done = 0
+    seen = np.zeros(d, dtype=np.uint8)
+    while done < segments_needed:
+        start = pos
+        for i in range(d):
+            seen[i] = 0
+        distinct = 0
+        length = 0
+        while distinct < d:
+            if length >= cap:
+                return done, start, 1
+            if pos >= n:
+                return done, start, 0
+            v = w[pos]
+            pos += 1
+            if v >= limit:
+                continue
+            digit = v % d
+            length += 1
+            if seen[digit] == 0:
+                seen[digit] = 1
+                distinct += 1
+        idx = length - d
+        if idx > t - d:
+            idx = t - d
+        counts[idx] += 1
+        done += 1
+    return done, pos, 0
+
+
+def _runs_loop(u, counts, runs_needed, cap):
+    pos = 0
+    n = u.shape[0]
+    done = 0
+    while done < runs_needed:
+        start = pos
+        if pos >= n:
+            return done, start, 0
+        prev = u[pos]
+        pos += 1
+        length = 1
+        while True:
+            if length > cap:
+                return done, start, 1
+            if pos >= n:
+                return done, start, 0
+            cur = u[pos]
+            pos += 1
+            if cur > prev:
+                prev = cur
+                length += 1
+            else:
+                break
+        j = length
+        if j > 6:
+            j = 6
+        counts[j - 1] += 1
+        done += 1
+    return done, pos, 0
+
+
+def _parking_loop(xs, ys, grid, px, py):
+    n = xs.shape[0]
+    k = 0
+    for i in range(n):
+        x = xs[i]
+        y = ys[i]
+        cx = int(x) + 1
+        cy = int(y) + 1
+        crash = False
+        for dx in range(-1, 2):
+            for dy in range(-1, 2):
+                idx = grid[cx + dx, cy + dy]
+                if idx >= 0:
+                    if abs(x - px[idx]) < 1.0 and abs(y - py[idx]) < 1.0:
+                        crash = True
+                        break
+            if crash:
+                break
+        if not crash:
+            px[k] = x
+            py[k] = y
+            grid[cx, cy] = k
+            k += 1
+    return k
+
+
+def _parked_by_loop(xs, ys, side):
+    ncells = int(math.ceil(side))
+    grid = np.full((ncells + 2, ncells + 2), -1, dtype=np.int64)
+    return _parking_loop(xs, ys, grid, np.empty(xs.size), np.empty(xs.size))
+
+
 # buffer lengths: empty, tiny, around and off the 2048-word lane span
 _LENGTHS = [0, 1, 2, 7, 31, 100, 2047, 2048, 2049, 5000, 12289]
 
@@ -1050,3 +1142,92 @@ class TestWholeArrayKernels:
         assert maurer_sum(vals, d, 2) == _maurer_loop(vals, d, 2, d)
         assert maurer_sum(vals, d, 2) == 2 * math.log2(d)
         assert np.log2(np.array([d]))[0] != math.log2(d)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 5, 40, 10**6])
+    @pytest.mark.parametrize("d, limit, top", [
+        (2, 100, 100), (3, 9, 12), (5, 10, 40), (8, 4294967288, 2**32),
+    ])
+    @pytest.mark.parametrize("n", _LENGTHS)
+    def test_coupon_matches_loop(self, n, d, limit, top, cap):
+        rng = np.random.default_rng(4000 + n)
+        w = rng.integers(0, top, n, dtype=np.int64)
+        for needed in (1, 2, n // 15 + 1, 10**6):
+            got_counts = np.zeros(8, dtype=np.int64)
+            want_counts = np.zeros(8, dtype=np.int64)
+            got = coupon_kernel(w, limit, d, d + 7, got_counts, needed, cap)
+            want = _coupon_loop(w, limit, d, d + 7, want_counts, needed, cap)
+            assert tuple(int(x) for x in got) == want
+            assert np.array_equal(got_counts, want_counts)
+
+    def test_coupon_cap_reached_at_buffer_end(self):
+        # one completed segment (0, 1), then six 0s fill the cap of 6
+        # with the last word of the buffer: the cap wins over the end
+        w = np.array([0, 1, 0, 0, 0, 0, 0, 0], dtype=np.int64)
+        for kernel in (coupon_kernel, _coupon_loop):
+            counts = np.zeros(4, dtype=np.int64)
+            assert tuple(int(x) for x in kernel(w, 100, 2, 5, counts, 5, 6)) \
+                == (1, 2, 1)
+            counts = np.zeros(4, dtype=np.int64)
+            assert tuple(int(x) for x in kernel(w, 100, 2, 5, counts, 5, 7)) \
+                == (1, 2, 0)
+
+    def test_coupon_rejected_words_after_last_segment(self):
+        # rejected words end the buffer: a finished segment consumes
+        # through its last digit, and the trailing rejects are left over
+        w = np.array([50, 1, 0, 77, 0, 1, 60, 99, 70], dtype=np.int64)
+        for needed in (1, 2, 3):
+            got_counts = np.zeros(4, dtype=np.int64)
+            want_counts = np.zeros(4, dtype=np.int64)
+            got = coupon_kernel(w, 50, 2, 5, got_counts, needed, 100)
+            want = _coupon_loop(w, 50, 2, 5, want_counts, needed, 100)
+            assert tuple(int(x) for x in got) == want
+            assert np.array_equal(got_counts, want_counts)
+        assert want == (2, 6, 0)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 6, 1000])
+    @pytest.mark.parametrize("levels", [3, 8, 0])
+    @pytest.mark.parametrize("n", _LENGTHS)
+    def test_runs_matches_loop(self, n, levels, cap):
+        # few levels give many ties; levels 0 draws continuous values
+        rng = np.random.default_rng(5000 + n)
+        u = (rng.integers(0, levels, n) / levels if levels
+             else rng.random(n))
+        for needed in (1, 2, n // 3 + 1, 10**6):
+            got_counts = np.zeros(6, dtype=np.int64)
+            want_counts = np.zeros(6, dtype=np.int64)
+            got = runs_kernel(u, got_counts, needed, cap)
+            want = _runs_loop(u, want_counts, needed, cap)
+            assert tuple(int(x) for x in got) == want
+            assert np.array_equal(got_counts, want_counts)
+
+    def test_runs_over_cap_and_ending_mid_run(self):
+        # run of 5, breaker, then a rising run the buffer cuts off
+        u = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 0.1, 0.2, 0.3])
+        for cap, n, want in [(4, 9, (0, 0, 1)), (5, 9, (1, 6, 0)),
+                             (3, 9, (0, 0, 1)), (5, 5, (0, 0, 0)),
+                             (4, 5, (0, 0, 1)), (2, 9, (0, 0, 1)),
+                             (3, 6, (0, 0, 1)), (10, 9, (1, 6, 0))]:
+            for kernel in (runs_kernel, _runs_loop):
+                counts = np.zeros(6, dtype=np.int64)
+                got = kernel(u[:n], counts, 10, cap)
+                assert tuple(int(x) for x in got) == want, (kernel, cap, n)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("attempts, side", [
+        (1, 2.0), (50, 2.5), (400, 7.3), (3000, 31.7), (12000, 100.0),
+    ])
+    def test_parking_matches_loop(self, seed, attempts, side):
+        u = np.random.default_rng(seed).random(2 * attempts)
+        xs, ys = u[0::2] * side, u[1::2] * side
+        assert parking_kernel(xs, ys) == _parked_by_loop(xs, ys, side)
+
+    def test_parking_points_on_cell_edges(self):
+        # integer and half-integer coordinates sit on the cell edges and
+        # at exactly distance 1 from each other, which does not crash
+        rng = np.random.default_rng(11)
+        side = 9.5
+        xs = rng.integers(0, 19, 600) / 2.0
+        ys = rng.integers(0, 19, 600) / 2.0
+        got = parking_kernel(xs, ys)
+        assert got == _parked_by_loop(xs, ys, side)
+        assert got > 1

@@ -244,6 +244,17 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "mt19937" in proc.stdout.splitlines()
 
+    def test_import_leaves_out_url_handling(self):
+        # the report escapes attributes itself; xml.sax.saxutils, which
+        # loads urllib.request, is not needed to start the CLI
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rngts.cli; print('urllib.request' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
     def test_installed_entry_point(self, tmp_path):
         scripts = _console_scripts()
         assert "rngts" in scripts

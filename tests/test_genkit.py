@@ -407,6 +407,46 @@ class TestBitReader:
         # bit stream 110101 in 3-bit fields: 110, 101
         assert list(r.read_values(3, 2)) == [0b11, 0b01, 0b01]
 
+    @pytest.mark.parametrize("L", [1, 5, 7, 8, 24])
+    @pytest.mark.parametrize("width", [1, 3, 4, 7, 13, 22, 32])
+    def test_read_values_match_bit_expansion(self, L, width):
+        # fields cut by shifts equal the bit expansion they replaced,
+        # fed the same bits, with and without unread bits of a word left
+        # over from an earlier read, at widths below and above L
+        raw = np.random.default_rng(width).integers(0, 2**width, 400)
+        for skip in (0, 1, width - 1, width + 2):
+            for count in (1, 2, 3, 33, 100):
+                count = min(count, (400 * width - skip - 40) // L)
+                got_reader = BitReader(Scripted(raw, max_value=2**width - 1))
+                want_reader = BitReader(Scripted(raw, max_value=2**width - 1))
+                got_reader.read(skip)
+                want_reader.read(skip)
+                got = got_reader.read_values(count, L)
+                want = _values_by_expansion(want_reader, count, L)
+                assert got.dtype == np.int64
+                assert got.tolist() == want.tolist()
+                # both readers stop at the same bit
+                assert got_reader.read(40).tolist() \
+                    == want_reader.read(40).tolist()
+
+    def test_read_values_keep_the_rest_of_a_word(self):
+        # 35 bits draw two words; the last 29 bits of the second are
+        # served next, before any new word
+        words = Mt19937(1).next_block(3)
+        s = Mt19937(1)
+        r = BitReader(s)
+        r.read_values(5, 7)
+        rest = [(int(words[1]) >> b) & 1 for b in range(28, -1, -1)]
+        assert r.read(29).tolist() == rest
+        assert s.next() == int(words[2])
+
+
+def _values_by_expansion(reader, count, value_bits):
+    """The bit-matrix product read_values was, kept as its oracle."""
+    bits = reader.read(count * value_bits).reshape(count, value_bits)
+    weights = (1 << np.arange(value_bits - 1, -1, -1)).astype(np.int64)
+    return bits.astype(np.int64) @ weights
+
 
 # ---------------------------------------------------------------------------
 # adapters
