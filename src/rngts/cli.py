@@ -12,9 +12,15 @@ report is FAILED, and 2 for configuration or parse errors.
 
 from __future__ import annotations
 
+import os
+
+# The battery's only BLAS calls are two small dot products; one OpenBLAS
+# thread saves its pool's start-up, and --jobs then forks a process that
+# runs no other thread.  Set before any import below loads numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import datetime
-import os
 import sys
 from typing import Optional
 
@@ -67,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--html", metavar="HTML",
                      help="also render an HTML report to this path")
     run.add_argument("--jobs", type=int, metavar="N",
-                     help="worker threads (default: RNGTS_JOBS, manifest, or 1)")
+                     help="forked worker processes, at most one per cell "
+                          "(default: RNGTS_JOBS, manifest, or 1)")
     run.add_argument("--date", metavar="YYYY-MM-DD",
                      help="pin the report date (default: today)")
 

@@ -10,6 +10,8 @@ its inner words a block at a time.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -18,13 +20,18 @@ from .base import SeedableStream
 _BLOCK = 4096
 
 
+@functools.lru_cache(maxsize=None)
 def _power_table(a: int, m: int) -> np.ndarray:
-    """A[j] = a^(j+1) mod m for j < _BLOCK, as int64."""
+    """A[j] = a^(j+1) mod m for j < _BLOCK, as read-only int64.
+
+    Built once per (a, m) and shared by every engine with that pair.
+    """
     table = np.empty(_BLOCK, dtype=np.int64)
     acc = 1
     for j in range(_BLOCK):
         acc = (acc * a) % m
         table[j] = acc
+    table.flags.writeable = False
     return table
 
 
@@ -224,28 +231,34 @@ class ShuffledStream(SeedableStream):
         self._fill()
 
     def _fill(self) -> None:
-        self._tbl = self._inner.next_block(self._size).tolist()
-        self._prev = self._tbl[-1]
+        self._tbl = self._inner.next_block(self._size)
+        self._j = self._slots(self._tbl[-1:])[0]
         self._reset_buffer()
 
     def seed(self, s: int) -> None:
         self._inner.seed(s)
         self._fill()
 
+    def _slots(self, words: np.ndarray) -> list:
+        """The table slot each word addresses when it is the last output."""
+        return ((words - self.min_value) * self._size
+                // self.range_size).tolist()
+
     def _generate(self, n: int) -> np.ndarray:
         # each output refills its slot with one inner word, so drawing
         # exactly as many inner words as outputs keeps consumption exact
-        fresh = self._inner.next_block(min(n, 1024)).tolist()
-        out = []
-        lo = self.min_value
-        span = self.range_size
-        size = self._size
-        tbl = self._tbl
-        prev = self._prev
-        for w in fresh:
-            j = ((prev - lo) * size) // span
-            prev = tbl[j]
-            tbl[j] = w
-            out.append(prev)
-        self._prev = prev
-        return np.array(out, dtype=np.uint64)
+        fresh = self._inner.next_block(min(n, 1024))
+        words = np.concatenate([self._tbl, fresh])
+        slot = self._slots(words)
+        # the table holds indices into words: the walk moves no values
+        idx = list(range(self._size))
+        taken = []
+        j = self._j
+        for i in range(self._size, words.size):
+            k = idx[j]
+            idx[j] = i
+            taken.append(k)
+            j = slot[k]
+        self._j = j
+        self._tbl = words[idx]
+        return words[taken]

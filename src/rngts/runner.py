@@ -2,8 +2,9 @@
 
 A run is a full cross product: generators (outer), then seeds, then
 tests.  Every cell gets a freshly constructed, freshly seeded stream,
-so cells are independent and may execute concurrently; the report is
-assembled in matrix order regardless of completion order.
+so cells are independent and may execute concurrently in forked worker
+processes, at most one per cell; the report is assembled in matrix
+order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import datetime
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -239,6 +239,10 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
         close = getattr(stream, "close", None)
         if close is not None:
             close()
+    return _aborted(case, reason)
+
+
+def _aborted(case: TestCase, reason: str) -> TestOutcome:
     return TestOutcome(
         test_name=case.test_name,
         parameters=tuple(case.parameters()),
@@ -248,14 +252,80 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
     )
 
 
+# The cells and levels of the run a forked worker serves.  They are set
+# by the pool's initializer, whose arguments fork hands over without
+# pickling, so cells may hold lambdas, closures, locally defined tests,
+# and file or external generators.
+_worker_cells: list = []
+_worker_levels: tuple = ()
+
+
+def _init_worker(cells: list, levels: tuple) -> None:
+    global _worker_cells, _worker_levels
+    _worker_cells, _worker_levels = cells, levels
+
+
+def _run_cell_at(index: int) -> TestOutcome:
+    (_, factory, warmup), seed, test_factory = _worker_cells[index]
+    # looked up at call time, so a wrapper installed on the module runs
+    return _run_cell(factory, warmup, seed, test_factory, _worker_levels)
+
+
+def _run_in_workers(cells: list, levels: tuple, jobs: int,
+                    progress: Optional[Callable]) -> list:
+    """Every cell's outcome, in matrix order, from forked workers.
+
+    A cell whose future raises (its worker died, or its outcome could
+    not be pickled) aborts; the cells already finished keep theirs.
+    """
+    # imported here: these modules add about 18 ms to the start-up of
+    # every run, and --jobs 1 never uses them
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        raise ConfigurationError(
+            "jobs above 1 need the 'fork' start method, which this "
+            "platform lacks"
+        ) from None
+    with ProcessPoolExecutor(max_workers=min(jobs, len(cells)),
+                             mp_context=context, initializer=_init_worker,
+                             initargs=(cells, levels)) as pool:
+        futures = []
+        for index in range(len(cells)):
+            try:
+                futures.append(pool.submit(_run_cell_at, index))
+            except BrokenProcessPool as exc:
+                # a worker died while cells were still being submitted
+                futures.append(Future())
+                futures[-1].set_exception(exc)
+        outcomes = []
+        for ((name, _, _), seed, test_factory), future in zip(cells,
+                                                              futures):
+            try:
+                outcome = future.result()
+            except Exception as exc:
+                outcome = _aborted(test_factory(),
+                                   f"{type(exc).__name__}: {exc}")
+            if progress is not None:
+                progress(name, seed, outcome)
+            outcomes.append(outcome)
+    return outcomes
+
+
 def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
               jobs: int = 1, date: Optional[str] = None) -> ReportDocument:
     """Execute the matrix and assemble the result document.
 
-    Cells run on up to `jobs` threads; output order and content are
-    independent of the job count.  Aborted cells (exhausted or
-    misconfigured streams, or any other exception in a cell) appear in
-    the report and never halt the run.
+    With `jobs` above 1, cells run in forked worker processes, at most
+    one per cell, and `progress` is called in matrix order as results
+    are read; output order and content are independent of the job
+    count.  Aborted cells (exhausted or misconfigured streams, any other
+    exception in a cell, or a worker that died) appear in the report and
+    never halt the run.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
@@ -281,8 +351,7 @@ def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
     if jobs == 1:
         outcomes = [execute(cell) for cell in cells]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(execute, cells))
+        outcomes = _run_in_workers(cells, matrix.levels, jobs, progress)
 
     sections = []
     index = 0

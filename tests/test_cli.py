@@ -255,6 +255,35 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
 
+    def test_import_leaves_out_the_worker_pool(self):
+        # only --jobs above 1 needs multiprocessing; loading it costs
+        # every run start-up time
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rngts.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="needs Linux /proc")
+    def test_import_starts_no_threads(self):
+        # numpy's OpenBLAS would start a thread per core; fork copies
+        # only the calling thread, and a lock another thread held stays
+        # held in the workers
+        env = _child_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import rngts.cli, numpy\n"
+             "print(*[line for line in open('/proc/self/status')"
+             " if line.startswith('Threads:')])"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["Threads:", "1"]
+
     def test_installed_entry_point(self, tmp_path):
         scripts = _console_scripts()
         assert "rngts" in scripts

@@ -85,6 +85,12 @@ class TestMinstd:
         out = g.next_block(5000)
         assert out.min() >= 1 and out.max() <= 2**31 - 2
 
+    def test_engines_share_one_read_only_table(self):
+        a, b = Minstd(1), ShuffledStream(Minstd(9))._inner
+        assert a._table is b._table
+        assert not a._table.flags.writeable
+        assert Randu(1)._table is not a._table
+
 
 class TestRandu:
     def test_matches_scalar_loop(self):
@@ -204,20 +210,25 @@ class TestLaggedFibonacci:
         assert np.array_equal(lhs, rhs)
 
 
+def _shuffle_scalar(inner, size, count):
+    # Bays-Durham, one output at a time
+    tbl = list(inner.next_block(size))
+    prev = tbl[-1]
+    lo, span = inner.min_value, inner.range_size
+    ref = []
+    for _ in range(count):
+        j = ((int(prev) - lo) * size) // span
+        v = tbl[j]
+        tbl[j] = inner.next()
+        prev = v
+        ref.append(int(v))
+    return ref
+
+
 class TestShuffledStream:
     def test_matches_scalar_loop(self):
         size = 16
-        inner = Minstd(44)
-        tbl = list(inner.next_block(size))
-        prev = tbl[-1]
-        lo, span = inner.min_value, inner.range_size
-        ref = []
-        for _ in range(3000):
-            j = ((int(prev) - lo) * size) // span
-            v = tbl[j]
-            tbl[j] = inner.next()
-            prev = v
-            ref.append(int(v))
+        ref = _shuffle_scalar(Minstd(44), size, 3000)
         shuffled_inner = Minstd(44)
         g = ShuffledStream(shuffled_inner, size)
         # mixed read sizes across the 1024-output chunks
@@ -226,6 +237,16 @@ class TestShuffledStream:
         assert np.array_equal(got, ref)
         # one inner word per table slot, then exactly one per output
         assert shuffled_inner.next() == Minstd(44).next_block(size + 3001)[-1]
+
+    @pytest.mark.parametrize("make_inner, size", [
+        (lambda: Mt19937(3), 2), (lambda: Mt19937(3), 257),
+        (lambda: Randu(9), 5)])
+    def test_matches_scalar_loop_on_other_inner_streams(self, make_inner,
+                                                         size):
+        ref = _shuffle_scalar(make_inner(), size, 2500)
+        g = ShuffledStream(make_inner(), size)
+        got = [*g.next_block(700), g.next(), *g.next_block(1799)]
+        assert np.array_equal(got, ref)
 
     def test_same_range_as_inner(self):
         g = ShuffledStream(Minstd(1), 8)

@@ -6,10 +6,15 @@ count.  Registry mutations are snapshotted and restored so the builtin
 catalogs stay pristine for other tests.
 """
 
+import concurrent.futures
 import io
 import json
+import os
 import re
 import struct
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -327,6 +332,223 @@ class TestRunSuite:
         )
         doc = run_suite(matrix)
         assert re.fullmatch(r"\d{4}-\d{2}-\d{2}", doc.date)
+
+
+class _Exiting(BatteryCase):
+    """Kills the worker process that runs it, once `go` exists."""
+
+    test_name = "Exiting-Test"
+    go = None
+    _pytest_pid = os.getpid()
+
+    def parameters(self):
+        return []
+
+    def run(self, stream):
+        if os.getpid() == self._pytest_pid:
+            raise RuntimeError("would end the test session")
+        deadline = time.monotonic() + 60
+        while (self.go and not os.path.exists(self.go)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        os._exit(3)
+
+
+class _Unsendable(BatteryCase):
+    """Finishes, with an outcome that cannot be pickled back."""
+
+    test_name = "Unsendable-Test"
+
+    def parameters(self):
+        return []
+
+    def run(self, stream):
+        self.diagnostics = (("hook", lambda: None),)
+        return []
+
+
+class _InlinePool:
+    """Stands in for the worker pool: records its size and runs each
+    submitted cell in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _xml(doc) -> bytes:
+    buf = io.BytesIO()
+    write_xml(doc, buf)
+    return buf.getvalue()
+
+
+class TestWorkerProcesses:
+    """--jobs above 1 runs cells in forked worker processes."""
+
+    def test_job_count_does_not_change_the_bytes(self, tmp_path,
+                                                  pristine_registries):
+        words = tmp_path / "words.bin"
+        words.write_bytes(Mt19937(5).next_block(50000).astype("<u4")
+                          .tobytes())
+
+        class LocalGap(GapTest):
+            test_name = "Local-Gap-Test"
+
+        register_test("local_gap", LocalGap)
+        matrix = RunMatrix(
+            generators=(
+                ("mt19937", Mt19937, 0),
+                ("tape", lambda: runner.file_stream(str(words)), 7),
+            ),
+            seeds=(1, 331),
+            levels=(0.05, 0.95),
+            tests=(
+                lambda: ChisqrUniformityTest(n=4000, k=64),
+                lambda: resolve_test("local_gap")(alpha=0.0, beta=0.5, t=8,
+                                                  n_gaps=500),
+                _Faulty,
+            ),
+        )
+        runs = {jobs: run_suite(matrix, jobs=jobs, date="2025-06-01")
+                for jobs in (1, 2, 3)}
+        faulty = runs[1].generators[1].seeds[1].tests[2]
+        assert faulty.aborted == "RuntimeError: kernel fell over"
+        local = runs[1].generators[0].seeds[0].tests[1]
+        assert local.name == "Local-Gap-Test" and local.analyses
+        assert _xml(runs[2]) == _xml(runs[1])
+        assert _xml(runs[3]) == _xml(runs[1])
+
+    def test_progress_follows_matrix_order(self):
+        calls = []
+        run_suite(_small_matrix(), jobs=2,
+                  progress=lambda name, seed, out: calls.append(
+                      (name, seed, out.test_name)),
+                  date="2025-06-01")
+        assert calls == [(name, seed, test)
+                         for name in ("mt19937", "minstd")
+                         for seed in (1, 331)
+                         for test in ("Chi-Square-Uniformity-Test",
+                                      "Gap-Test")]
+
+    def test_dead_worker_aborts_its_cell_and_the_run_ends(
+            self, tmp_path, monkeypatch):
+        # the worker exits only after the parent has read every earlier
+        # cell, so those cells must keep their results
+        go = tmp_path / "go"
+        monkeypatch.setattr(_Exiting, "go", str(go))
+        tests = (lambda: ChisqrUniformityTest(n=2000, k=64),
+                 lambda: GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500),
+                 _Exiting)
+        matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
+                           seeds=(1,), levels=(0.05,), tests=tests)
+
+        def progress(name, seed, outcome):
+            if outcome.test_name == "Gap-Test":
+                go.touch()
+
+        doc = run_suite(matrix, progress=progress, jobs=2,
+                        date="2025-06-01")
+        chisqr, gap, dead = doc.generators[0].seeds[0].tests
+        assert dead.name == "Exiting-Test"
+        assert dead.aborted.startswith("BrokenProcessPool: ")
+        assert dead.analyses == ()
+        clean = run_suite(RunMatrix(generators=matrix.generators, seeds=(1,),
+                                    levels=(0.05,), tests=tests[:2]),
+                          date="2025-06-01")
+        assert clean.generators[0].seeds[0].tests == (chisqr, gap)
+
+    def test_dead_worker_through_the_cli(self, tmp_path, pristine_registries):
+        register_test("exiting_test", _Exiting)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "generators": [{"name": "mt19937"}], "seeds": [1, 2],
+            "levels": [0.05], "tests": [{"name": "exiting_test"}]}))
+        out = tmp_path / "report.xml"
+        code = main(["run", "--config", str(config), "--out", str(out),
+                     "--jobs", "2", "--date", "2025-06-01"])
+        assert code == 0
+        cells = [t for s in parse_xml(str(out)).generators[0].seeds
+                 for t in s.tests]
+        assert len(cells) == 2
+        assert all(t.aborted.startswith("BrokenProcessPool: ")
+                   for t in cells)
+
+    def test_outcome_that_cannot_travel_back_aborts_its_cell(self):
+        matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
+                           seeds=(1,), levels=(0.05,),
+                           tests=(_Unsendable,
+                                  lambda: GapTest(alpha=0.0, beta=0.5, t=8,
+                                                  n_gaps=500)))
+        doc = run_suite(matrix, jobs=2, date="2025-06-01")
+        unsent, gap = doc.generators[0].seeds[0].tests
+        assert unsent.name == "Unsendable-Test" and unsent.aborted
+        assert gap.aborted is None and gap.analyses
+
+    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(_InlinePool, "sizes", sizes)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _InlinePool)
+        monkeypatch.setattr(runner, "_worker_cells", [])
+        matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
+                           seeds=(1, 2), levels=(0.05,),
+                           tests=(lambda: ChisqrUniformityTest(n=2000,
+                                                               k=64),))
+        doc = run_suite(matrix, jobs=64, date="2025-06-01")
+        assert sizes == [2]
+        assert _xml(doc) == _xml(run_suite(matrix, date="2025-06-01"))
+
+    def test_pool_broken_while_submitting_aborts_the_rest(self,
+                                                          monkeypatch):
+        class BreaksAfterOne(_InlinePool):
+            accepted = 0
+
+            def submit(self, fn, *args):
+                if self.accepted:
+                    raise BrokenProcessPool("a worker died")
+                self.accepted += 1
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            BreaksAfterOne)
+        monkeypatch.setattr(runner, "_worker_cells", [])
+        doc = run_suite(_small_matrix(), jobs=2, date="2025-06-01")
+        cells = [t for g in doc.generators for s in g.seeds for t in s.tests]
+        assert cells[0].aborted is None and cells[0].analyses
+        assert [t.aborted for t in cells[1:]] == (
+            ["BrokenProcessPool: a worker died"] * 7)
+
+    def test_no_fork_means_jobs_one_only(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        def get_context(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        with pytest.raises(ConfigurationError, match="fork"):
+            run_suite(_small_matrix(), jobs=2)
+        run_suite(_small_matrix(), jobs=1)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "generators": [{"name": "mt19937"}], "seeds": [1],
+            "levels": [0.05], "tests": [
+                {"name": "gap", "parameters": {
+                    "alpha": 0.0, "beta": 0.5, "t": 8, "n_gaps": 500}}]}))
+        assert main(["run", "--config", str(config), "--jobs", "2",
+                     "--out", str(tmp_path / "r.xml")]) == 2
 
 
 class TestDocumentHasFailures:
