@@ -91,6 +91,23 @@ def squeeze_kernel(u, counts, games_needed, cap):
     return done, at, int(steps < 0 or steps > cap)
 
 
+def _walk(chain, needed):
+    """Follow `chain` from unit 0 for at most `needed` units.
+
+    chain[i] is where the unit starting at i hands over to the next, or
+    -1 where that unit does not complete; an index past the end does
+    not complete either.  Returns (starts, stop): the starts of the
+    completed units, and where the walk stopped.
+    """
+    chain = chain.tolist()
+    starts = []
+    at = 0
+    while len(starts) < needed and at < len(chain) and chain[at] >= 0:
+        starts.append(at)
+        at = chain[at]
+    return starts, at
+
+
 def craps_kernel(w, limit, throws_counts, games_needed, cap):
     """Play craps games; dice come from inline rejection over raw offsets.
 
@@ -118,16 +135,8 @@ def craps_kernel(w, limit, throws_counts, games_needed, cap):
         end[here] = np.where(nxt == ends.size, n, e)
         won[here] = s[e] == v
     need = end - throw + 1
-    chain = np.where((end < n) & (need <= cap), end + 1, -1).tolist()
-    chain.append(-1)
-    starts = []
-    g = 0
-    for _ in range(games_needed):
-        nxt = chain[g]
-        if nxt < 0:
-            break
-        starts.append(g)
-        g = nxt
+    starts, g = _walk(np.where((end < n) & (need <= cap), end + 1, -1),
+                      games_needed)
     games = len(starts)
     # the chain stops at a game decided past the cap (so more than cap
     # throws remain) or at one the buffer leaves undecided
@@ -160,16 +169,8 @@ def coupon_kernel(w, limit, d, t, counts, segments_needed, cap):
     digits = np.concatenate([np.arange(d), w[acc] % d])
     end = np.maximum.accumulate(next_occurrence(digits))[d - 1:-1] - d
     need = end - np.arange(m) + 1
-    chain = np.where((end < m) & (need <= cap), end + 1, -1).tolist()
-    chain.append(-1)
-    starts = []
-    g = 0
-    for _ in range(segments_needed):
-        nxt = chain[g]
-        if nxt < 0:
-            break
-        starts.append(g)
-        g = nxt
+    starts, g = _walk(np.where((end < m) & (need <= cap), end + 1, -1),
+                      segments_needed)
     done = len(starts)
     aborted = int(done < segments_needed and g + cap <= m)
     if done == 0:
@@ -197,15 +198,8 @@ def runs_kernel(u, counts, runs_needed, cap):
     brk = np.append(descents, n)[np.searchsorted(descents, starts,
                                                   side="right")]
     length = brk - starts
-    chain = np.where((brk < n) & (length <= cap), brk + 1, -1).tolist()
-    firsts = []
-    s = 0
-    for _ in range(runs_needed):
-        nxt = chain[s]
-        if nxt < 0:
-            break
-        firsts.append(s)
-        s = nxt
+    firsts, s = _walk(np.where((brk < n) & (length <= cap), brk + 1, -1),
+                      runs_needed)
     done = len(firsts)
     aborted = int(done < runs_needed and length[s] > cap)
     if done:

@@ -186,15 +186,9 @@ class BinaryRankTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes ceil(n_matrices*rows*cols / width) raw draws via bits."""
-        reader = BitReader(stream)
-        bits = reader.read(self.n_matrices * self.rows * self.cols)
-        weights = np.left_shift(
-            np.uint64(1), np.arange(self.cols - 1, -1, -1, dtype=np.uint64)
-        )
-        rows_packed = (bits.reshape(-1, self.cols).astype(np.uint64)
-                       * weights).sum(axis=1, dtype=np.uint64)
-        mats = np.ascontiguousarray(rows_packed.reshape(self.n_matrices,
-                                                        self.rows))
+        rows = BitReader(stream).read_values(self.n_matrices * self.rows,
+                                             self.cols)
+        mats = rows.astype(np.uint64).reshape(self.n_matrices, self.rows)
         rank_counts = gf2_rank_counts(mats, self.cols)
         named, probs = self._categories()
         counts = [int(rank_counts[r]) for r in named]

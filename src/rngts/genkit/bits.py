@@ -47,9 +47,9 @@ class BitReader:
         """Return `count` integers of `value_bits` bits each (big-endian).
 
         Each field is cut from the output holding its last bit, shifted
-        right, and from the outputs before it, shifted left.  Shifts
-        stay below 64 while value_bits plus the stream width is at most
-        65.
+        right, and from the outputs before it, shifted left.  A shift of
+        64 or more, which numpy turns into 0, reaches only outputs
+        outside the field.
         """
         w = self._width
         words, start = self._words(count * value_bits)

@@ -9,7 +9,6 @@ given stream; they never reseed it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .battery.base import TestCase
@@ -25,25 +24,6 @@ from .stats import (
 )
 
 _ABORT_FRACTION = 0.1
-
-
-@dataclass(frozen=True)
-class MetaOutcome:
-    """Aggregate of repeated runs of one inner test.
-
-    repetitions counts the successful runs; aborted_runs the rest.  A
-    meta outcome itself aborts (meta_result None) when more than 10% of
-    the inner runs abort.
-    """
-
-    inner_test_name: str
-    repetitions: int
-    per_run_p: tuple
-    p_name: str
-    meta_result: Optional[MetaStatisticResult]
-    fail_counts: Optional[dict] = None
-    aborted_runs: int = 0
-    aborted: Optional[str] = None
 
 
 def ks_of_pvalues(ps: Sequence[float]) -> MetaStatisticResult:
@@ -76,204 +56,124 @@ def binomial_two_sided_pvalue(observed: int, n: int, rate: float) -> float:
     return min(1.0, p)
 
 
-def _first_p(results, p_name: Optional[str]) -> tuple[str, float]:
-    if p_name is None:
-        first = results[0]
-        name = next(iter(first.p_values))
-        return name, first.p_values[name]
-    for res in results:
-        if p_name in res.p_values:
-            return p_name, res.p_values[p_name]
-    available = sorted({n for r in results for n in r.p_values})
-    raise ConfigurationError(
-        f"no p-value named {p_name!r}; test reports {available}"
-    )
+class _RepeatedTest(TestCase):
+    """An inner test run `repetitions` times on one stream.
 
-
-def _repeat_inner(inner: TestCase, repetitions: int, stream: RandomStream,
-                  collect):
-    """Run inner `repetitions` times, collecting per successful run.
-
-    Returns (collected, aborted_runs, abort_reason)."""
-    if repetitions < 10:
-        raise ConfigurationError("meta tests need at least 10 repetitions")
-    collected = []
-    aborted_runs = 0
-    reason = None
-    allowed = int(_ABORT_FRACTION * repetitions)
-    for _ in range(repetitions):
-        try:
-            collected.append(collect(stream))
-        except (TestAborted, StreamExhausted) as exc:
-            aborted_runs += 1
-            if aborted_runs > allowed:
-                detail = exc.reason if isinstance(exc, TestAborted) else str(exc)
-                reason = (
-                    f"{aborted_runs} of {repetitions} inner runs aborted "
-                    f"(last: {detail})"
-                )
-                break
-    return collected, aborted_runs, reason
-
-
-def iterate_test(inner: TestCase, repetitions: int,
-                 stream: RandomStream, p_name: Optional[str] = None
-                 ) -> MetaOutcome:
-    """Repeat the inner test and KS-fit its p-values against uniform."""
-    seen_name = [p_name if p_name is not None else ""]
-
-    def collect(s):
-        name, p = _first_p(inner.run(s), p_name)
-        seen_name[0] = name
-        return p
-
-    ps, aborted_runs, reason = _repeat_inner(inner, repetitions, stream,
-                                             collect)
-    if reason is not None:
-        return MetaOutcome(
-            inner_test_name=inner.test_name,
-            repetitions=len(ps),
-            per_run_p=tuple(ps),
-            p_name=seen_name[0],
-            meta_result=None,
-            aborted_runs=aborted_runs,
-            aborted=reason,
-        )
-    return MetaOutcome(
-        inner_test_name=inner.test_name,
-        repetitions=len(ps),
-        per_run_p=tuple(ps),
-        p_name=seen_name[0],
-        meta_result=ks_of_pvalues(ps),
-        aborted_runs=aborted_runs,
-    )
-
-
-def count_fails_test(inner: TestCase, repetitions: int,
-                     levels: Sequence[float], stream: RandomStream,
-                     p_name: Optional[str] = None) -> MetaOutcome:
-    """Repeat the inner test and count Failed verdicts per level.
-
-    The meta p-value per level is an exact two-sided binomial tail
-    against the level's nominal failure rate min(c, 1-c).
+    Each run contributes one p-value: the one named `p_name`, searched
+    across the run's results, or else the first result's first.
     """
-    from .report import Verdict
 
-    levels = list(levels)
-    if not levels:
-        raise ConfigurationError("count-fails needs at least one level")
-    for c in levels:
-        if not (0.0 < c < 1.0):
-            raise ConfigurationError(f"confidence level {c} outside (0, 1)")
-    seen_name = [p_name if p_name is not None else ""]
+    def __init__(self, inner: TestCase, repetitions: int,
+                 p_name: Optional[str]):
+        if repetitions < 10:
+            raise ConfigurationError("meta tests need at least 10 repetitions")
+        self.inner = inner
+        self.repetitions = repetitions
+        self.p_name = p_name
 
-    def collect(s):
-        results = inner.run(s)
-        name, p = _first_p(results, p_name)
-        seen_name[0] = name
-        outcome = inner.analyze(results, levels)
-        failed = tuple(
-            any(per[c] is Verdict.FAILED for per in outcome.verdicts)
-            for c in levels
+    def parameters(self):
+        return [
+            ("Inner Test", self.inner.test_name),
+            ("Repetitions", self.repetitions),
+        ] + self.inner.parameters()
+
+    def _p(self, results) -> float:
+        if self.p_name is None:
+            return next(iter(results[0].p_values.values()))
+        for res in results:
+            if self.p_name in res.p_values:
+                return res.p_values[self.p_name]
+        available = sorted({n for r in results for n in r.p_values})
+        raise ConfigurationError(
+            f"no p-value named {self.p_name!r}; test reports {available}"
         )
-        return p, failed
 
-    collected, aborted_runs, reason = _repeat_inner(
-        inner, repetitions, stream, collect
-    )
-    ps = tuple(p for p, _ in collected)
-    if reason is not None:
-        return MetaOutcome(
-            inner_test_name=inner.test_name,
-            repetitions=len(ps),
-            per_run_p=ps,
-            p_name=seen_name[0],
-            meta_result=None,
-            aborted_runs=aborted_runs,
-            aborted=reason,
-        )
-    n = len(collected)
-    counts = {}
-    p_values = {}
-    for i, c in enumerate(levels):
-        key = f"{c:g}"
-        fails = sum(1 for _, flags in collected if flags[i])
-        counts[key] = fails
-        p_values[key] = binomial_two_sided_pvalue(fails, n, min(c, 1.0 - c))
-    meta = MetaStatisticResult(
-        kind=StatKind.GAUSSIAN,
-        statistic_value=float(counts[f"{levels[0]:g}"]),
-        p_values=p_values,
-        meta_kind="COUNT_FAILS",
-    )
-    return MetaOutcome(
-        inner_test_name=inner.test_name,
-        repetitions=n,
-        per_run_p=ps,
-        p_name=seen_name[0],
-        meta_result=meta,
-        fail_counts=counts,
-        aborted_runs=aborted_runs,
-    )
+    def _repeat(self, stream: RandomStream) -> tuple[list, int]:
+        """(p, results) of each inner run that did not abort, and the
+        number that did.  Aborted runs are skipped while they are at most
+        10% of the repetitions; one more aborts the whole test."""
+        runs = []
+        aborted = 0
+        allowed = int(_ABORT_FRACTION * self.repetitions)
+        for _ in range(self.repetitions):
+            try:
+                results = self.inner.run(stream)
+            except (TestAborted, StreamExhausted) as exc:
+                aborted += 1
+                if aborted > allowed:
+                    raise TestAborted(
+                        f"{aborted} of {self.repetitions} inner runs "
+                        f"aborted (last: {exc})"
+                    ) from None
+                continue
+            runs.append((self._p(results), results))
+        return runs, aborted
 
 
-class IterateTestCase(TestCase):
-    """TestCase adapter running iterate_test, so meta tests fit the
-    runner and report like any battery test."""
+class IterateTestCase(_RepeatedTest):
+    """KS fit of the inner test's p-values against uniform.
+
+    Diagnostics: the successful repetitions, and the aborted ones if any.
+    """
 
     def __init__(self, inner: TestCase, repetitions: int = 100,
                  p_name: Optional[str] = None):
-        if repetitions < 10:
-            raise ConfigurationError("meta tests need at least 10 repetitions")
-        self.inner = inner
-        self.repetitions = repetitions
-        self.p_name = p_name
+        super().__init__(inner, repetitions, p_name)
         self.test_name = f"Iterate-{inner.test_name}"
 
-    def parameters(self):
-        return [
-            ("Inner Test", self.inner.test_name),
-            ("Repetitions", self.repetitions),
-        ] + self.inner.parameters()
-
     def run(self, stream: RandomStream):
-        outcome = iterate_test(self.inner, self.repetitions, stream,
-                               self.p_name)
-        if outcome.aborted is not None:
-            raise TestAborted(outcome.aborted)
-        self.diagnostics = (("Successful Repetitions", outcome.repetitions),)
-        if outcome.aborted_runs:
-            self.diagnostics += (("Aborted Repetitions", outcome.aborted_runs),)
-        return [outcome.meta_result]
+        runs, aborted = self._repeat(stream)
+        self.diagnostics = (("Successful Repetitions", len(runs)),)
+        if aborted:
+            self.diagnostics += (("Aborted Repetitions", aborted),)
+        return [ks_of_pvalues([p for p, _ in runs])]
 
 
-class CountFailsTestCase(TestCase):
-    """TestCase adapter running count_fails_test at fixed levels."""
+class CountFailsTestCase(_RepeatedTest):
+    """Count of inner runs failed at each level, against the binomial law.
+
+    A run fails at a level when any of its p-values does; `p_name` must
+    name one of them but does not narrow the count.  The meta p-value
+    per level is an exact two-sided binomial tail against the level's
+    nominal failure rate min(c, 1-c).  Diagnostics: the failure count
+    at each level.
+    """
 
     def __init__(self, inner: TestCase, repetitions: int,
                  levels: Sequence[float], p_name: Optional[str] = None):
-        if repetitions < 10:
-            raise ConfigurationError("meta tests need at least 10 repetitions")
-        self.inner = inner
-        self.repetitions = repetitions
+        super().__init__(inner, repetitions, p_name)
         self.levels = list(levels)
-        self.p_name = p_name
+        if not self.levels:
+            raise ConfigurationError("count-fails needs at least one level")
+        for c in self.levels:
+            if not (0.0 < c < 1.0):
+                raise ConfigurationError(f"confidence level {c} outside (0, 1)")
         self.test_name = f"Count-Fails-{inner.test_name}"
 
     def parameters(self):
-        return [
-            ("Inner Test", self.inner.test_name),
-            ("Repetitions", self.repetitions),
-            ("Counted Levels", " ".join(f"{c:g}" for c in self.levels)),
-        ] + self.inner.parameters()
+        shared = super().parameters()
+        levels = " ".join(f"{c:g}" for c in self.levels)
+        return shared[:2] + [("Counted Levels", levels)] + shared[2:]
 
     def run(self, stream: RandomStream):
-        outcome = count_fails_test(self.inner, self.repetitions, self.levels,
-                                   stream, self.p_name)
-        if outcome.aborted is not None:
-            raise TestAborted(outcome.aborted)
+        from .report import Verdict
+
+        runs, _ = self._repeat(stream)
+        verdicts = [self.inner.analyze(results, self.levels).verdicts
+                    for _, results in runs]
+        counts, p_values = {}, {}
+        for c in self.levels:
+            key = f"{c:g}"
+            counts[key] = sum(any(per[c] is Verdict.FAILED for per in v)
+                              for v in verdicts)
+            p_values[key] = binomial_two_sided_pvalue(
+                counts[key], len(runs), min(c, 1.0 - c))
         self.diagnostics = tuple(
-            (f"Failures at {key}", count)
-            for key, count in outcome.fail_counts.items()
+            (f"Failures at {key}", n) for key, n in counts.items()
         )
-        return [outcome.meta_result]
+        return [MetaStatisticResult(
+            kind=StatKind.GAUSSIAN,
+            statistic_value=float(counts[f"{self.levels[0]:g}"]),
+            p_values=p_values,
+            meta_kind="COUNT_FAILS",
+        )]

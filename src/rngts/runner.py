@@ -392,10 +392,17 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _label(entry: dict, default: str) -> str:
+    label = entry.get("label", default)
+    if not isinstance(label, str):
+        raise ConfigurationError(f"generator label {label!r} is not a string")
+    return label
+
+
 def _generator_entry(entry) -> tuple:
-    if not isinstance(entry, dict) or "name" not in entry:
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise ConfigurationError(
-            "each generator entry must be an object with a 'name'"
+            "each generator entry must be an object with a 'name' string"
         )
     name = entry["name"]
     warmup = entry.get("warmup", 0)
@@ -407,7 +414,7 @@ def _generator_entry(entry) -> tuple:
         path = entry.get("path")
         if not isinstance(path, str):
             raise ConfigurationError("file generator needs a 'path' string")
-        label = entry.get("label", f"file:{path}")
+        label = _label(entry, f"file:{path}")
         return label, (lambda: file_stream(path)), warmup
     if name == "external":
         command = entry.get("command")
@@ -416,16 +423,16 @@ def _generator_entry(entry) -> tuple:
             raise ConfigurationError(
                 "external generator needs a 'command' list of strings"
             )
-        label = entry.get("label", f"external:{command[0]}")
+        label = _label(entry, f"external:{command[0]}")
         return label, (lambda: external_stream(command)), warmup
     factory = resolve_generator(name)
     return name, factory, warmup
 
 
 def _test_entry(entry) -> Callable[[], TestCase]:
-    if not isinstance(entry, dict) or "name" not in entry:
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise ConfigurationError(
-            "each test entry must be an object with a 'name'"
+            "each test entry must be an object with a 'name' string"
         )
     name = entry["name"]
     params = entry.get("parameters", {})

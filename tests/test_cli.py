@@ -153,6 +153,22 @@ class TestErrorExits:
                 assert main(["run", "--config", config]) == 2
                 assert "side must be finite" in capfd.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"generators": [{"name": ["mt19937"]}]},
+        {"tests": [{"name": {"a": 1}}]},
+        {"generators": [{"name": "file", "path": "w.bin", "label": ["x"]}]},
+        {"generators": [{"name": "file", "path": "w.bin", "label": 7}]},
+    ])
+    def test_non_string_name_or_label(self, tmp_path, overrides):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rngts.cli", "run",
+             "--config", _manifest(tmp_path, **overrides)],
+            capture_output=True, text=True, timeout=60, env=_child_env(),
+        )
+        assert proc.returncode == 2
+        assert "string" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_date(self, tmp_path, capfd):
         code = main(["run", "--config", _manifest(tmp_path),
                      "--date", "2025-13-40"])

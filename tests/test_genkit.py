@@ -428,7 +428,7 @@ class TestBitReader:
         # bit stream 110101 in 3-bit fields: 110, 101
         assert list(r.read_values(3, 2)) == [0b11, 0b01, 0b01]
 
-    @pytest.mark.parametrize("L", [1, 5, 7, 8, 24])
+    @pytest.mark.parametrize("L", [1, 5, 7, 8, 24, 33, 64])
     @pytest.mark.parametrize("width", [1, 3, 4, 7, 13, 22, 32])
     def test_read_values_match_bit_expansion(self, L, width):
         # fields cut by shifts equal the bit expansion they replaced,

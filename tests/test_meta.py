@@ -7,6 +7,7 @@ driven by scripted inners so collection, abort accounting, and level
 bookkeeping are all observable.
 """
 
+import io
 import math
 from fractions import Fraction
 
@@ -16,15 +17,16 @@ import pytest
 from rngts.battery.base import TestCase as BatteryCase
 from rngts.battery.uniformity import ChisqrUniformityTest
 from rngts.errors import ConfigurationError, TestAborted as AbortedError
-from rngts.genkit.engines import Mt19937
+from rngts.genkit.adapters import file_stream
+from rngts.genkit.engines import Minstd, Mt19937
 from rngts.meta import (
     CountFailsTestCase,
     IterateTestCase,
     binomial_two_sided_pvalue,
-    count_fails_test,
-    iterate_test,
     ks_of_pvalues,
 )
+from rngts.report import write_xml
+from rngts.runner import RunMatrix, run_suite
 from rngts.stats import StatKind, StatisticResult
 
 
@@ -65,7 +67,7 @@ class TwoResultInner(BatteryCase):
         return [
             StatisticResult(kind=StatKind.KOLMOGOROV_SMIRNOV,
                             statistic_value=1.0,
-                            p_values={"plus": 0.4, "minus": 0.6}),
+                            p_values={"plus": 0.4, "minus": 0.7}),
             StatisticResult(kind=StatKind.GAUSSIAN,
                             statistic_value=0.0,
                             p_values={"p": 0.25}),
@@ -129,74 +131,90 @@ class TestKsOfPvalues:
         assert 0.001 < res.p_values["p"] < 0.999
 
 
+def _ks_p(result):
+    return result.statistic_value, result.p_values
+
+
 class TestIterate:
     def test_continues_stream_without_reseeding(self):
         reps, seed = 20, 310
         inner = PInner([0.5] * reps)
-        out = iterate_test(inner, reps, Mt19937(seed))
+        stream = Mt19937(seed)
+        results = IterateTestCase(inner, reps).run(stream)
         # each run consumed exactly one draw, in stream order
         assert inner.calls == reps
-        assert out.repetitions == reps
-        assert out.aborted_runs == 0 and out.aborted is None
-        assert out.p_name == "p"
-        assert out.inner_test_name == "Scripted-P-Test"
-        assert out.per_run_p == tuple([0.5] * reps)
-        assert out.meta_result.p_values["p"] == \
-            ks_of_pvalues([0.5] * reps).p_values["p"]
+        reference = Mt19937(seed)
+        reference.next_block(reps)
+        assert stream.next() == reference.next()
+        assert _ks_p(results[0]) == _ks_p(ks_of_pvalues([0.5] * reps))
 
     def test_matches_direct_ks(self):
         ps = [0.1, 0.7, 0.3, 0.9, 0.2, 0.5, 0.4, 0.8, 0.6, 0.15]
-        out = iterate_test(PInner(ps), 10, Mt19937(1))
-        assert out.per_run_p == tuple(ps)
-        direct = ks_of_pvalues(ps)
-        assert out.meta_result.statistic_value == direct.statistic_value
-        assert out.meta_result.p_values == direct.p_values
+        case = IterateTestCase(PInner(ps), 10)
+        [meta] = case.run(Mt19937(1))
+        assert _ks_p(meta) == _ks_p(ks_of_pvalues(ps))
+        assert case.diagnostics == (("Successful Repetitions", 10),)
 
     def test_default_p_name_takes_first(self):
-        out = iterate_test(TwoResultInner(), 10, Mt19937(2))
-        assert out.p_name == "plus"
-        assert out.per_run_p == tuple([0.4] * 10)
+        [meta] = IterateTestCase(TwoResultInner(), 10).run(Mt19937(2))
+        assert _ks_p(meta) == _ks_p(ks_of_pvalues([0.4] * 10))
+        assert _ks_p(meta) != _ks_p(ks_of_pvalues([0.7] * 10))
 
     def test_named_p_searched_across_results(self):
-        out = iterate_test(TwoResultInner(), 10, Mt19937(2), p_name="p")
-        assert out.p_name == "p"
-        assert out.per_run_p == tuple([0.25] * 10)
+        case = IterateTestCase(TwoResultInner(), 10, p_name="p")
+        [meta] = case.run(Mt19937(2))
+        assert _ks_p(meta) == _ks_p(ks_of_pvalues([0.25] * 10))
 
     def test_unknown_p_name_lists_available(self):
+        case = IterateTestCase(TwoResultInner(), 10, p_name="zeta")
         with pytest.raises(ConfigurationError) as exc:
-            iterate_test(TwoResultInner(), 10, Mt19937(2), p_name="zeta")
+            case.run(Mt19937(2))
         msg = str(exc.value)
         assert "zeta" in msg and "minus" in msg and "plus" in msg
 
     def test_too_few_repetitions(self):
         with pytest.raises(ConfigurationError):
-            iterate_test(PInner([0.5]), 9, Mt19937(1))
+            IterateTestCase(PInner([0.5]), 9)
+        assert IterateTestCase(PInner([0.5]), 10).repetitions == 10
 
     def test_aborts_within_allowance_are_skipped(self):
         reps = 20  # allowance: int(0.1 * 20) = 2
         inner = PInner([0.5] * reps, abort_on={3, 7})
-        out = iterate_test(inner, reps, Mt19937(3))
-        assert out.aborted is None
-        assert out.aborted_runs == 2
-        assert out.repetitions == 18
-        assert len(out.per_run_p) == 18
+        case = IterateTestCase(inner, reps)
+        [meta] = case.run(Mt19937(3))
+        assert case.diagnostics == (("Successful Repetitions", 18),
+                                    ("Aborted Repetitions", 2))
+        assert _ks_p(meta) == _ks_p(ks_of_pvalues([0.5] * 18))
 
     def test_excess_aborts_fail_the_meta_run(self):
         inner = PInner([0.5] * 20, abort_on={1, 2, 3})
-        out = iterate_test(inner, 20, Mt19937(3))
-        assert out.meta_result is None
-        assert out.aborted_runs == 3
-        assert "3 of 20 inner runs aborted" in out.aborted
-        assert "scripted abort" in out.aborted
+        out = IterateTestCase(inner, 20).execute(Mt19937(3), [0.05])
+        assert out.aborted == \
+            "3 of 20 inner runs aborted (last: scripted abort)"
+        assert out.results == () and out.diagnostics == ()
+        # the third abort ends the repetitions
+        assert inner.calls == 4
+
+    def test_exhausted_stream_counts_as_an_abort(self, tmp_path):
+        path = tmp_path / "words.bin"
+        path.write_bytes(Mt19937(4).next_block(15).astype("<u4").tobytes())
+        inner = PInner([0.5] * 20)
+        out = IterateTestCase(inner, 20).execute(file_stream(str(path)),
+                                                 [0.05])
+        assert out.aborted == (
+            "3 of 20 inner runs aborted (last: file(words.bin): stream "
+            "exhausted, 0 of 1 outputs available)"
+        )
 
 
 class TestCountFails:
     def test_counts_per_level(self):
         # 3 runs at p = 0.01 fail 0.05; none fail 0.95
         ps = [0.01] * 3 + [0.5] * 17
-        out = count_fails_test(PInner(ps), 20, [0.05, 0.95], Mt19937(4))
-        assert out.fail_counts == {"0.05": 3, "0.95": 0}
-        meta = out.meta_result
+        case = CountFailsTestCase(PInner(ps), 20, [0.05, 0.95])
+        [meta] = case.run(Mt19937(4))
+        assert case.diagnostics == (("Failures at 0.05", 3),
+                                    ("Failures at 0.95", 0))
         assert meta.meta_kind == "COUNT_FAILS"
         assert meta.kind == StatKind.GAUSSIAN
         assert meta.statistic_value == 3.0  # count at the first level
@@ -205,20 +223,22 @@ class TestCountFails:
 
     def test_upper_level_counts_large_ps(self):
         ps = [0.99] * 4 + [0.5] * 16
-        out = count_fails_test(PInner(ps), 20, [0.95], Mt19937(5))
-        assert out.fail_counts == {"0.95": 4}
+        case = CountFailsTestCase(PInner(ps), 20, [0.95])
+        case.run(Mt19937(5))
+        assert case.diagnostics == (("Failures at 0.95", 4),)
 
-    def test_level_validation(self):
+    @pytest.mark.parametrize("levels", [[], [1.2], [0.05, 0.0]])
+    def test_levels_checked_at_construction(self, levels):
         with pytest.raises(ConfigurationError):
-            count_fails_test(PInner([0.5]), 10, [], Mt19937(1))
-        with pytest.raises(ConfigurationError):
-            count_fails_test(PInner([0.5]), 10, [1.2], Mt19937(1))
+            CountFailsTestCase(PInner([0.5]), 10, levels)
 
     def test_abort_overflow(self):
         inner = PInner([0.5] * 10, abort_on={0, 1})
-        out = count_fails_test(inner, 10, [0.05], Mt19937(6))
-        assert out.meta_result is None and out.fail_counts is None
-        assert out.aborted_runs == 2
+        out = CountFailsTestCase(inner, 10, [0.05]).execute(Mt19937(6),
+                                                           [0.05])
+        assert out.aborted == \
+            "2 of 10 inner runs aborted (last: scripted abort)"
+        assert out.results == () and out.diagnostics == ()
 
 
 class TestAdapters:
@@ -259,3 +279,37 @@ class TestAdapters:
             IterateTestCase(PInner([0.5]), repetitions=5)
         with pytest.raises(ConfigurationError):
             CountFailsTestCase(PInner([0.5]), repetitions=5, levels=[0.05])
+
+
+class TestInSuite:
+    def test_meta_cells_report_alike_at_any_job_count(self):
+        matrix = RunMatrix(
+            generators=(("mt19937", Mt19937, 0), ("minstd", Minstd, 5)),
+            seeds=(1, 7),
+            levels=(0.05, 0.95),
+            tests=(
+                lambda: IterateTestCase(ChisqrUniformityTest(n=2000, k=64),
+                                        repetitions=12),
+                lambda: CountFailsTestCase(
+                    ChisqrUniformityTest(n=2000, k=64), repetitions=12,
+                    levels=[0.05, 0.95]),
+            ),
+        )
+        docs = [run_suite(matrix, jobs=jobs, date="2025-06-01")
+                for jobs in (1, 2)]
+        for rng in docs[0].generators:
+            for seed in rng.seeds:
+                iterate, count = seed.tests
+                assert iterate.name == "Iterate-Chi-Square-Uniformity-Test"
+                assert count.name == "Count-Fails-Chi-Square-Uniformity-Test"
+                for test, kind in ((iterate, "KS"), (count, "COUNT_FAILS")):
+                    assert test.aborted is None
+                    [analysis] = test.analyses
+                    assert analysis.element == "META"
+                    assert ("kind", kind) in analysis.attributes
+        xml = []
+        for doc in docs:
+            buf = io.BytesIO()
+            write_xml(doc, buf)
+            xml.append(buf.getvalue())
+        assert xml[0] == xml[1]
