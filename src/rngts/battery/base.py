@@ -1,11 +1,9 @@
-"""Test catalog infrastructure: TestCase, TestOutcome, the block-scan
-driver, cell pooling."""
+"""Test catalog infrastructure: TestCase, TestOutcome, cell pooling."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -96,51 +94,6 @@ class TestCase:
                 aborted=reason,
             )
         return self.analyze(results, levels)
-
-
-_FIRST_BLOCK = 65536
-_MAX_BLOCK = 1 << 22
-
-
-def scan(stream: RandomStream, needed: int,
-         step: Callable[[np.ndarray, int], tuple[int, int]],
-         words_per_unit: int = 0) -> None:
-    """Feed raw blocks of `stream` to `step` until `needed` units are done.
-
-    `step(raw, remaining)` scans one block and returns (units_done,
-    consumed): the units it completed, and the raw outputs used through
-    the end of the last completed unit.  The unconsumed tail is pushed
-    back onto the stream, so consumption is exact whatever the block
-    size.  A block that completes no unit doubles the next one, up to
-    _MAX_BLOCK; no progress at that size aborts the test.
-
-    With `words_per_unit`, a block holds at least that many words per
-    unit still needed, clamped to [_FIRST_BLOCK, _MAX_BLOCK].  A stream
-    too short for such a block keeps the words it read, and the scan
-    goes on without the hint.
-    """
-    block = _FIRST_BLOCK
-    while needed > 0:
-        size = block
-        if words_per_unit:
-            size = max(block, min(words_per_unit * needed, _MAX_BLOCK))
-        try:
-            raw = stream.next_block(size)
-        except StreamExhausted:
-            if size == block:
-                raise
-            words_per_unit = 0
-            continue
-        done, consumed = step(raw, needed)
-        if consumed < raw.size:
-            stream.unread(raw[consumed:])
-        needed -= done
-        if done == 0:
-            if size >= _MAX_BLOCK:
-                raise TestAborted(
-                    "scanner made no progress at maximum buffer size"
-                )
-            block = min(size * 2, _MAX_BLOCK)
 
 
 def pool_cells(counts: np.ndarray, probs: np.ndarray,

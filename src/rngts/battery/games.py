@@ -12,10 +12,10 @@ import numpy as np
 
 from ..errors import ConfigurationError, TestAborted
 from ..genkit.adapters import bit_extract
-from ..genkit.base import RandomStream
+from ..genkit.base import RandomStream, scan
 from ..genkit.bits import BitReader
 from ..genkit.distributions import uniform01_map, uniform_int_block
-from .base import TestCase, chi_square_result, gaussian_result, scan
+from .base import TestCase, chi_square_result, gaussian_result
 from .kernels import craps_kernel, euclid, maurer_sum, repetition_times, \
     squeeze_kernel
 

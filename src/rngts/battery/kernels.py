@@ -8,9 +8,9 @@ by nature, is a loop over Python floats.
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
 segment, run), and report how much they consumed plus an abort flag.  Each
-test wraps its kernel in a step for the driver `base.scan`, which pushes
-the unconsumed tail back onto the stream and refills, so consumption is
-exact regardless of buffer sizes.
+test wraps its kernel in a step for the driver `genkit.base.scan`, which
+pushes the unconsumed tail back onto the stream and refills, so
+consumption is exact regardless of buffer sizes.
 """
 
 from __future__ import annotations

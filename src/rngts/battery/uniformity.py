@@ -2,8 +2,9 @@
 collector, permutation, runs, max-of-t, serial correlation.
 
 Tests that scan a data-dependent number of draws (gap, coupon collector,
-runs) supply a per-block step to `base.scan`, which pushes unconsumed raw
-outputs back onto the stream, so every draw is accounted for exactly.
+runs) supply a per-block step to `genkit.base.scan`, which pushes
+unconsumed raw outputs back onto the stream, so every draw is accounted
+for exactly.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from fractions import Fraction
 import numpy as np
 
 from ..errors import ConfigurationError, TestAborted
-from ..genkit.base import RandomStream
+from ..genkit.base import RandomStream, scan
 from ..genkit.distributions import (
     uniform01_block,
     uniform01_map,
     uniform_int_block,
 )
-from .base import TestCase, chi_square_result, gaussian_result, ks_result, \
-    scan
+from .base import TestCase, chi_square_result, gaussian_result, ks_result
 from .kernels import coupon_kernel, runs_kernel
 
 

@@ -10,7 +10,15 @@ class ReportParseError(ConfigurationError):
 
 
 class StreamExhausted(RuntimeError):
-    """A bounded stream (file, pipe) ran out of raw outputs mid-test."""
+    """A bounded stream (file, pipe) ran out of raw outputs mid-test.
+
+    `available` is the number of outputs the stream still holds: a read
+    of at most that many succeeds.
+    """
+
+    def __init__(self, message: str, available: int = 0):
+        super().__init__(message)
+        self.available = available
 
 
 class TestAborted(RuntimeError):

@@ -2,13 +2,16 @@
 
 Engines produce blocks for speed; the base class buffers so single draws
 and block draws can be mixed freely without perturbing the sequence.
+`scan` is the one loop that reads a data-dependent number of outputs.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from ..errors import ConfigurationError, StreamExhausted
+from ..errors import ConfigurationError, StreamExhausted, TestAborted
 
 
 class RandomStream:
@@ -54,13 +57,18 @@ class RandomStream:
         self._pos = 0
         got = avail
         while got < n:
-            chunk = self._generate(n - got)
+            try:
+                chunk = self._generate(n - got)
+            except StreamExhausted:
+                # an inner stream ran out, so this one ends here too
+                chunk = np.empty(0, dtype=np.uint64)
             if chunk.size == 0:
                 # failed reads consume nothing: keep what was collected
                 if parts:
                     self._buf = np.concatenate(parts)
                 raise StreamExhausted(
-                    f"{self.name}: stream exhausted, {got} of {n} outputs available"
+                    f"{self.name}: stream exhausted, {got} of {n} outputs "
+                    "available", available=got
                 )
             chunk = np.ascontiguousarray(chunk, dtype=np.uint64)
             if chunk.size > n - got:
@@ -107,3 +115,53 @@ class SeedableStream(RandomStream):
 
     def seed(self, s: int) -> None:
         raise NotImplementedError
+
+
+_FIRST_BLOCK = 65536
+_MAX_BLOCK = 1 << 22
+
+
+def scan(stream: RandomStream, needed: int,
+         step: Callable[[np.ndarray, int], tuple[int, int]],
+         words_per_unit: int = 0) -> None:
+    """Feed raw blocks of `stream` to `step` until `needed` units are done.
+
+    `step(raw, remaining)` scans one block and returns (units_done,
+    consumed): the units it completed, and the raw outputs used through
+    the end of the last completed unit.  The unconsumed tail is pushed
+    back onto the stream, so consumption is exact whatever the block
+    size.  A block that completes no unit doubles the next one, up to
+    _MAX_BLOCK; no progress at that size aborts the test.
+
+    With `words_per_unit`, a block holds at least that many words per
+    unit still needed, clamped to [_FIRST_BLOCK, _MAX_BLOCK].
+
+    A finite stream serves every output it holds: when a read fails, the
+    outputs still available are read and stepped on.  If that short
+    block completes no unit, the read's StreamExhausted is raised.
+    """
+    block = _FIRST_BLOCK
+    while needed > 0:
+        size = block
+        if words_per_unit:
+            size = max(block, min(words_per_unit * needed, _MAX_BLOCK))
+        short = None
+        try:
+            raw = stream.next_block(size)
+        except StreamExhausted as exc:
+            if not exc.available:
+                raise
+            short = exc
+            raw = stream.next_block(exc.available)
+        done, consumed = step(raw, needed)
+        if consumed < raw.size:
+            stream.unread(raw[consumed:])
+        needed -= done
+        if done == 0:
+            if short is not None:
+                raise short
+            if size >= _MAX_BLOCK:
+                raise TestAborted(
+                    "scanner made no progress at maximum buffer size"
+                )
+            block = min(size * 2, _MAX_BLOCK)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, StreamExhausted
-from .base import RandomStream
+from ..errors import ConfigurationError
+from .base import RandomStream, scan
 
 
 def uniform01(stream: RandomStream) -> float:
@@ -57,33 +57,21 @@ def uniform_int(stream: RandomStream, a: int, b: int) -> int:
 def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarray:
     """n unbiased draws from {a, ..., b} as an int64 array.
 
-    Consumes raw outputs exactly through the one yielding the n-th
-    accepted value; any over-read block tail is pushed back.
+    Reads through `scan`: consumes raw outputs exactly through the one
+    yielding the n-th accepted value, and a finite stream holding that
+    many serves them.
     """
     m, limit = _int_params(stream, a, b)
     lo = stream.min_value
-    parts = []
-    need = n
-    while need > 0:
-        size = min(max(1024, need + (need >> 1) + 16), 1 << 20)
-        while True:
-            try:
-                raw = stream.next_block(size)
-                break
-            except StreamExhausted:
-                # finite source: shrink toward the minimum that could
-                # still satisfy the request (one raw per value)
-                if size <= need:
-                    raise
-                size = max(need, size // 2)
+    parts = [np.empty(0, dtype=np.int64)]
+
+    def step(raw, remaining):
         w = raw.astype(np.int64) - lo
-        acc = np.flatnonzero(w < limit)
-        if acc.size >= need:
-            cut = int(acc[need - 1])
-            parts.append(a + w[acc[:need]] % m)
-            stream.unread(raw[cut + 1:])
-            need = 0
-        else:
-            parts.append(a + w[acc] % m)
-            need -= acc.size
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        acc = np.flatnonzero(w < limit)[:remaining]
+        parts.append(a + w[acc] % m)
+        if acc.size == remaining:
+            return remaining, int(acc[-1]) + 1
+        return acc.size, raw.size
+
+    scan(stream, n, step)
+    return np.concatenate(parts)

@@ -89,10 +89,10 @@ class _RepeatedTest(TestCase):
         )
 
     def _repeat(self, stream: RandomStream) -> tuple[list, int]:
-        """(p, results) of each inner run that did not abort, and the
-        number that did.  Aborted runs are skipped while they are at most
-        10% of the repetitions; one more aborts the whole test."""
-        runs = []
+        """The chosen p-value of each inner run that did not abort, and
+        the number that did.  Aborted runs are skipped while they are at
+        most 10% of the repetitions; one more aborts the whole test."""
+        ps = []
         aborted = 0
         allowed = int(_ABORT_FRACTION * self.repetitions)
         for _ in range(self.repetitions):
@@ -106,8 +106,8 @@ class _RepeatedTest(TestCase):
                         f"aborted (last: {exc})"
                     ) from None
                 continue
-            runs.append((self._p(results), results))
-        return runs, aborted
+            ps.append(self._p(results))
+        return ps, aborted
 
 
 class IterateTestCase(_RepeatedTest):
@@ -122,21 +122,20 @@ class IterateTestCase(_RepeatedTest):
         self.test_name = f"Iterate-{inner.test_name}"
 
     def run(self, stream: RandomStream):
-        runs, aborted = self._repeat(stream)
-        self.diagnostics = (("Successful Repetitions", len(runs)),)
+        ps, aborted = self._repeat(stream)
+        self.diagnostics = (("Successful Repetitions", len(ps)),)
         if aborted:
             self.diagnostics += (("Aborted Repetitions", aborted),)
-        return [ks_of_pvalues([p for p, _ in runs])]
+        return [ks_of_pvalues(ps)]
 
 
 class CountFailsTestCase(_RepeatedTest):
     """Count of inner runs failed at each level, against the binomial law.
 
-    A run fails at a level when any of its p-values does; `p_name` must
-    name one of them but does not narrow the count.  The meta p-value
-    per level is an exact two-sided binomial tail against the level's
-    nominal failure rate min(c, 1-c).  Diagnostics: the failure count
-    at each level.
+    A run fails at a level when its chosen p-value (the one named
+    `p_name`, or else the first) does.  The meta p-value per level is an
+    exact two-sided binomial tail against the level's nominal failure
+    rate min(c, 1-c).  Diagnostics: the failure count at each level.
     """
 
     def __init__(self, inner: TestCase, repetitions: int,
@@ -156,18 +155,15 @@ class CountFailsTestCase(_RepeatedTest):
         return shared[:2] + [("Counted Levels", levels)] + shared[2:]
 
     def run(self, stream: RandomStream):
-        from .report import Verdict
+        from .report import Verdict, verdict
 
-        runs, _ = self._repeat(stream)
-        verdicts = [self.inner.analyze(results, self.levels).verdicts
-                    for _, results in runs]
+        ps, _ = self._repeat(stream)
         counts, p_values = {}, {}
         for c in self.levels:
             key = f"{c:g}"
-            counts[key] = sum(any(per[c] is Verdict.FAILED for per in v)
-                              for v in verdicts)
+            counts[key] = sum(verdict(p, c) is Verdict.FAILED for p in ps)
             p_values[key] = binomial_two_sided_pvalue(
-                counts[key], len(runs), min(c, 1.0 - c))
+                counts[key], len(ps), min(c, 1.0 - c))
         self.diagnostics = tuple(
             (f"Failures at {key}", n) for key, n in counts.items()
         )

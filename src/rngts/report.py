@@ -196,94 +196,77 @@ def _attr(value: str) -> str:
     return '"%s"' % text
 
 
-class _Writer:
-    def __init__(self):
-        self.lines = []
+def _emit(lines: list, depth: int, node) -> None:
+    """Append the lines of one (tag, attrs, children) element; an element
+    without children is self-closed."""
+    tag, attrs, children = node
+    pad = "  " * depth
+    head = tag + "".join(
+        f" {name}={_attr(str(value))}" for name, value in attrs
+    )
+    if not children:
+        lines.append(f"{pad}<{head}/>")
+        return
+    lines.append(f"{pad}<{head}>")
+    for child in children:
+        _emit(lines, depth + 1, child)
+    lines.append(f"{pad}</{tag}>")
 
-    def element(self, depth: int, tag: str, attrs, children=None):
-        pad = "  " * depth
-        head = tag + "".join(
-            f" {name}={_attr(str(value))}" for name, value in attrs
-        )
-        if children:
-            self.lines.append(f"{pad}<{head}>")
-            for child in children:
-                child()
-            self.lines.append(f"{pad}</{tag}>")
-        else:
-            self.lines.append(f"{pad}<{head}/>")
+
+def _name_values(tag: str, pairs) -> list:
+    return [(tag, (("name", name), ("value", value)), ())
+            for name, value in pairs]
 
 
-def _emit_test(w: _Writer, depth: int, test: TestSection) -> None:
-    children = []
-
-    def params():
-        w.element(depth + 1, "PARAMETERS", [], [
-            (lambda nv=nv: w.element(depth + 2, "PARAMETER",
-                                     [("name", nv[0]), ("value", nv[1])]))
-            for nv in test.parameters
-        ] or None)
-
-    children.append(params)
+def _test_node(test: TestSection) -> tuple:
+    children = [("PARAMETERS", (), _name_values("PARAMETER", test.parameters))]
     if test.aborted is not None:
-        children.append(lambda: w.element(
-            depth + 1, "ABORTED", [("reason", test.aborted)]))
+        children.append(("ABORTED", (("reason", test.aborted),), ()))
     for analysis in test.analyses:
-        def emit_analysis(analysis=analysis):
-            def stat():
-                w.element(depth + 2, analysis.element,
-                          list(analysis.attributes), [
-                              (lambda v=v: w.element(
-                                  depth + 3, v[0],
-                                  [("confidenceLevel", v[1])]))
-                              for v in analysis.verdicts
-                          ] or None)
-            w.element(depth + 1, "ANALYZE", [], [stat])
-        children.append(emit_analysis)
+        verdicts = [(kind, (("confidenceLevel", level),), ())
+                    for kind, level in analysis.verdicts]
+        children.append(("ANALYZE", (), [
+            (analysis.element, analysis.attributes, verdicts)
+        ]))
     if test.diagnostics:
-        children.append(lambda: w.element(
-            depth + 1, "DIAGNOSTICS", [], [
-                (lambda nv=nv: w.element(depth + 2, "DIAGNOSTIC",
-                                         [("name", nv[0]),
-                                          ("value", nv[1])]))
-                for nv in test.diagnostics
-            ]))
-    w.element(depth, "TEST", [("name", test.name)], children)
+        children.append(("DIAGNOSTICS", (),
+                         _name_values("DIAGNOSTIC", test.diagnostics)))
+    return ("TEST", (("name", test.name),), children)
 
 
 def xml_lines(doc: ReportDocument,
               stylesheet_href: Optional[str] = None) -> list:
-    w = _Writer()
-    w.lines.append('<?xml version="1.0" ?>')
+    lines = ['<?xml version="1.0" ?>']
     if stylesheet_href is not None:
-        w.lines.append(
+        lines.append(
             f'<?xml-stylesheet href="{stylesheet_href}" type="text/xsl"?>'
         )
-
-    def rng(section: RngSection):
-        def seed(seed_section: SeedSection):
-            w.element(2, "SEED", [("seed", seed_section.seed)], [
-                (lambda t=t: _emit_test(w, 3, t))
-                for t in seed_section.tests
-            ] or None)
-        w.element(1, "RNG",
-                  [("name", section.name), ("warmup", section.warmup)],
-                  [(lambda s=s: seed(s)) for s in section.seeds] or None)
-
-    w.element(0, "RNG_TEST_SUITE_RESULT", [("date", doc.date)],
-              [(lambda g=g: rng(g)) for g in doc.generators] or None)
-    return w.lines
+    _emit(lines, 0, ("RNG_TEST_SUITE_RESULT", (("date", doc.date),), [
+        ("RNG", (("name", rng.name), ("warmup", rng.warmup)), [
+            ("SEED", (("seed", seed.seed),),
+             [_test_node(test) for test in seed.tests])
+            for seed in rng.seeds
+        ])
+        for rng in doc.generators
+    ]))
+    return lines
 
 
-def write_xml(doc: ReportDocument, destination,
-              stylesheet_href: Optional[str] = None) -> None:
-    """Serialize to a byte sink (binary file object or path)."""
-    data = ("\n".join(xml_lines(doc, stylesheet_href)) + "\n").encode("utf-8")
+def _write_lines(lines: list, destination) -> None:
+    """Write lines as UTF-8 text, each ending in a newline, to a path or
+    a binary file object."""
+    data = ("\n".join(lines) + "\n").encode("utf-8")
     if isinstance(destination, (str, Path)):
         with open(destination, "wb") as fp:
             fp.write(data)
     else:
         destination.write(data)
+
+
+def write_xml(doc: ReportDocument, destination,
+              stylesheet_href: Optional[str] = None) -> None:
+    """Serialize to a byte sink (binary file object or path)."""
+    _write_lines(xml_lines(doc, stylesheet_href), destination)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +473,4 @@ def render_html(doc: ReportDocument, destination) -> None:
                     )
             lines.append("</table>")
     lines += ["</body>", "</html>"]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    if isinstance(destination, (str, Path)):
-        with open(destination, "wb") as fp:
-            fp.write(data)
-    else:
-        destination.write(data)
+    _write_lines(lines, destination)

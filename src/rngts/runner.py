@@ -65,61 +65,48 @@ _log = logging.getLogger(__name__)
 # registries
 
 
-_GENERATORS: dict = {}
-_GENERATOR_CANON: list = []
-_TESTS: dict = {}
-_TEST_CANON: list = []
+class _Catalog:
+    """Factories by name and alias; `canon` lists the names without the
+    aliases, in registration order."""
+
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.table: dict = {}
+        self.canon: list = []
+
+    def register(self, name: str, factory: Callable,
+                 aliases: Sequence[str] = ()) -> None:
+        """Add a factory to the catalog; duplicate names are errors."""
+        keys = (name, *aliases)
+        for key in keys:
+            if key in self.table:
+                raise ConfigurationError(
+                    f"{self.kind} {key!r} already registered"
+                )
+        self.table.update(dict.fromkeys(keys, factory))
+        self.canon.append(name)
+
+    def names(self) -> list:
+        return sorted(self.canon)
+
+    def resolve(self, name: str) -> Callable:
+        try:
+            return self.table[name]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown {self.kind} {name!r}; available: "
+                + ", ".join(self.names())
+            ) from None
 
 
-def register_generator(name: str, factory: Callable[[], RandomStream],
-                       aliases: Sequence[str] = ()) -> None:
-    """Add a stream factory to the catalog; duplicate names are errors."""
-    for key in (name, *aliases):
-        if key in _GENERATORS:
-            raise ConfigurationError(f"generator {key!r} already registered")
-    _GENERATORS[name] = factory
-    _GENERATOR_CANON.append(name)
-    for key in aliases:
-        _GENERATORS[key] = factory
-
-
-def register_test(name: str, factory: Callable[..., TestCase],
-                  aliases: Sequence[str] = ()) -> None:
-    """Add a test factory to the catalog; duplicate names are errors."""
-    for key in (name, *aliases):
-        if key in _TESTS:
-            raise ConfigurationError(f"test {key!r} already registered")
-    _TESTS[name] = factory
-    _TEST_CANON.append(name)
-    for key in aliases:
-        _TESTS[key] = factory
-
-
-def generator_names() -> list:
-    return sorted(_GENERATOR_CANON)
-
-
-def test_names() -> list:
-    return sorted(_TEST_CANON)
-
-
-def resolve_generator(name: str) -> Callable[[], RandomStream]:
-    try:
-        return _GENERATORS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown generator {name!r}; available: "
-            + ", ".join(generator_names())
-        ) from None
-
-
-def resolve_test(name: str) -> Callable[..., TestCase]:
-    try:
-        return _TESTS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown test {name!r}; available: " + ", ".join(test_names())
-        ) from None
+_GENERATORS = _Catalog("generator")
+_TESTS = _Catalog("test")
+register_generator = _GENERATORS.register
+register_test = _TESTS.register
+generator_names = _GENERATORS.names
+test_names = _TESTS.names
+resolve_generator = _GENERATORS.resolve
+resolve_test = _TESTS.resolve
 
 
 def _register_builtins() -> None:

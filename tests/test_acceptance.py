@@ -50,7 +50,7 @@ from rngts.battery.uniformity import RunsTest
 from rngts.genkit import Minstd, Mt19937, Randu
 from rngts.meta import ks_of_pvalues
 from rngts.report import Verdict, format_number, parse_xml, verdict, write_xml
-from rngts.runner import _TESTS, RunMatrix, run_suite
+from rngts.runner import RunMatrix, resolve_test, run_suite
 from rngts.runner import test_names as catalog_test_names
 from rngts.stats import (
     chi_square_pvalue,
@@ -177,7 +177,7 @@ def test_criterion_03_exact_enumerations():
 
 
 def _catalog_meta_p(name: str, seed_base: int) -> float:
-    factory = _TESTS[name]
+    factory = resolve_test(name)
     ps = []
     for seed in range(seed_base, seed_base + 100):
         # half the default craps games; the verdict is identical and the

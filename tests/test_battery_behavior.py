@@ -50,7 +50,8 @@ from rngts.battery.uniformity import (
     SerialCorrelationTest,
     SerialTest,
 )
-from rngts.genkit.adapters import file_stream
+from rngts.errors import StreamExhausted
+from rngts.genkit.adapters import ExternalStream, file_stream
 from rngts.genkit.base import RandomStream
 from rngts.genkit.engines import Mt19937
 
@@ -74,6 +75,11 @@ def _bits(slab, count):
         if len(out) >= count:
             break
     return out[:count]
+
+
+def _hex_p_values(outcome):
+    return [{k: float(v).hex() for k, v in res.p_values.items()}
+            for res in outcome.results]
 
 
 def _same(result, expected):
@@ -629,9 +635,7 @@ class TestPinnedDefaults:
     def test_matches_recorded_run(self, case, p_values, words, diagnostics):
         stream = Mt19937(1)
         out = case.execute(stream, LEVELS)
-        got = [{k: float(v).hex() for k, v in res.p_values.items()}
-               for res in out.results]
-        assert got == p_values
+        assert _hex_p_values(out) == p_values
         assert out.diagnostics == diagnostics
         reference = Mt19937(1)
         reference.next_block(words)
@@ -639,16 +643,17 @@ class TestPinnedDefaults:
 
     @pytest.mark.parametrize("length, aborted, next_word", [
         (2370000, None, 2308617),
-        (2350000,
-         "file(words.bin): stream exhausted, 56648 of 65536 outputs available",
-         2350000 - 56648),
-    ], ids=["completes", "exhausted"])
+        (2350000, None, 2308617),
+        (2308617, None, None),
+        (2308616,
+         "file(words.bin): stream exhausted, 21 of 65536 outputs available",
+         2308595),
+    ], ids=["completes", "shorter-than-hint", "exact", "one-short"])
     def test_squeeze_on_a_file_shorter_than_its_block_hint(
             self, tmp_path, length, aborted, next_word):
-        # squeeze asks for a 2400000-word block; read in 65536-word
-        # blocks it uses 2308617 words and reads up to 2358888.  A file
-        # shorter than the hint ends as it did under that ladder alone,
-        # and a failed read keeps the words it collected.
+        # squeeze asks for a 2400000-word block and uses 2308617 words.
+        # A file shorter than the hint serves every word it holds; one
+        # word short, the last game stays open and its 21 words are kept.
         path = tmp_path / "words.bin"
         path.write_bytes(Mt19937(1).next_block(length)
                          .astype("<u4").tobytes())
@@ -658,9 +663,86 @@ class TestPinnedDefaults:
         if aborted is None:
             assert (out.results[0].p_values["p"].hex()
                     == "0x1.825e5f1400b34p-3")
-        reference = Mt19937(1)
-        reference.next_block(next_word)
-        assert stream.next() == reference.next()
+        if next_word is None:
+            with pytest.raises(StreamExhausted):
+                stream.next()
+        else:
+            reference = Mt19937(1)
+            reference.next_block(next_word)
+            assert stream.next() == reference.next()
+
+
+# ---------------------------------------------------------------------------
+# finite sources serve every word they hold
+
+
+# (case, raw words it draws from Mt19937(1)); repetition draws through a
+# bit extractor in blocks of up to 65536 words and discards the rest
+_FINITE_CASES = [
+    (GapTest(n_gaps=1000), 1972),
+    (RunsTest(n_runs=1000), 2700),
+    (CouponCollectorTest(n_segments=1000), 21964),
+    (SqueezeTest(games=2000), 46180),
+    (CrapsTest(games=1000), 6814),
+    (RepetitionTest(bits=12, reps=50), 65536),
+    (SerialTest(d=10, n_pairs=1000), 2000),
+    (PokerTest(n_hands=1000), 5000),
+    (BirthdaySpacingsTest(m=2**16, n=64, reps=20), 1280),
+    (GcdTest(pairs=1000), 2000),
+]
+_FINITE_IDS = ["gap", "runs", "coupon", "squeeze", "craps", "repetition",
+               "serial", "poker", "birthday_spacings", "gcd"]
+
+
+def _words_file(tmp_path, length):
+    path = tmp_path / "words.bin"
+    path.write_bytes(Mt19937(1).next_block(length).astype("<u4").tobytes())
+    return str(path)
+
+
+def _engine_run(case, words):
+    engine = Mt19937(1)
+    out = case.execute(engine, LEVELS)
+    reference = Mt19937(1)
+    reference.next_block(words)
+    assert engine.next() == reference.next()  # consumed exactly words
+    return out
+
+
+class TestFiniteSources:
+    @pytest.mark.parametrize("case, words", _FINITE_CASES, ids=_FINITE_IDS)
+    def test_file_of_exactly_the_words_drawn(self, tmp_path, case, words):
+        expected = _engine_run(case, words)
+        stream = file_stream(_words_file(tmp_path, words))
+        out = case.execute(stream, LEVELS)
+        assert out.aborted is None
+        assert _hex_p_values(out) == _hex_p_values(expected)
+        assert out.diagnostics == expected.diagnostics
+        with pytest.raises(StreamExhausted) as info:
+            stream.next()
+        assert info.value.available == 0
+        stream.close()
+
+    @pytest.mark.parametrize("case, words", _FINITE_CASES, ids=_FINITE_IDS)
+    def test_file_one_word_short_aborts(self, tmp_path, case, words):
+        stream = file_stream(_words_file(tmp_path, words - 1))
+        out = case.execute(stream, LEVELS)
+        assert out.aborted and "stream exhausted" in out.aborted
+        assert out.results == ()
+        stream.close()
+
+    @pytest.mark.parametrize("short", [0, 1], ids=["exact", "one-short"])
+    def test_external_source(self, tmp_path, short):
+        case, words = _FINITE_CASES[_FINITE_IDS.index("craps")]
+        stream = ExternalStream(["cat", _words_file(tmp_path, words - short)])
+        out = case.execute(stream, LEVELS)
+        stream.close()
+        if short:
+            assert out.aborted and "stream exhausted" in out.aborted
+        else:
+            assert out.aborted is None
+            assert _hex_p_values(out) == _hex_p_values(
+                _engine_run(case, words))
 
 
 # ---------------------------------------------------------------------------

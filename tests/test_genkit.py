@@ -487,6 +487,20 @@ class TestBitExtract:
         with pytest.raises(ConfigurationError):
             BitExtractStream(s, 1, 2)  # lo > hi
 
+    def test_failed_read_over_a_file_keeps_its_words(self, tmp_path):
+        values = Mt19937(1).next_block(70000)
+        path = tmp_path / "words.bin"
+        path.write_bytes(values.astype("<u4").tobytes())
+        g = bit_extract(FileStream(str(path)), 31, 16)
+        # the file runs out inside the second inner read; the first
+        # 65536 words stay with the bit stream, the rest with the file
+        with pytest.raises(StreamExhausted) as info:
+            g.next_block(100000)
+        assert info.value.available == 65536
+        assert np.array_equal(g.next_block(70000), values >> np.uint64(16))
+        with pytest.raises(StreamExhausted):
+            g.next_block(1)
+
 
 class TestFileStream:
     def test_reads_little_endian_words(self, tmp_path):
@@ -502,8 +516,10 @@ class TestFileStream:
         path = tmp_path / "short.bin"
         path.write_bytes(struct.pack("<2I", 7, 8))
         g = FileStream(str(path))
-        with pytest.raises(StreamExhausted):
+        with pytest.raises(StreamExhausted) as info:
             g.next_block(3)
+        assert info.value.available == 2
+        assert list(g.next_block(2)) == [7, 8]
         g.close()
 
     def test_odd_length_rejected(self, tmp_path):

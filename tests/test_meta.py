@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rngts.battery.base import TestCase as BatteryCase
-from rngts.battery.uniformity import ChisqrUniformityTest
+from rngts.battery.uniformity import ChisqrUniformityTest, KsUniformityTest
 from rngts.errors import ConfigurationError, TestAborted as AbortedError
 from rngts.genkit.adapters import file_stream
 from rngts.genkit.engines import Minstd, Mt19937
@@ -226,6 +226,18 @@ class TestCountFails:
         case = CountFailsTestCase(PInner(ps), 20, [0.95])
         case.run(Mt19937(5))
         assert case.diagnostics == (("Failures at 0.95", 4),)
+
+    @pytest.mark.parametrize("p_name, failures, p", [
+        ("plus", 19, 0.87), ("minus", 18, 0.64), (None, 19, 0.87),
+    ])
+    def test_counts_the_chosen_p_value(self, p_name, failures, p):
+        # counting a run as failed when either KS side fails gave 34 of
+        # 40 at level 0.5 (p 8.4e-6), rejecting a sound generator
+        case = CountFailsTestCase(KsUniformityTest(n=500), 40, [0.5],
+                                  p_name=p_name)
+        [meta] = case.run(Mt19937(3))
+        assert case.diagnostics == (("Failures at 0.5", failures),)
+        assert meta.p_values["0.5"] == pytest.approx(p, abs=0.005)
 
     @pytest.mark.parametrize("levels", [[], [1.2], [0.05, 0.0]])
     def test_levels_checked_at_construction(self, levels):

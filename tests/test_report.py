@@ -195,6 +195,40 @@ def _sample_document():
     )
 
 
+SAMPLE_XML = """\
+<?xml version="1.0" ?>
+<RNG_TEST_SUITE_RESULT date="2025-06-01">
+  <RNG name="minstd" warmup="100">
+    <SEED seed="1">
+      <TEST name="Gap-Test">
+        <PARAMETERS>
+          <PARAMETER name="Alpha" value="0"/>
+          <PARAMETER name="Beta" value="0.5"/>
+        </PARAMETERS>
+        <ANALYZE>
+          <CHI_SQUARE chi2="10.5" probability="0.3" dof="16">
+            <PASSED confidenceLevel="0.05"/>
+            <FAILED confidenceLevel="0.95"/>
+          </CHI_SQUARE>
+        </ANALYZE>
+        <ANALYZE>
+          <GAUSSIAN value="1.2" probability="0.23"/>
+        </ANALYZE>
+        <DIAGNOSTICS>
+          <DIAGNOSTIC name="Cars Parked" value="3521"/>
+        </DIAGNOSTICS>
+      </TEST>
+      <TEST name="Craps-Test">
+        <PARAMETERS/>
+        <ABORTED reason="craps game exceeded 10000 throws"/>
+      </TEST>
+    </SEED>
+  </RNG>
+  <RNG name="mt19937" warmup="0"/>
+</RNG_TEST_SUITE_RESULT>
+"""
+
+
 class TestXmlRoundTrip:
     def test_small_document_exact_text(self):
         doc = ReportDocument(date="2024-01-31", generators=(
@@ -210,6 +244,11 @@ class TestXmlRoundTrip:
             '  </RNG>',
             '</RNG_TEST_SUITE_RESULT>',
         ]
+
+    def test_sample_document_exact_bytes(self):
+        buf = io.BytesIO()
+        write_xml(_sample_document(), buf)
+        assert buf.getvalue() == SAMPLE_XML.encode("utf-8")
 
     def test_stylesheet_line(self):
         doc = ReportDocument(date="2024-01-31")

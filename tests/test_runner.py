@@ -61,15 +61,11 @@ ALL_GENERATORS = [
 
 @pytest.fixture
 def pristine_registries():
-    saved = (dict(runner._GENERATORS), list(runner._GENERATOR_CANON),
-             dict(runner._TESTS), list(runner._TEST_CANON))
+    saved = [(catalog, dict(catalog.table), list(catalog.canon))
+             for catalog in (runner._GENERATORS, runner._TESTS)]
     yield
-    runner._GENERATORS.clear()
-    runner._GENERATORS.update(saved[0])
-    runner._GENERATOR_CANON[:] = saved[1]
-    runner._TESTS.clear()
-    runner._TESTS.update(saved[2])
-    runner._TEST_CANON[:] = saved[3]
+    for catalog, table, canon in saved:
+        catalog.table, catalog.canon = table, canon
 
 
 class TestRegistries:
