@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,6 +26,80 @@ from ..stats import (
 )
 
 
+# The ceiling of every count argument, and of each product of counts
+# that sizes one cell's draws.  It admits every default (the largest is
+# binary rank's 32 * 32 * 4000 bits) and a 64 x 64 rank census of 4000
+# matrices.  Whole-array cells at the budget peak at 0.4-0.8 GB
+# (max-of-t with 2^24 groups is the largest).
+DRAW_BUDGET = 2**24
+
+# The number of values of one 32-bit word: the ceiling of the ranges
+# that draws are scaled to (days, urns, side lengths).
+WORD_VALUES = 2**32
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class Param:
+    """One test argument: name, report label, default, and range.
+
+    The default's type is the argument's type: an int row takes an
+    integer that is not a bool, a float row any finite real, stored as
+    a float.  A value lies in [low, high], or in (low, high] when
+    `low_open`.
+    """
+
+    name: str
+    label: str
+    default: object
+    low: float
+    high: float = DRAW_BUDGET
+    low_open: bool = False
+
+    def check(self, value):
+        """The value as stored; ConfigurationError names the argument."""
+        if isinstance(self.default, int):
+            if not is_integer(value):
+                raise ConfigurationError(
+                    f"{self.name} must be an integer, got {value!r}"
+                )
+            value = int(value)
+        else:
+            if not is_real(value):
+                raise ConfigurationError(
+                    f"{self.name} must be a number, got {value!r}"
+                )
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{self.name} must be finite, got {value!r}"
+                )
+            value = float(value)
+        if (value < self.low or value > self.high
+                or (self.low_open and value == self.low)):
+            raise ConfigurationError(
+                f"{self.name} must lie in {'(' if self.low_open else '['}"
+                f"{self.low}, {self.high}], got {value!r}"
+            )
+        return value
+
+
+def check_budget(what: str, value: int) -> None:
+    """Reject a product of count arguments above DRAW_BUDGET."""
+    if value > DRAW_BUDGET:
+        raise ConfigurationError(
+            f"{what} = {value} exceeds the draw budget {DRAW_BUDGET}"
+        )
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """One test's parameters, results, and per-level verdicts.
@@ -43,18 +119,39 @@ class TestOutcome:
 class TestCase:
     """A battery test: fixed parameters, run(stream), pure analyze().
 
-    `run` consumes the stream and returns StatisticResults; the draw
-    consumption rule of each test is stated in its docstring.  `analyze`
-    judges results against confidence levels; a result with several named
-    p-values fails at a level when any of them fails.
+    The arguments are declared once, as the `PARAMS` table: the
+    constructor takes them by keyword, fills in defaults, checks each
+    against its row in table order, then runs `check_arguments` for the
+    rules that tie arguments together.  `parameters()` lists them for
+    the report.  `run` consumes the stream and returns StatisticResults;
+    the draw consumption rule of each test is stated in its docstring.
+    `analyze` judges results against confidence levels; a result with
+    several named p-values fails at a level when any of them fails.
     """
 
     test_name: str = "test"
+    PARAMS: tuple = ()
     # (label, value) pairs for the report, set by `run` for its last stream
     diagnostics: tuple = ()
 
+    def __init__(self, **kwargs):
+        names = [row.name for row in self.PARAMS]
+        for key in kwargs:
+            if key not in names:
+                raise ConfigurationError(
+                    f"unknown argument {key!r}; "
+                    f"takes {', '.join(names) or 'none'}"
+                )
+        for row in self.PARAMS:
+            setattr(self, row.name, row.check(kwargs.get(row.name,
+                                                         row.default)))
+        self.check_arguments()
+
+    def check_arguments(self) -> None:
+        """Rules tying arguments together, run once every row holds."""
+
     def parameters(self) -> list:
-        raise NotImplementedError
+        return [(row.label, getattr(self, row.name)) for row in self.PARAMS]
 
     def run(self, stream: RandomStream) -> list:
         raise NotImplementedError
@@ -79,6 +176,16 @@ class TestCase:
             diagnostics=self.diagnostics,
         )
 
+    def aborted(self, reason: str) -> TestOutcome:
+        """The outcome of a run of this test that could not complete."""
+        return TestOutcome(
+            test_name=self.test_name,
+            parameters=tuple(self.parameters()),
+            results=(),
+            verdicts=(),
+            aborted=reason,
+        )
+
     def execute(self, stream: RandomStream,
                 levels: Sequence[float]) -> TestOutcome:
         """run + analyze with abort containment."""
@@ -86,13 +193,7 @@ class TestCase:
             results = self.run(stream)
         except (TestAborted, StreamExhausted) as exc:
             reason = exc.reason if isinstance(exc, TestAborted) else str(exc)
-            return TestOutcome(
-                test_name=self.test_name,
-                parameters=tuple(self.parameters()),
-                results=(),
-                verdicts=(),
-                aborted=reason,
-            )
+            return self.aborted(reason)
         return self.analyze(results, levels)
 
 

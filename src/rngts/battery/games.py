@@ -15,7 +15,13 @@ from ..genkit.adapters import bit_extract
 from ..genkit.base import RandomStream, scan
 from ..genkit.bits import BitReader
 from ..genkit.distributions import uniform01_map, uniform_int_block
-from .base import TestCase, chi_square_result, gaussian_result
+from .base import (
+    Param,
+    TestCase,
+    check_budget,
+    chi_square_result,
+    gaussian_result,
+)
 from .kernels import craps_kernel, euclid, maurer_sum, repetition_times, \
     squeeze_kernel
 
@@ -47,13 +53,7 @@ class SqueezeTest(TestCase):
     # average, and the lockstep kernel wants one large buffer
     _WORDS_PER_GAME = 24
 
-    def __init__(self, games: int = 100000):
-        if games < 1:
-            raise ConfigurationError("need at least 1 game")
-        self.games = games
-
-    def parameters(self):
-        return [("Number of Games", self.games)]
+    PARAMS = (Param("games", "Number of Games", 100000, 1),)
 
     def run(self, stream: RandomStream):
         """Consumes through the draw finishing the last game."""
@@ -115,13 +115,7 @@ class CrapsTest(TestCase):
     _THROW_CAP = 10000
     _CELLS = 21
 
-    def __init__(self, games: int = 200000):
-        if games < 1:
-            raise ConfigurationError("need at least 1 game")
-        self.games = games
-
-    def parameters(self):
-        return [("Number of Games", self.games)]
+    PARAMS = (Param("games", "Number of Games", 200000, 1),)
 
     def run(self, stream: RandomStream):
         """Consumes through the draw deciding the last game."""
@@ -216,20 +210,10 @@ class RepetitionTest(TestCase):
 
     test_name = "Repetition-Test"
 
-    def __init__(self, bits: int = 20, reps: int = 500):
-        if bits < 1:
-            raise ConfigurationError("field width must be at least 1 bit")
-        if bits > 30:
-            raise ConfigurationError(
-                f"field width {bits} needs a {2**bits}-entry table; limit is 30"
-            )
-        if reps < 10:
-            raise ConfigurationError("need at least 10 repetitions")
-        self.bits = bits
-        self.reps = reps
-
-    def parameters(self):
-        return [("Field Width", self.bits), ("Repetitions", self.reps)]
+    PARAMS = (
+        Param("bits", "Field Width", 20, 1, 30),
+        Param("reps", "Repetitions", 500, 10),
+    )
 
     def run(self, stream: RandomStream):
         if stream.bit_width < self.bits:
@@ -264,13 +248,7 @@ class GcdTest(TestCase):
 
     _TOP = 50
 
-    def __init__(self, pairs: int = 100000):
-        if pairs < 1:
-            raise ConfigurationError("need at least 1 pair")
-        self.pairs = pairs
-
-    def parameters(self):
-        return [("Number of Pairs", self.pairs)]
+    PARAMS = (Param("pairs", "Number of Pairs", 100000, 1),)
 
     def cell_probabilities(self) -> np.ndarray:
         j = np.arange(1, self._TOP + 1, dtype=np.float64)
@@ -327,26 +305,19 @@ class MaurersUniversalTest(TestCase):
 
     test_name = "Maurers-Universal-Test"
 
-    def __init__(self, L: int = 8, Q: int = 2560, K: int = 256000):
-        if L < 1 or L > 24:
-            raise ConfigurationError("block width must be in 1..24 bits")
-        if Q < 10 * 2**L:
-            raise ConfigurationError(
-                f"{Q} initialization blocks cannot cover a {2**L}-entry "
-                f"table; need at least {10 * 2**L}"
-            )
-        if K < 1:
-            raise ConfigurationError("need at least 1 test block")
-        self.L = L
-        self.Q = Q
-        self.K = K
+    PARAMS = (
+        Param("L", "Block Bits", 8, 1, 24),
+        Param("Q", "Initialization Blocks", 2560, 1),
+        Param("K", "Test Blocks", 256000, 1),
+    )
 
-    def parameters(self):
-        return [
-            ("Block Bits", self.L),
-            ("Initialization Blocks", self.Q),
-            ("Test Blocks", self.K),
-        ]
+    def check_arguments(self):
+        if self.Q < 10 * 2**self.L:
+            raise ConfigurationError(
+                f"{self.Q} initialization blocks cannot cover a "
+                f"{2**self.L}-entry table; need at least {10 * 2**self.L}"
+            )
+        check_budget("(Q + K) * L", (self.Q + self.K) * self.L)
 
     def run(self, stream: RandomStream):
         """Consumes ceil((Q+K)*L / width) raw draws via bits."""

@@ -15,7 +15,15 @@ from ..genkit.base import RandomStream
 from ..genkit.bits import BitReader
 from ..genkit.distributions import uniform01_block, uniform_int_block
 from ..stats import StatKind, StatisticResult
-from .base import TestCase, chi_square_result, gaussian_result, ks_result
+from .base import (
+    WORD_VALUES,
+    Param,
+    TestCase,
+    check_budget,
+    chi_square_result,
+    gaussian_result,
+    ks_result,
+)
 from .kernels import gf2_rank_counts, min_squared_distance, parking_kernel
 
 
@@ -55,20 +63,16 @@ class CollisionTest(TestCase):
 
     test_name = "Collision-Test"
 
-    def __init__(self, m: int = 2**20, n: int = 2**14):
-        if m < 2:
-            raise ConfigurationError("need at least 2 urns")
-        if n < 1:
-            raise ConfigurationError("need at least 1 ball")
-        if n >= m:
-            raise ConfigurationError(
-                f"{n} balls into {m} urns is not sparse; need n < m"
-            )
-        self.m = m
-        self.n = n
+    PARAMS = (
+        Param("m", "Number of Urns", 2**20, 2, WORD_VALUES),
+        Param("n", "Number of Balls", 2**14, 1),
+    )
 
-    def parameters(self):
-        return [("Number of Urns", self.m), ("Number of Balls", self.n)]
+    def check_arguments(self):
+        if self.n >= self.m:
+            raise ConfigurationError(
+                f"{self.n} balls into {self.m} urns is not sparse; need n < m"
+            )
 
     def run(self, stream: RandomStream):
         """Consumes exactly n draws."""
@@ -90,28 +94,23 @@ class BirthdaySpacingsTest(TestCase):
 
     test_name = "Birthday-Spacings-Test"
 
-    def __init__(self, m: int = 2**24, n: int = 512, reps: int = 200):
-        if m < 2 or n < 3:
-            raise ConfigurationError("need at least 2 days and 3 birthdays")
-        if reps < 10:
-            raise ConfigurationError("need at least 10 repetitions")
-        lam = n**3 / (4.0 * m)
-        if lam > 100.0:
+    PARAMS = (
+        Param("m", "Number of Days", 2**24, 2, WORD_VALUES),
+        Param("n", "Number of Birthdays", 512, 3),
+        Param("reps", "Repetitions", 200, 10),
+    )
+
+    @property
+    def lam(self) -> float:
+        return self.n**3 / (4.0 * self.m)
+
+    def check_arguments(self):
+        if self.lam > 100.0:
             raise ConfigurationError(
-                f"Poisson rate {lam:.1f} too large; the asymptotic law "
+                f"Poisson rate {self.lam:.1f} too large; the asymptotic law "
                 "needs n^3/(4m) <= 100"
             )
-        self.m = m
-        self.n = n
-        self.reps = reps
-        self.lam = lam
-
-    def parameters(self):
-        return [
-            ("Number of Days", self.m),
-            ("Number of Birthdays", self.n),
-            ("Repetitions", self.reps),
-        ]
+        check_budget("n * reps", self.n * self.reps)
 
     def run(self, stream: RandomStream):
         """Consumes raw draws through the one yielding birthday n*reps."""
@@ -152,26 +151,16 @@ class BinaryRankTest(TestCase):
 
     test_name = "Binary-Rank-Test"
 
-    def __init__(self, rows: int = 32, cols: int = 32,
-                 n_matrices: int = 4000):
-        if rows < 1 or cols < 1:
-            raise ConfigurationError("matrix dimensions must be positive")
-        if rows > 64 or cols > 64:
-            raise ConfigurationError(
-                "matrix dimensions beyond 64 do not fit packed words"
-            )
-        if n_matrices < 1:
-            raise ConfigurationError("need at least 1 matrix")
-        self.rows = rows
-        self.cols = cols
-        self.n_matrices = n_matrices
+    # a row of bits is packed in one 64-bit word
+    PARAMS = (
+        Param("rows", "Rows", 32, 1, 64),
+        Param("cols", "Columns", 32, 1, 64),
+        Param("n_matrices", "Number of Matrices", 4000, 1),
+    )
 
-    def parameters(self):
-        return [
-            ("Rows", self.rows),
-            ("Columns", self.cols),
-            ("Number of Matrices", self.n_matrices),
-        ]
+    def check_arguments(self):
+        check_budget("rows * cols * n_matrices",
+                     self.rows * self.cols * self.n_matrices)
 
     def _categories(self) -> tuple[list, np.ndarray]:
         """Ranks listed per category (descending) plus a pooled-low tail."""
@@ -210,18 +199,11 @@ class ParkingLotTest(TestCase):
     _MEAN = 3523.0
     _SIGMA = 21.9
 
-    def __init__(self, attempts: int = 12000, side: float = 100.0):
-        if attempts < 1:
-            raise ConfigurationError("need at least 1 attempt")
-        if not math.isfinite(side):
-            raise ConfigurationError("side must be finite")
-        if side <= 1.0:
-            raise ConfigurationError("side must exceed the crash distance 1")
-        self.attempts = attempts
-        self.side = float(side)
-
-    def parameters(self):
-        return [("Attempts", self.attempts), ("Side Length", self.side)]
+    # the side must exceed the crash distance 1
+    PARAMS = (
+        Param("attempts", "Attempts", 12000, 1),
+        Param("side", "Side Length", 100.0, 1.0, WORD_VALUES, low_open=True),
+    )
 
     def park(self, stream: RandomStream) -> int:
         """Park up to `attempts` cars; returns the success count."""
@@ -245,26 +227,15 @@ class MinimumDistanceTest(TestCase):
 
     _SCALE = 0.995
 
-    def __init__(self, points: int = 8000, side: float = 10000.0,
-                 reps: int = 100):
-        if points < 2:
-            raise ConfigurationError("need at least 2 points per repetition")
-        if not math.isfinite(side):
-            raise ConfigurationError("side must be finite")
-        if side <= 0.0:
-            raise ConfigurationError("side must be positive")
-        if reps < 1:
-            raise ConfigurationError("need at least 1 repetition")
-        self.points = points
-        self.side = float(side)
-        self.reps = reps
+    PARAMS = (
+        Param("points", "Number of Points", 8000, 2),
+        Param("side", "Side Length", 10000.0, 0.0, WORD_VALUES,
+              low_open=True),
+        Param("reps", "Repetitions", 100, 1),
+    )
 
-    def parameters(self):
-        return [
-            ("Number of Points", self.points),
-            ("Side Length", self.side),
-            ("Repetitions", self.reps),
-        ]
+    def check_arguments(self):
+        check_budget("points * reps", self.points * self.reps)
 
     def minimum_squared_distance(self, stream: RandomStream) -> float:
         u = uniform01_block(stream, 2 * self.points)
@@ -289,21 +260,18 @@ class RandomWalkTest(TestCase):
 
     test_name = "Random-Walk-Test"
 
-    def __init__(self, walkers: int = 10000, steps: int = 101):
-        if walkers < 1:
-            raise ConfigurationError("need at least 1 walker")
-        if steps < 1 or steps % 2 == 0:
-            raise ConfigurationError(
-                f"step count {steps} must be odd so no walk ends on an axis"
-            )
-        self.walkers = walkers
-        self.steps = steps
+    PARAMS = (
+        Param("walkers", "Number of Walkers", 10000, 1),
+        Param("steps", "Number of Steps", 101, 1),
+    )
 
-    def parameters(self):
-        return [
-            ("Number of Walkers", self.walkers),
-            ("Number of Steps", self.steps),
-        ]
+    def check_arguments(self):
+        if self.steps % 2 == 0:
+            raise ConfigurationError(
+                f"step count {self.steps} must be odd so no walk ends on "
+                "an axis"
+            )
+        check_budget("walkers * steps", self.walkers * self.steps)
 
     def run(self, stream: RandomStream):
         """Consumes ceil(2*walkers*steps / width) raw draws via bits."""
@@ -333,12 +301,6 @@ class Monkey20BitTest(TestCase):
     _WORD_BITS = 20
     _N_WORDS = 2**21
     _SIGMA = 428.0
-
-    def __init__(self):
-        pass
-
-    def parameters(self):
-        return []
 
     def run(self, stream: RandomStream):
         """Consumes ceil((2^21 + 19) / width) raw draws via bits."""

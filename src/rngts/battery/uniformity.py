@@ -21,7 +21,15 @@ from ..genkit.distributions import (
     uniform01_map,
     uniform_int_block,
 )
-from .base import TestCase, chi_square_result, gaussian_result, ks_result
+from .base import (
+    WORD_VALUES,
+    Param,
+    TestCase,
+    check_budget,
+    chi_square_result,
+    gaussian_result,
+    ks_result,
+)
 from .kernels import coupon_kernel, runs_kernel
 
 
@@ -45,18 +53,17 @@ class ChisqrUniformityTest(TestCase):
 
     test_name = "Chi-Square-Uniformity-Test"
 
-    def __init__(self, n: int = 100000, k: int = 256):
-        if k < 2:
-            raise ConfigurationError("need at least 2 cells")
-        if n < 5 * k:
-            raise ConfigurationError(
-                f"{n} draws into {k} cells leaves expected counts below 5"
-            )
-        self.n = n
-        self.k = k
+    PARAMS = (
+        Param("n", "Number of Numbers", 100000, 1),
+        Param("k", "Number of Classes", 256, 2),
+    )
 
-    def parameters(self):
-        return [("Number of Numbers", self.n), ("Number of Classes", self.k)]
+    def check_arguments(self):
+        if self.n < 5 * self.k:
+            raise ConfigurationError(
+                f"{self.n} draws into {self.k} cells leaves expected "
+                "counts below 5"
+            )
 
     def run(self, stream: RandomStream):
         """Consumes exactly n draws."""
@@ -72,13 +79,7 @@ class KsUniformityTest(TestCase):
 
     test_name = "KS-Uniformity-Test"
 
-    def __init__(self, n: int = 100000):
-        if n < 1:
-            raise ConfigurationError("need at least 1 draw")
-        self.n = n
-
-    def parameters(self):
-        return [("Number of Numbers", self.n)]
+    PARAMS = (Param("n", "Number of Numbers", 100000, 1),)
 
     def run(self, stream: RandomStream):
         """Consumes exactly n draws."""
@@ -93,29 +94,20 @@ class GapTest(TestCase):
 
     _GAP_CAP = 1_000_000
 
-    def __init__(self, alpha: float = 0.0, beta: float = 0.5,
-                 t: int = 16, n_gaps: int = 10000):
-        p = beta - alpha
-        if not (0.0 < p < 1.0) or alpha < 0.0 or beta > 1.0:
-            raise ConfigurationError(
-                f"hit range [{alpha}, {beta}) must be a proper subinterval of [0, 1)"
-            )
-        if t < 1:
-            raise ConfigurationError("maximum gap length must be at least 1")
-        if n_gaps < 1:
-            raise ConfigurationError("need at least 1 gap")
-        self.alpha = alpha
-        self.beta = beta
-        self.t = t
-        self.n_gaps = n_gaps
+    # a gap longer than the cap aborts, so a larger t is never reached
+    PARAMS = (
+        Param("alpha", "Alpha", 0.0, 0.0, 1.0),
+        Param("beta", "Beta", 0.5, 0.0, 1.0),
+        Param("t", "Maximum Gap Length", 16, 1, _GAP_CAP),
+        Param("n_gaps", "Number of Gaps", 10000, 1),
+    )
 
-    def parameters(self):
-        return [
-            ("Alpha", self.alpha),
-            ("Beta", self.beta),
-            ("Maximum Gap Length", self.t),
-            ("Number of Gaps", self.n_gaps),
-        ]
+    def check_arguments(self):
+        if not (0.0 < self.beta - self.alpha < 1.0):
+            raise ConfigurationError(
+                f"hit range [{self.alpha}, {self.beta}) must be a proper "
+                "subinterval of [0, 1)"
+            )
 
     def cell_probabilities(self) -> np.ndarray:
         p = self.beta - self.alpha
@@ -161,18 +153,17 @@ class SerialTest(TestCase):
 
     test_name = "Serial-Test"
 
-    def __init__(self, d: int = 64, n_pairs: int = 25000):
-        if d < 2:
-            raise ConfigurationError("alphabet size must be at least 2")
-        if n_pairs < 5 * d * d:
-            raise ConfigurationError(
-                f"{n_pairs} pairs over {d * d} cells leaves expected counts below 5"
-            )
-        self.d = d
-        self.n_pairs = n_pairs
+    PARAMS = (
+        Param("d", "Alphabet Size", 64, 2, WORD_VALUES),
+        Param("n_pairs", "Number of Pairs", 25000, 1),
+    )
 
-    def parameters(self):
-        return [("Alphabet Size", self.d), ("Number of Pairs", self.n_pairs)]
+    def check_arguments(self):
+        if self.n_pairs < 5 * self.d * self.d:
+            raise ConfigurationError(
+                f"{self.n_pairs} pairs over {self.d * self.d} cells leaves "
+                "expected counts below 5"
+            )
 
     def run(self, stream: RandomStream):
         """Consumes raw draws through the one yielding digit 2*n_pairs."""
@@ -189,18 +180,10 @@ class PokerTest(TestCase):
 
     test_name = "Poker-Test"
 
-    def __init__(self, d: int = 16, n_hands: int = 10000):
-        if d < 2:
-            raise ConfigurationError(
-                "alphabet size 1 admits a single hand category"
-            )
-        if n_hands < 1:
-            raise ConfigurationError("need at least 1 hand")
-        self.d = d
-        self.n_hands = n_hands
-
-    def parameters(self):
-        return [("Alphabet Size", self.d), ("Number of Hands", self.n_hands)]
+    PARAMS = (
+        Param("d", "Alphabet Size", 16, 2, WORD_VALUES),
+        Param("n_hands", "Number of Hands", 10000, 1),
+    )
 
     def cell_probabilities(self) -> np.ndarray:
         # P(r distinct) = S(5, r) * d(d-1)...(d-r+1) / d^5; r > d impossible
@@ -231,26 +214,27 @@ class CouponCollectorTest(TestCase):
     test_name = "Coupon-Collector-Test"
 
     _SEGMENT_CAP = 1_000_000
+    # The exact law is a table of t rows by d + 1 exact integers of up
+    # to t log2(d) bits; at this size it takes up to about 2 s to build.
+    _LAW_SIZE = 2**15
 
-    def __init__(self, d: int = 8, t: int = 30, n_segments: int = 5000):
-        if d < 2:
-            raise ConfigurationError("alphabet size must be at least 2")
-        if t <= d:
+    PARAMS = (
+        Param("d", "Alphabet Size", 8, 2, WORD_VALUES),
+        Param("t", "Maximum Segment Length", 30, 3),
+        Param("n_segments", "Number of Segments", 5000, 1),
+    )
+
+    def check_arguments(self):
+        if self.t <= self.d:
             raise ConfigurationError(
-                f"maximum segment length {t} must exceed alphabet size {d}"
+                f"maximum segment length {self.t} must exceed alphabet "
+                f"size {self.d}"
             )
-        if n_segments < 1:
-            raise ConfigurationError("need at least 1 segment")
-        self.d = d
-        self.t = t
-        self.n_segments = n_segments
-
-    def parameters(self):
-        return [
-            ("Alphabet Size", self.d),
-            ("Maximum Segment Length", self.t),
-            ("Number of Segments", self.n_segments),
-        ]
+        if self.d * self.t > self._LAW_SIZE:
+            raise ConfigurationError(
+                f"d * t = {self.d * self.t} exceeds {self._LAW_SIZE}, the "
+                "largest exact law of segment lengths built"
+            )
 
     def cell_probabilities(self) -> np.ndarray:
         # P(r) = d!/d^r * S(r-1, d-1) for r = d..t-1, plus the complement tail
@@ -291,20 +275,14 @@ class PermutationTest(TestCase):
 
     test_name = "Permutation-Test"
 
-    def __init__(self, t: int = 5, n_groups: int = 12000):
-        if t < 2:
-            raise ConfigurationError("group size must be at least 2")
-        if t > 8:
-            raise ConfigurationError(
-                f"group size {t} yields {math.factorial(t)} cells; limit is 8"
-            )
-        if n_groups < 1:
-            raise ConfigurationError("need at least 1 group")
-        self.t = t
-        self.n_groups = n_groups
+    # t! cells: 8 gives 40320
+    PARAMS = (
+        Param("t", "Group Size", 5, 2, 8),
+        Param("n_groups", "Number of Groups", 12000, 1),
+    )
 
-    def parameters(self):
-        return [("Group Size", self.t), ("Number of Groups", self.n_groups)]
+    def check_arguments(self):
+        check_budget("t * n_groups", self.t * self.n_groups)
 
     @staticmethod
     def pattern_index(group: np.ndarray) -> int:
@@ -350,13 +328,7 @@ class RunsTest(TestCase):
         + [1 / math.factorial(6)]
     )
 
-    def __init__(self, n_runs: int = 10000):
-        if n_runs < 1:
-            raise ConfigurationError("need at least 1 run")
-        self.n_runs = n_runs
-
-    def parameters(self):
-        return [("Number of Runs", self.n_runs)]
+    PARAMS = (Param("n_runs", "Number of Runs", 10000, 1),)
 
     def run(self, stream: RandomStream):
         """Consumes through the draw breaking the last run."""
@@ -381,16 +353,13 @@ class MaxOfTTest(TestCase):
 
     test_name = "Maximum-of-t-Test"
 
-    def __init__(self, t: int = 8, n_groups: int = 10000):
-        if t < 1:
-            raise ConfigurationError("group size must be at least 1")
-        if n_groups < 1:
-            raise ConfigurationError("need at least 1 group")
-        self.t = t
-        self.n_groups = n_groups
+    PARAMS = (
+        Param("t", "Group Size", 8, 1),
+        Param("n_groups", "Number of Groups", 10000, 1),
+    )
 
-    def parameters(self):
-        return [("Group Size", self.t), ("Number of Groups", self.n_groups)]
+    def check_arguments(self):
+        check_budget("t * n_groups", self.t * self.n_groups)
 
     def run(self, stream: RandomStream):
         """Consumes exactly t * n_groups draws."""
@@ -404,13 +373,7 @@ class SerialCorrelationTest(TestCase):
 
     test_name = "Serial-Correlation-Test"
 
-    def __init__(self, n: int = 100000):
-        if n < 10:
-            raise ConfigurationError("need at least 10 draws")
-        self.n = n
-
-    def parameters(self):
-        return [("Number of Numbers", self.n)]
+    PARAMS = (Param("n", "Number of Numbers", 100000, 10),)
 
     def run(self, stream: RandomStream):
         """Consumes exactly n draws."""

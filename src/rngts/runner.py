@@ -39,7 +39,7 @@ from .battery import (
     SerialTest,
     SqueezeTest,
 )
-from .battery.base import TestCase, TestOutcome
+from .battery.base import TestCase, TestOutcome, is_integer, is_real
 from .errors import ConfigurationError, StreamExhausted, TestAborted
 from .genkit.adapters import external_stream, file_stream
 from .genkit.base import RandomStream, SeedableStream
@@ -179,16 +179,21 @@ class RunMatrix:
         names = [name for name, _, _ in self.generators]
         if len(set(names)) != len(names):
             raise ConfigurationError("generator names must be unique")
-        for _, _, warmup in self.generators:
-            if warmup < 0:
-                raise ConfigurationError("warmup must be non-negative")
-        for seed in self.seeds:
-            if seed < 0:
-                raise ConfigurationError("seeds must be non-negative")
-        for level in self.levels:
-            if not (0.0 < level < 1.0):
+        for name, _, warmup in self.generators:
+            if not is_integer(warmup) or warmup < 0:
                 raise ConfigurationError(
-                    f"confidence level {level} outside (0, 1)"
+                    f"generator {name!r}: warmup must be a non-negative "
+                    f"integer, got {warmup!r}"
+                )
+        for seed in self.seeds:
+            if not is_integer(seed) or seed < 0:
+                raise ConfigurationError(
+                    f"seeds must be non-negative integers, got {seed!r}"
+                )
+        for level in self.levels:
+            if not is_real(level) or not (0.0 < level < 1.0):
+                raise ConfigurationError(
+                    f"confidence level {level!r} outside (0, 1)"
                 )
 
 
@@ -226,17 +231,7 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
         close = getattr(stream, "close", None)
         if close is not None:
             close()
-    return _aborted(case, reason)
-
-
-def _aborted(case: TestCase, reason: str) -> TestOutcome:
-    return TestOutcome(
-        test_name=case.test_name,
-        parameters=tuple(case.parameters()),
-        results=(),
-        verdicts=(),
-        aborted=reason,
-    )
+    return case.aborted(reason)
 
 
 # The cells and levels of the run a forked worker serves.  They are set
@@ -295,8 +290,8 @@ def _run_in_workers(cells: list, levels: tuple, jobs: int,
             try:
                 outcome = future.result()
             except Exception as exc:
-                outcome = _aborted(test_factory(),
-                                   f"{type(exc).__name__}: {exc}")
+                outcome = test_factory().aborted(
+                    f"{type(exc).__name__}: {exc}")
             if progress is not None:
                 progress(name, seed, outcome)
             outcomes.append(outcome)
@@ -374,11 +369,6 @@ def document_has_failures(doc: ReportDocument) -> bool:
 # manifest loading
 
 
-def _is_count(value) -> bool:
-    # JSON true/false load as bool, which is an int subclass
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _label(entry: dict, default: str) -> str:
     label = entry.get("label", default)
     if not isinstance(label, str):
@@ -393,10 +383,6 @@ def _generator_entry(entry) -> tuple:
         )
     name = entry["name"]
     warmup = entry.get("warmup", 0)
-    if not _is_count(warmup) or warmup < 0:
-        raise ConfigurationError(
-            f"generator {name!r}: warmup must be a non-negative integer"
-        )
     if name == "file":
         path = entry.get("path")
         if not isinstance(path, str):
@@ -430,7 +416,8 @@ def _test_entry(entry) -> Callable[[], TestCase]:
     cls = resolve_test(name)
     try:
         cls(**params)
-    except TypeError as exc:
+    except (ConfigurationError, TypeError) as exc:
+        # TypeError: a registered test with its own constructor
         raise ConfigurationError(f"test {name!r}: {exc}") from None
     return lambda: cls(**params)
 
@@ -452,23 +439,9 @@ def load_manifest(path) -> RunManifest:
                 f"manifest needs a non-empty {key!r} array"
             )
     generators = tuple(_generator_entry(e) for e in data["generators"])
-    seeds = []
-    for seed in data["seeds"]:
-        if not _is_count(seed) or seed < 0:
-            raise ConfigurationError(
-                f"seed {seed!r} must be a non-negative integer"
-            )
-        seeds.append(seed)
-    levels = []
-    for level in data["levels"]:
-        if not isinstance(level, (int, float)) or not (0.0 < level < 1.0):
-            raise ConfigurationError(
-                f"confidence level {level!r} must lie in (0, 1)"
-            )
-        levels.append(float(level))
     tests = tuple(_test_entry(e) for e in data["tests"])
     jobs = data.get("jobs")
-    if jobs is not None and (not _is_count(jobs) or jobs < 1):
+    if jobs is not None and (not is_integer(jobs) or jobs < 1):
         raise ConfigurationError("'jobs' must be a positive integer")
     output = data.get("output")
     html = data.get("html")
@@ -477,8 +450,8 @@ def load_manifest(path) -> RunManifest:
             raise ConfigurationError(f"{key!r} must be a string path")
     matrix = RunMatrix(
         generators=generators,
-        seeds=tuple(seeds),
-        levels=tuple(levels),
+        seeds=tuple(data["seeds"]),
+        levels=tuple(data["levels"]),
         tests=tests,
     )
     return RunManifest(matrix=matrix, output=output, html=html, jobs=jobs)

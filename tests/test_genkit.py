@@ -79,6 +79,13 @@ class TestMinstd:
     def test_zero_seed_remapped(self):
         assert np.array_equal(Minstd(0).next_block(10), Minstd(1).next_block(10))
 
+    @pytest.mark.parametrize("s", [2, 3, 80])
+    def test_seed_s_scales_the_seed_1_stream(self, s):
+        # why consecutive seeds are not independent samples (README)
+        base = Minstd(1).next_block(5000).astype(object)
+        assert np.array_equal(Minstd(s).next_block(5000),
+                              (s * base) % (2**31 - 1))
+
     def test_range(self):
         g = Minstd(7)
         assert g.min_value == 1 and g.max_value == 2**31 - 2
