@@ -3,7 +3,8 @@
 Every kernel is plain Python over numpy arrays.  Squeeze, craps,
 coupon collector, runs, repetition, Maurer's sums, minimum distance,
 GF(2) rank and gcd work on whole arrays; parking, which is sequential
-by nature, is a loop over Python floats.
+by nature, is a loop over Python floats.  Craps, coupon, runs and
+repetition share one pointer-doubling walk, `_walk`, over their units.
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
@@ -94,18 +95,21 @@ def squeeze_kernel(u, counts, games_needed, cap):
 def _walk(chain, needed):
     """Follow `chain` from unit 0 for at most `needed` units.
 
-    chain[i] is where the unit starting at i hands over to the next, or
-    -1 where that unit does not complete; an index past the end does
-    not complete either.  Returns (starts, stop): the starts of the
-    completed units, and where the walk stopped.
+    chain[i] in (i, n] is where the unit starting at i hands over to
+    the next, or -1 where that unit does not complete; the end n does
+    not complete either.  By pointer doubling: the end and -1 hand over
+    to a dead end appended last, which -1 indexes; while `jump` maps a
+    start m units on, gathering the m-start path through it makes 2m,
+    and jump[jump] maps 2m on.  The stop is the last entry of the path
+    before the dead end.  Returns (starts, stop).
     """
-    chain = chain.tolist()
-    starts = []
-    at = 0
-    while len(starts) < needed and at < len(chain) and chain[at] >= 0:
-        starts.append(at)
-        at = chain[at]
-    return starts, at
+    jump = np.append(chain, (-1, -1))
+    path = np.zeros(1, dtype=np.int64)
+    while path.size <= needed and path[-1] >= 0:
+        path = np.concatenate([path, jump[path]])
+        jump = jump[jump]
+    done = min(int(np.count_nonzero(path >= 0)) - 1, needed)
+    return path[:done], int(path[done])
 
 
 def craps_kernel(w, limit, throws_counts, games_needed, cap):
@@ -135,15 +139,14 @@ def craps_kernel(w, limit, throws_counts, games_needed, cap):
         end[here] = np.where(nxt == ends.size, n, e)
         won[here] = s[e] == v
     need = end - throw + 1
-    starts, g = _walk(np.where((end < n) & (need <= cap), end + 1, -1),
-                      games_needed)
-    games = len(starts)
+    first, g = _walk(np.where((end < n) & (need <= cap), end + 1, -1),
+                     games_needed)
+    games = first.size
     # the chain stops at a game decided past the cap (so more than cap
     # throws remain) or at one the buffer leaves undecided
     aborted = int(games < games_needed and n - g >= cap)
     if games == 0:
         return 0, 0, 0, aborted
-    first = np.asarray(starts)
     throws_counts += np.bincount(np.minimum(need[first], 21) - 1,
                                  minlength=throws_counts.size)
     wins = int(np.count_nonzero(won[first]))
@@ -171,7 +174,7 @@ def coupon_kernel(w, limit, d, t, counts, segments_needed, cap):
     need = end - np.arange(m) + 1
     starts, g = _walk(np.where((end < m) & (need <= cap), end + 1, -1),
                       segments_needed)
-    done = len(starts)
+    done = starts.size
     aborted = int(done < segments_needed and g + cap <= m)
     if done == 0:
         return 0, 0, aborted
@@ -200,7 +203,7 @@ def runs_kernel(u, counts, runs_needed, cap):
     length = brk - starts
     firsts, s = _walk(np.where((brk < n) & (length <= cap), brk + 1, -1),
                       runs_needed)
-    done = len(firsts)
+    done = firsts.size
     aborted = int(done < runs_needed and length[s] > cap)
     if done:
         counts += np.bincount(np.minimum(length[firsts], 6) - 1,
@@ -248,17 +251,10 @@ def repetition_times(vals, reps_needed):
     Returns (times, consumed).
     """
     n = vals.shape[0]
-    nxt = np.append(next_occurrence(vals), n)
-    end = np.minimum.accumulate(nxt[::-1])[::-1].item
-    times = []
-    at = 0
-    for _ in range(reps_needed):
-        e = end(at)
-        if e >= n:
-            break
-        times.append(e + 1 - at)
-        at = e + 1
-    return np.asarray(times, dtype=np.int64), at
+    end = np.minimum.accumulate(next_occurrence(vals)[::-1])[::-1]
+    chain = np.where(end < n, end + 1, -1)
+    starts, at = _walk(chain, reps_needed)
+    return chain[starts] - starts, at
 
 
 def euclid(a, b):
@@ -318,9 +314,10 @@ def min_squared_distance(xs, ys):
     order, so once every lag-k dx^2 reaches the best d^2 no larger lag
     can beat it (the strip method of Shamos & Hoey).  Each d^2 is
     computed as (xi - xj)^2 + (yi - yj)^2, the same float whichever
-    point comes first.
+    point comes first, so the minimum over all pairs does not depend on
+    the order the sort leaves points of equal x in.
     """
-    order = np.argsort(xs, kind="stable")
+    order = np.argsort(xs)
     x = xs[order]
     y = ys[order]
     best = math.inf

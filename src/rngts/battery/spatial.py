@@ -275,25 +275,22 @@ class RandomWalkTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes ceil(2*walkers*steps / width) raw draws via bits."""
-        reader = BitReader(stream)
-        bits = reader.read(2 * self.walkers * self.steps)
-        moves = 1 - 2 * bits.reshape(self.walkers, self.steps, 2).astype(
-            np.int64
-        )
-        finals = moves.sum(axis=1)
-        x = finals[:, 0]
-        y = finals[:, 1]
-        quadrant = 2 * (x < 0) + (y < 0)
+        bits = BitReader(stream).read(2 * self.walkers * self.steps)
+        ones = bits.reshape(self.walkers, self.steps, 2).sum(
+            axis=1, dtype=np.int64)
+        finals = self.steps - 2 * ones
+        quadrant = 2 * (finals[:, 0] < 0) + (finals[:, 1] < 0)
         counts = np.bincount(quadrant, minlength=4)
-        probs = np.full(4, 0.25)
-        return [chi_square_result(counts, probs, self.walkers)]
+        return [chi_square_result(counts, np.full(4, 0.25), self.walkers)]
 
 
 class Monkey20BitTest(TestCase):
     """Missing 20-bit words among 2^21 overlapping windows of a bit stream.
 
     The window slides one bit per step; the deviation scale 428 is a
-    calibration constant, the mean 2^20 * e^-2 is computed here.
+    calibration constant, the mean 2^20 * e^-2 is computed here.  The
+    window at bit o of packed byte k is bits o..o+19 of bytes k..k+3
+    read as one big-endian 32-bit value: eight shifts give them all.
     """
 
     test_name = "Monkey-20bit-Test"
@@ -304,13 +301,14 @@ class Monkey20BitTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes ceil((2^21 + 19) / width) raw draws via bits."""
-        reader = BitReader(stream)
-        bits = reader.read(self._N_WORDS + self._WORD_BITS - 1)
-        words = np.zeros(self._N_WORDS, dtype=np.int64)
-        for j in range(self._WORD_BITS):
-            words = (words << 1) | bits[j:j + self._N_WORDS]
-        occupied = np.bincount(words, minlength=2**self._WORD_BITS)
-        missing = int((occupied == 0).sum())
+        packed = np.packbits(
+            BitReader(stream).read(self._N_WORDS + self._WORD_BITS - 1))
+        joined = np.ndarray(self._N_WORDS // 8, ">u4", packed,
+                            strides=(1,)).astype(np.uint32)
+        seen = np.zeros(2**self._WORD_BITS, dtype=bool)
+        for o in range(8):
+            seen[(joined >> (12 - o)) & 0xFFFFF] = True
+        missing = int(seen.size - np.count_nonzero(seen))
         mean = 2.0**self._WORD_BITS * math.exp(-2.0)
         z = (missing - mean) / self._SIGMA
         self.diagnostics = (("Missing Words", missing),)

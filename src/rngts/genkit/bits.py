@@ -37,10 +37,12 @@ class BitReader:
         return words, start
 
     def read(self, n_bits: int) -> np.ndarray:
-        """Return exactly n_bits bits as a uint8 array of 0s and 1s."""
+        """Return exactly n_bits bits as a uint8 array of 0s and 1s,
+        unpacked from the big-endian bytes of outputs shifted to the top."""
         words, start = self._words(n_bits)
-        shifts = np.arange(self._width - 1, -1, -1, dtype=np.uint64)
-        bits = ((words[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+        top = (words << np.uint64(64 - self._width)).astype(">u8")
+        bits = np.unpackbits(top.view(np.uint8).reshape(-1, 8), axis=1,
+                             count=self._width)
         return bits.ravel()[start:start + n_bits]
 
     def read_values(self, count: int, value_bits: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .battery.base import TestCase
+from .battery.base import DRAW_BUDGET, TestCase, is_integer
 from .errors import ConfigurationError, StreamExhausted, TestAborted
 from .genkit.base import RandomStream
 from .stats import (
@@ -65,8 +65,11 @@ class _RepeatedTest(TestCase):
 
     def __init__(self, inner: TestCase, repetitions: int,
                  p_name: Optional[str]):
-        if repetitions < 10:
-            raise ConfigurationError("meta tests need at least 10 repetitions")
+        if not is_integer(repetitions) or not 10 <= repetitions <= DRAW_BUDGET:
+            raise ConfigurationError(f"meta tests need 10 to {DRAW_BUDGET} "
+                                     f"repetitions, got {repetitions!r}")
+        if not (p_name is None or isinstance(p_name, str)):
+            raise ConfigurationError(f"p_name must be a string: {p_name!r}")
         self.inner = inner
         self.repetitions = repetitions
         self.p_name = p_name

@@ -11,12 +11,17 @@ scanner did not use.
 """
 
 import math
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rngts
 from rngts.battery.base import chi_square_result, gaussian_result, ks_result
 from rngts.battery.games import (
     CrapsTest,
@@ -103,6 +108,32 @@ class Cyclic(RandomStream):
     def _generate(self, n):
         reps = -(-n // self._pattern.size)
         return np.tile(self._pattern, reps)[:n]
+
+
+class Replayed(RandomStream):
+    """Replays fixed raw outputs of a given bit width, then exhausts."""
+
+    name = "replayed"
+
+    def __init__(self, raw, width):
+        super().__init__()
+        self._raw = np.asarray(raw, dtype=np.uint64)
+        self._i = 0
+        self.min_value = 0
+        self.max_value = 2**width - 1
+
+    def _generate(self, n):
+        out = self._raw[self._i:self._i + n]
+        self._i += out.size
+        return out
+
+
+def _bits_by_shifts(raw, width):
+    """The per-bit shifts the bit reader used, kept as an oracle."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    words = np.asarray(raw, dtype=np.uint64)
+    return ((words[:, None] >> shifts) & np.uint64(1)).astype(
+        np.uint8).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +411,93 @@ class TestMaurerRecount:
         assert diag["Statistic f"] == pytest.approx(f, abs=1e-12)
 
 
+def _random_walk_by_shifts(raw, width, walkers, steps):
+    """The +-1 moves random walk summed, kept as its oracle."""
+    bits = _bits_by_shifts(raw, width)[:2 * walkers * steps]
+    moves = 1 - 2 * bits.reshape(walkers, steps, 2).astype(np.int64)
+    finals = moves.sum(axis=1)
+    counts = np.bincount(2 * (finals[:, 0] < 0) + (finals[:, 1] < 0),
+                         minlength=4)
+    return chi_square_result(counts, np.full(4, 0.25), walkers)
+
+
+class TestRandomWalkWidths:
+    @pytest.mark.parametrize("width", [1, 8, 19, 20, 31, 32])
+    def test_matches_shift_expansion(self, width):
+        # two walks in a row: the second starts on a fresh word
+        walkers, steps = 301, 13
+        used = -(-2 * walkers * steps // width)
+        raw = np.random.default_rng(width).integers(0, 2**width,
+                                                    2 * used + 1)
+        stream = Replayed(raw, width)
+        case = RandomWalkTest(walkers=walkers, steps=steps)
+        for run in range(2):
+            out = case.execute(stream, LEVELS)
+            _same(out.results[0], _random_walk_by_shifts(
+                raw[run * used:], width, walkers, steps))
+        assert stream.next() == raw[2 * used]
+
+
+class TestRandomWalkMemory:
+    def test_peak_rss_at_the_draw_budget(self):
+        # walkers * steps = 2^24 - 1 reads 2^25 bits; one byte per bit
+        # keeps the child's peak well under the 8 bytes per bit of a
+        # uint64 expansion (about 590 MB)
+        script = (
+            "import resource, sys\n"
+            "from rngts.battery.spatial import RandomWalkTest\n"
+            "from rngts.genkit.engines import Mt19937\n"
+            "out = RandomWalkTest(walkers=65793, steps=255).execute(\n"
+            "    Mt19937(1), [0.05])\n"
+            "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "if sys.platform == 'darwin':\n"
+            "    kb //= 1024\n"
+            "print(out.results[0].p_values['p'].hex(), kb)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        p, kb = proc.stdout.split()
+        assert p == "0x1.3e11812b67a16p-1"
+        assert int(kb) < 250 * 1024
+
+
+def _child_env():
+    """Environment for a child process that imports this checkout's rngts."""
+    env = dict(os.environ)
+    root = str(Path(rngts.__file__).parents[1])
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (os.pathsep.join([root, inherited])
+                         if inherited else root)
+    return env
+
+
+def _missing_by_shifts(bits):
+    """Missing 20-bit words by the 20 shift passes monkey used, kept as
+    its oracle."""
+    words = np.zeros(2**21, dtype=np.int64)
+    for j in range(20):
+        words = (words << 1) | bits[j:j + 2**21]
+    return int((np.bincount(words, minlength=2**20) == 0).sum())
+
+
 class TestMonkeyConsistency:
+    @pytest.mark.parametrize("width", [1, 8, 19, 20, 31, 32])
+    def test_missing_words_match_shift_build(self, width):
+        # two runs in a row: the second starts on a fresh word, whatever
+        # the first left unread of its last one
+        used = -(-(2**21 + 19) // width)
+        raw = np.random.default_rng(width).integers(0, 2**width,
+                                                    2 * used + 1)
+        stream = Replayed(raw, width)
+        for run in range(2):
+            out = Monkey20BitTest().execute(stream, LEVELS)
+            bits = _bits_by_shifts(raw[run * used:(run + 1) * used], width)
+            assert out.diagnostics == (
+                ("Missing Words", _missing_by_shifts(bits)),)
+        assert stream.next() == raw[2 * used]
+
     def test_z_matches_reported_missing_words(self):
         out = Monkey20BitTest().execute(Mt19937(115), LEVELS)
         diag = dict(out.diagnostics)
@@ -604,9 +721,10 @@ class TestGcdRecount:
 class TestPinnedDefaults:
     """Default-size runs on Mt19937(1), recorded from the loop kernels
     that the whole-array code replaced (minimum distance, rank, gcd,
-    squeeze, craps, repetition, Maurer, coupon, runs, parking) and from
-    the full-width collision recurrence: p-values of every result as
-    float.hex, raw words consumed, and diagnostics."""
+    squeeze, craps, repetition, Maurer, coupon, runs, parking), from
+    the full-width collision recurrence and from the per-bit expansion
+    (monkey, random walk): p-values of every result as float.hex, raw
+    words consumed, and diagnostics."""
 
     @pytest.mark.parametrize("case, p_values, words, diagnostics", [
         (MinimumDistanceTest(),
@@ -629,9 +747,12 @@ class TestPinnedDefaults:
         (RunsTest(), [{"p": "0x1.258c2323dcb5ep-1"}], 27172, ()),
         (ParkingLotTest(), [{"p": "0x1.3b1eac4d6cdacp-1"}], 24000,
          (("Cars Parked", 3512),)),
+        (Monkey20BitTest(), [{"p": "0x1.eff1f47421630p-2"}], 65537,
+         (("Missing Words", 141610),)),
+        (RandomWalkTest(), [{"p": "0x1.433dbc5b3ba1bp-3"}], 63125, ()),
     ], ids=["minimum_distance", "binary_rank", "gcd", "squeeze", "craps",
             "repetition", "maurers_universal", "collision", "coupon",
-            "runs", "parking"])
+            "runs", "parking", "monkey", "random_walk"])
     def test_matches_recorded_run(self, case, p_values, words, diagnostics):
         stream = Mt19937(1)
         out = case.execute(stream, LEVELS)

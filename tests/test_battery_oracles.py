@@ -25,6 +25,7 @@ from rngts.battery.games import (
     repetition_pmf,
 )
 from rngts.battery.kernels import (
+    _walk,
     coupon_kernel,
     craps_kernel,
     euclid,
@@ -916,6 +917,17 @@ def _repetition_loop(vals, reps_needed):
     return ts, pos
 
 
+def _walk_loop(chain, needed):
+    """The one-step-per-unit walk that pointer doubling replaced."""
+    chain = chain.tolist()
+    starts = []
+    at = 0
+    while len(starts) < needed and at < len(chain) and chain[at] >= 0:
+        starts.append(at)
+        at = chain[at]
+    return starts, at
+
+
 def _maurer_loop(vals, q, k, size):
     table = np.zeros(size, dtype=np.int64)
     for i in range(q):
@@ -1112,6 +1124,35 @@ class TestWholeArrayKernels:
                 want = _craps_loop(w[:n], 6, want_throws, 10**6, cap)
                 assert tuple(int(x) for x in got) == want
                 assert np.array_equal(got_throws, want_throws)
+
+    @pytest.mark.parametrize("broken", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("n", _LENGTHS)
+    def test_walk_matches_loop(self, n, broken):
+        # hand-overs 1..5 units on, clipped to n (the end), with a share
+        # of units that do not complete, one of them at 0 in turn
+        rng = np.random.default_rng(6000 + n)
+        chain = np.minimum(np.arange(n) + rng.integers(1, 6, n), n)
+        chain[rng.random(n) < broken] = -1
+        for first in (None, -1):
+            if first is not None and n:
+                chain[0] = first
+            for needed in (0, 1, 2, 3, n // 5 + 1, n, 10**6):
+                starts, stop = _walk(chain, needed)
+                want, want_stop = _walk_loop(chain, needed)
+                assert starts.tolist() == want
+                assert stop == want_stop
+
+    def test_walk_of_an_empty_chain(self):
+        for needed in (0, 1, 10):
+            starts, stop = _walk(np.zeros(0, dtype=np.int64), needed)
+            assert starts.tolist() == [] and stop == 0
+
+    def test_walk_to_the_end(self):
+        # every unit hands over to the end: one unit, stopped at n
+        chain = np.full(9, 9)
+        starts, stop = _walk(chain, 5)
+        assert starts.tolist() == [0] and stop == 9
+        assert _walk_loop(chain, 5) == ([0], 9)
 
     @pytest.mark.parametrize("bits", [1, 3, 10, 20])
     @pytest.mark.parametrize("n", _LENGTHS)

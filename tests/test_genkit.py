@@ -468,6 +468,29 @@ class TestBitReader:
         assert r.read(29).tolist() == rest
         assert s.next() == int(words[2])
 
+    @pytest.mark.parametrize("width", [1, 8, 19, 20, 31, 32])
+    def test_read_matches_shift_expansion(self, width):
+        # unpacked bytes give the bits the per-bit shifts gave, across
+        # partial reads that leave a word part read, and draw the same
+        # words
+        raw = np.random.default_rng(width).integers(0, 2**width, 500)
+        s = Scripted(raw, max_value=2**width - 1)
+        r = BitReader(s)
+        sizes = [1, width - 1, 3, width + 2, 7 * width, 64, 129]
+        got = np.concatenate([r.read(k) for k in sizes])
+        total = sum(sizes)
+        assert got.dtype == np.uint8
+        assert got.tolist() == _bits_by_shifts(raw, width)[:total].tolist()
+        assert s.next() == raw[-(-total // width)]
+
+
+def _bits_by_shifts(raw, width):
+    """The per-bit shifts read was, kept as its oracle."""
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    words = np.asarray(raw, dtype=np.uint64)
+    return ((words[:, None] >> shifts) & np.uint64(1)).astype(
+        np.uint8).ravel()
+
 
 def _values_by_expansion(reader, count, value_bits):
     """The bit-matrix product read_values was, kept as its oracle."""

@@ -286,6 +286,18 @@ class TestAdapters:
         assert out.aborted and "inner runs aborted" in out.aborted
         assert out.results == ()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"repetitions": 10.5}, {"repetitions": math.nan},
+        {"repetitions": True}, {"repetitions": 2**30},
+        {"repetitions": 10, "p_name": 3},
+    ], ids=["fraction", "nan", "bool", "over-budget", "p_name"])
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            IterateTestCase(KsUniformityTest(n=100), **kwargs)
+        with pytest.raises(ConfigurationError):
+            CountFailsTestCase(KsUniformityTest(n=100), levels=[0.05],
+                               **kwargs)
+
     def test_adapter_repetition_floor(self):
         with pytest.raises(ConfigurationError):
             IterateTestCase(PInner([0.5]), repetitions=5)
