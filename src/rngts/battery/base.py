@@ -12,17 +12,16 @@ import numpy as np
 from ..errors import ConfigurationError, StreamExhausted, TestAborted
 from ..genkit.base import RandomStream
 from ..stats import (
-    ChiSquareInput,
-    KsInput,
     KsStatisticResult,
-    KsSide,
     StatisticResult,
     StatKind,
+    Verdict,
     chi_square_pvalue,
     chi_square_statistic,
     gaussian_pvalue,
     ks_pvalue,
     ks_statistic,
+    verdict,
 )
 
 
@@ -158,7 +157,6 @@ class TestCase:
 
     def analyze(self, results: Sequence[StatisticResult],
                 levels: Sequence[float]) -> TestOutcome:
-        from ..report import verdict, Verdict
         verdicts = []
         for res in results:
             per_level = {}
@@ -231,15 +229,10 @@ def pool_cells(counts: np.ndarray, probs: np.ndarray,
 
 
 def chi_square_result(counts: np.ndarray, probs: np.ndarray,
-                      sample_size: int, pool: bool = True) -> StatisticResult:
-    if pool:
-        counts, probs = pool_cells(counts, probs, sample_size)
-    inp = ChiSquareInput(
-        observed_counts=[int(c) for c in counts],
-        cell_probabilities=[float(p) for p in probs],
-        sample_size=sample_size,
-    )
-    chi2, dof = chi_square_statistic(inp)
+                      sample_size: int) -> StatisticResult:
+    """Chi-square of the counts against the probabilities, cells pooled."""
+    counts, probs = pool_cells(counts, probs, sample_size)
+    chi2, dof = chi_square_statistic(counts, probs, sample_size)
     return StatisticResult(
         kind=StatKind.CHI_SQUARE,
         statistic_value=chi2,
@@ -248,17 +241,19 @@ def chi_square_result(counts: np.ndarray, probs: np.ndarray,
     )
 
 
-def ks_result(samples: np.ndarray, cdf) -> KsStatisticResult:
-    stat = ks_statistic(KsInput(samples=samples, theoretical_cdf=cdf))
+def ks_result(samples: np.ndarray) -> KsStatisticResult:
+    """One-sided KS of the samples against the uniform law on [0, 1]."""
+    k_plus, k_minus = ks_statistic(samples)
+    n = len(samples)
     return KsStatisticResult(
         kind=StatKind.KOLMOGOROV_SMIRNOV,
-        statistic_value=max(stat.k_plus, stat.k_minus),
+        statistic_value=max(k_plus, k_minus),
         p_values={
-            "plus": ks_pvalue(stat, KsSide.PLUS),
-            "minus": ks_pvalue(stat, KsSide.MINUS),
+            "plus": ks_pvalue(k_plus, n),
+            "minus": ks_pvalue(k_minus, n),
         },
-        k_plus=stat.k_plus,
-        k_minus=stat.k_minus,
+        k_plus=k_plus,
+        k_minus=k_minus,
     )
 
 

@@ -247,7 +247,7 @@ class MinimumDistanceTest(TestCase):
         for i in range(self.reps):
             d2 = self.minimum_squared_distance(stream)
             us[i] = 1.0 - math.exp(-d2 / self._SCALE)
-        return [ks_result(us, lambda x: x)]
+        return [ks_result(us)]
 
 
 class RandomWalkTest(TestCase):

@@ -84,7 +84,7 @@ class KsUniformityTest(TestCase):
     def run(self, stream: RandomStream):
         """Consumes exactly n draws."""
         u = uniform01_block(stream, self.n)
-        return [ks_result(u, lambda x: x)]
+        return [ks_result(u)]
 
 
 class GapTest(TestCase):
@@ -365,7 +365,7 @@ class MaxOfTTest(TestCase):
         """Consumes exactly t * n_groups draws."""
         u = uniform01_block(stream, self.t * self.n_groups)
         v = u.reshape(self.n_groups, self.t).max(axis=1) ** self.t
-        return [ks_result(v, lambda x: x)]
+        return [ks_result(v)]
 
 
 class SerialCorrelationTest(TestCase):

@@ -15,12 +15,12 @@ from .battery.base import DRAW_BUDGET, TestCase, is_integer
 from .errors import ConfigurationError, StreamExhausted, TestAborted
 from .genkit.base import RandomStream
 from .stats import (
-    KsInput,
-    KsSide,
     MetaStatisticResult,
     StatKind,
-    ks_pvalue,
+    Verdict,
     ks_statistic,
+    ks_two_sided_pvalue,
+    verdict,
 )
 
 _ABORT_FRACTION = 0.1
@@ -28,11 +28,11 @@ _ABORT_FRACTION = 0.1
 
 def ks_of_pvalues(ps: Sequence[float]) -> MetaStatisticResult:
     """KS of a p-value sample against the uniform law, as a meta result."""
-    stat = ks_statistic(KsInput(samples=list(ps), theoretical_cdf=lambda x: x))
+    t = max(ks_statistic(ps))
     return MetaStatisticResult(
         kind=StatKind.KOLMOGOROV_SMIRNOV,
-        statistic_value=max(stat.k_plus, stat.k_minus),
-        p_values={"p": ks_pvalue(stat, KsSide.TWO_SIDED)},
+        statistic_value=t,
+        p_values={"p": ks_two_sided_pvalue(t)},
         meta_kind="KS",
     )
 
@@ -158,8 +158,6 @@ class CountFailsTestCase(_RepeatedTest):
         return shared[:2] + [("Counted Levels", levels)] + shared[2:]
 
     def run(self, stream: RandomStream):
-        from .report import Verdict, verdict
-
         ps, _ = self._repeat(stream)
         counts, p_values = {}, {}
         for c in self.levels:

@@ -1,13 +1,9 @@
-"""Verdicts and result documents: XML emission, parsing, HTML rendering.
+"""Result documents: XML emission, parsing, HTML rendering.
 
 The document model stores every number as its formatted string, so a
 document written, parsed, and written again is byte-identical.  Numeric
-formatting happens once, when live results are converted to sections.
-
-The verdict rule is two-tailed over the confidence value c: for c < 0.5
-a p-value below c fails (left tail); for c >= 0.5 a p-value above c
-fails (right tail).  A run at levels 0.05 and 0.95 therefore rejects
-both suspiciously bad and suspiciously good fits.
+formatting happens once, when live results are converted to sections;
+the verdicts come already judged (the rule is in `rngts.stats`).
 """
 
 from __future__ import annotations
@@ -15,29 +11,12 @@ from __future__ import annotations
 import html as _html
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 from xml.etree import ElementTree
 
-from .errors import ConfigurationError, ReportParseError
+from .errors import ReportParseError
 from .stats import KsStatisticResult, MetaStatisticResult, StatKind
-
-
-class Verdict(Enum):
-    PASSED = "PASSED"
-    FAILED = "FAILED"
-
-
-def verdict(p: float, level: float) -> Verdict:
-    """Judge a p-value at one confidence level (two-tail rule above)."""
-    if not (0.0 <= p <= 1.0):
-        raise ConfigurationError(f"p-value {p} outside [0, 1]")
-    if not (0.0 < level < 1.0):
-        raise ConfigurationError(f"confidence level {level} outside (0, 1)")
-    if level < 0.5:
-        return Verdict.FAILED if p < level else Verdict.PASSED
-    return Verdict.FAILED if p > level else Verdict.PASSED
 
 
 def format_number(value) -> str:

@@ -49,14 +49,16 @@ from rngts.battery.spatial import collision_null_distribution, rank_distribution
 from rngts.battery.uniformity import RunsTest
 from rngts.genkit import Minstd, Mt19937, Randu
 from rngts.meta import ks_of_pvalues
-from rngts.report import Verdict, format_number, parse_xml, verdict, write_xml
+from rngts.report import format_number, parse_xml, write_xml
 from rngts.runner import RunMatrix, resolve_test, run_suite
 from rngts.runner import test_names as catalog_test_names
 from rngts.stats import (
+    Verdict,
     chi_square_pvalue,
     erf,
     gaussian_pvalue,
     ks_two_sided_pvalue,
+    verdict,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden.xml"

@@ -14,8 +14,7 @@ from rngts.battery.base import TestCase as BatteryCase
 from rngts.errors import ConfigurationError, StreamExhausted
 from rngts.errors import TestAborted as AbortedError
 from rngts.genkit.base import RandomStream, scan
-from rngts.report import Verdict
-from rngts.stats import StatKind, StatisticResult
+from rngts.stats import StatKind, StatisticResult, Verdict
 
 
 class TestPoolCells:
@@ -80,7 +79,7 @@ class TestResultHelpers:
     def test_chi_square_result_unpooled(self):
         counts = np.array([30, 70])
         probs = np.array([0.5, 0.5])
-        r = chi_square_result(counts, probs, 100, pool=False)
+        r = chi_square_result(counts, probs, 100)  # no cell below 5
         assert r.kind is StatKind.CHI_SQUARE
         assert r.statistic_value == pytest.approx(16.0)
         assert r.dof == 1
@@ -93,7 +92,7 @@ class TestResultHelpers:
         assert r.dof == 1  # 3 cells pooled to 2
 
     def test_ks_result_shape(self):
-        r = ks_result(np.array([0.1, 0.2, 0.3, 0.9]), lambda x: x)
+        r = ks_result(np.array([0.1, 0.2, 0.3, 0.9]))
         assert r.k_plus == pytest.approx(0.9)
         assert r.k_minus == pytest.approx(0.3)
         assert r.statistic_value == pytest.approx(0.9)

@@ -59,6 +59,7 @@ from rngts.errors import StreamExhausted
 from rngts.genkit.adapters import ExternalStream, file_stream
 from rngts.genkit.base import RandomStream
 from rngts.genkit.engines import Mt19937
+from rngts.meta import CountFailsTestCase, IterateTestCase
 
 LEVELS = [0.05, 0.95]
 TWO32 = 2**32
@@ -164,7 +165,7 @@ class TestKsRecount:
         n, seed = 2000, 102
         out = KsUniformityTest(n=n).execute(Mt19937(seed), LEVELS)
         us = np.array([_u(r) for r in _slab(seed, n)])
-        _same(out.results[0], ks_result(us, lambda x: x))
+        _same(out.results[0], ks_result(us))
 
 
 class TestSerialRecount:
@@ -209,7 +210,7 @@ class TestMaxOfTRecount:
             max(_u(r) for r in slab[t * i:t * i + t]) ** t
             for i in range(n_groups)
         ])
-        _same(out.results[0], ks_result(vs, lambda x: x))
+        _same(out.results[0], ks_result(vs))
 
 
 class TestPermutationRecount:
@@ -362,7 +363,7 @@ class TestMinimumDistanceRecount:
                     if d2 < best:
                         best = d2
             us[rep] = 1.0 - math.exp(-best / 0.995)
-        _same(out.results[0], ks_result(us, lambda x: x))
+        _same(out.results[0], ks_result(us))
 
 
 class TestRandomWalkRecount:
@@ -722,9 +723,11 @@ class TestPinnedDefaults:
     """Default-size runs on Mt19937(1), recorded from the loop kernels
     that the whole-array code replaced (minimum distance, rank, gcd,
     squeeze, craps, repetition, Maurer, coupon, runs, parking), from
-    the full-width collision recurrence and from the per-bit expansion
-    (monkey, random walk): p-values of every result as float.hex, raw
-    words consumed, and diagnostics."""
+    the full-width collision recurrence, from the per-bit expansion
+    (monkey, random walk) and from the chi-square and KS input wrappers
+    (the other nine tests, and two meta tests, whose KS of p-values no
+    other pinned run reaches): p-values of every result as float.hex,
+    raw words consumed, and diagnostics."""
 
     @pytest.mark.parametrize("case, p_values, words, diagnostics", [
         (MinimumDistanceTest(),
@@ -750,9 +753,35 @@ class TestPinnedDefaults:
         (Monkey20BitTest(), [{"p": "0x1.eff1f47421630p-2"}], 65537,
          (("Missing Words", 141610),)),
         (RandomWalkTest(), [{"p": "0x1.433dbc5b3ba1bp-3"}], 63125, ()),
+        (ChisqrUniformityTest(), [{"p": "0x1.e88ede98a1afcp-1"}], 100000,
+         ()),
+        (KsUniformityTest(),
+         [{"plus": "0x1.4ea6b8a5414acp-2", "minus": "0x1.db906b02f72b4p-1"}],
+         100000, ()),
+        (GapTest(), [{"p": "0x1.549a1d2be4456p-1"}], 20112, ()),
+        (SerialTest(), [{"p": "0x1.6a0552249e874p-1"}], 50000, ()),
+        (PokerTest(), [{"p": "0x1.ff04cca6e0bd8p-2"}], 50000, ()),
+        (PermutationTest(), [{"p": "0x1.07f00baf73ac5p-3"}], 60000, ()),
+        (MaxOfTTest(),
+         [{"plus": "0x1.4d53061ad345ep-2", "minus": "0x1.99ba814ddd659p-2"}],
+         80000, ()),
+        (SerialCorrelationTest(), [{"p": "0x1.79afacb3c19f0p-3"}], 100000,
+         ()),
+        (BirthdaySpacingsTest(), [{"p": "0x1.bfa7c94fec8dfp-3"}], 102400,
+         ()),
+        (IterateTestCase(KsUniformityTest(n=1000), repetitions=20),
+         [{"p": "0x1.b91c400c33fabp-3"}], 20000,
+         (("Successful Repetitions", 20),)),
+        (CountFailsTestCase(ChisqrUniformityTest(n=5000, k=64), 20,
+                            (0.05, 0.95)),
+         [{"0.05": "0x1.0e8015650c468p-2", "0.95": "0x1.0e8015650c470p-2"}],
+         100000, (("Failures at 0.05", 2), ("Failures at 0.95", 2))),
     ], ids=["minimum_distance", "binary_rank", "gcd", "squeeze", "craps",
             "repetition", "maurers_universal", "collision", "coupon",
-            "runs", "parking", "monkey", "random_walk"])
+            "runs", "parking", "monkey", "random_walk", "chisqr_uniformity",
+            "ks_uniformity", "gap", "serial", "poker", "permutation",
+            "max_of_t", "serial_correlation", "birthday_spacings",
+            "iterate_ks", "count_fails_chisqr"])
     def test_matches_recorded_run(self, case, p_values, words, diagnostics):
         stream = Mt19937(1)
         out = case.execute(stream, LEVELS)

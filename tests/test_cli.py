@@ -114,6 +114,24 @@ class TestRun:
         assert doc.generators[0].seeds[0].tests[0].aborted is not None
         assert b"bad\\ud800" in page.read_bytes()
 
+    def test_large_dof_cells_complete(self, tmp_path, capfd, caplog):
+        # chi-square with 19999 and 39999 degrees of freedom: the
+        # incomplete gamma function must converge near x = a
+        config = _manifest(tmp_path, seeds=[1], tests=[
+            {"name": "chisqr_uniformity",
+             "parameters": {"n": 100000, "k": 20000}},
+            {"name": "serial", "parameters": {"d": 200, "n_pairs": 200000}},
+        ])
+        out = tmp_path / "r.xml"
+        assert main(["run", "--config", config, "--out", str(out),
+                     "--jobs", "1", "--date", "2025-06-01"]) in (0, 1)
+        tests = parse_xml(str(out)).generators[0].seeds[0].tests
+        assert [t.aborted for t in tests] == [None, None]
+        assert [[a.element for a in t.analyses] for t in tests] == [
+            ["CHI_SQUARE"], ["CHI_SQUARE"]]
+        assert "Traceback" not in capfd.readouterr().err
+        assert not [r for r in caplog.records if r.exc_info]
+
     def test_jobs_flag_beats_garbage_env(self, tmp_path, capfd, monkeypatch):
         monkeypatch.setenv("RNGTS_JOBS", "junk")
         out = tmp_path / "r.xml"

@@ -1,0 +1,63 @@
+"""Import layering: the numerics sit below the catalog, the catalog
+below reporting and orchestration.
+
+`rngts.stats` imports only `rngts.errors` from the package, and no
+module of the catalog (`rngts.battery`) or of the second-order tests
+(`rngts.meta`) imports the report writer, the runner or the command
+line, not even inside a function.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import rngts
+
+PACKAGE = Path(rngts.__file__).parent
+ABOVE_THE_CATALOG = {"rngts.report", "rngts.runner", "rngts.cli"}
+
+
+def _imported(source: str, package: list) -> set:
+    """Every module that an import statement anywhere in the source names,
+    as an absolute dotted name; `from M import n` names both M and M.n.
+    `package` holds the parts of the package the source belongs to."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            target = node.module
+            if node.level:
+                base = package[:len(package) - (node.level - 1)]
+                target = ".".join(base + ([node.module] if node.module else []))
+            names.add(target)
+            names.update(f"{target}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _module_imports(path: Path) -> set:
+    package = ["rngts", *path.relative_to(PACKAGE).parent.parts]
+    return _imported(path.read_text(), package)
+
+
+def test_stats_imports_only_errors():
+    assert {n for n in _module_imports(PACKAGE / "stats.py")
+            if n.split(".")[0] == "rngts"} == {
+        "rngts.errors", "rngts.errors.ConfigurationError"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("battery/*.py"))
+                         + [PACKAGE / "meta.py"],
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_catalog_imports_nothing_above_it(path):
+    assert not _module_imports(path) & ABOVE_THE_CATALOG
+
+
+def test_relative_and_lazy_imports_are_resolved():
+    source = ("def f():\n"
+              "    from ..report import verdict\n"
+              "    from .. import cli\n"
+              "    from . import base\n")
+    assert _imported(source, ["rngts", "battery"]) >= {
+        "rngts.report", "rngts.cli", "rngts.battery.base"}

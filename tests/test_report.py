@@ -22,23 +22,22 @@ from rngts.report import (
     RngSection,
     SeedSection,
     TestSection as ResultTestSection,
-    Verdict,
     analysis_from_result,
     format_number,
     parse_xml,
     render_html,
     test_section_from_outcome as section_from_outcome,
-    verdict,
     write_xml,
     xml_lines,
 )
 from rngts.runner import RunMatrix, run_suite
 from rngts.stats import (
-    KsStatistic,
     KsStatisticResult,
     MetaStatisticResult,
     StatKind,
     StatisticResult,
+    Verdict,
+    verdict,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden.xml"

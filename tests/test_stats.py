@@ -3,19 +3,22 @@
 Reference values were computed with mpmath at 30 significant digits
 (erf, regularized incomplete gamma, Kolmogorov distribution) and frozen
 here; property tests cover symmetry, monotonicity, and input policing.
+The chi-square and KS statistics are also checked bit for bit against
+the input-record implementation they replaced, kept below as an oracle,
+and the incomplete gamma function against scipy at large shapes.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import gammaincc
 
 from rngts.errors import ConfigurationError
 from rngts.stats import (
-    ChiSquareInput,
-    KsInput,
-    KsSide,
-    KsStatistic,
     KsStatisticResult,
     MetaStatisticResult,
     StatKind,
@@ -87,6 +90,29 @@ class TestRegularizedGammaQ:
         q = regularized_gamma_q(a, x)
         assert 0.0 <= q <= 1.0
 
+    # values from the fixed 500-step cap, which these pairs never reach
+    @pytest.mark.parametrize("a, x, expected", [
+        (0.5, 4.0, "0x1.328f5ec350e64p-8"),
+        (127.5, 121.165, "0x1.6955a9d53e910p-1"),
+        (2047.5, 2000.0, "0x1.b4e09a6286004p-1"),
+        (4999.5, 5100.0, "0x1.40b00d07589cep-4"),
+        (50000.0, 50100.0, "0x1.4ec6bd9e4c895p-2"),
+    ])
+    def test_pinned_bits(self, a, x, expected):
+        assert regularized_gamma_q(a, x).hex() == expected
+
+    # near x = a the series and the continued fraction need about
+    # 8 sqrt(a) steps; 1677721 is the largest a (dof / 2) the tables
+    # admit.  Bounds measured: 9.2e-11 up to a = 2e5, 1.23e-9 above.
+    @pytest.mark.parametrize("a, tol", [
+        (5e4, 1e-10), (2e5, 1e-10), (1.6e6, 1.5e-9), (1677721.0, 1.5e-9),
+    ])
+    @pytest.mark.parametrize("offset", [-3.0, 0.0, 1.5, 10.0, 100.0])
+    def test_large_shape_against_scipy(self, a, tol, offset):
+        x = a + offset
+        assert regularized_gamma_q(a, x) == pytest.approx(
+            gammaincc(a, x), abs=tol)
+
 
 class TestChiSquarePvalue:
     def test_dof_two_closed_form(self):
@@ -126,32 +152,26 @@ class TestChiSquarePvalue:
 class TestChiSquareStatistic:
     def test_hand_computed(self):
         # counts (30, 70) vs fair halves of 100: (20^2 + 20^2) / 50 = 16
-        inp = ChiSquareInput(observed_counts=(30, 70),
-                             cell_probabilities=(0.5, 0.5),
-                             sample_size=100)
-        chi2, dof = chi_square_statistic(inp)
+        chi2, dof = chi_square_statistic((30, 70), (0.5, 0.5), 100)
         assert chi2 == pytest.approx(16.0)
         assert dof == 1
 
     def test_perfect_fit_is_zero(self):
-        inp = ChiSquareInput(observed_counts=(25, 25, 25, 25),
-                             cell_probabilities=(0.25,) * 4,
-                             sample_size=100)
-        chi2, dof = chi_square_statistic(inp)
+        chi2, dof = chi_square_statistic((25, 25, 25, 25), (0.25,) * 4, 100)
         assert chi2 == 0.0
         assert dof == 3
 
     def test_input_validation(self):
         with pytest.raises(ConfigurationError):
-            ChiSquareInput((10,), (1.0,), 10)  # one cell
+            chi_square_statistic((10,), (1.0,), 10)  # one cell
         with pytest.raises(ConfigurationError):
-            ChiSquareInput((5, 6), (0.5, 0.5), 10)  # counts mismatch
+            chi_square_statistic((5, 6), (0.5, 0.5), 10)  # counts mismatch
         with pytest.raises(ConfigurationError):
-            ChiSquareInput((5, 5), (0.5, 0.6), 10)  # probs exceed 1
+            chi_square_statistic((5, 5), (0.5, 0.6), 10)  # probs exceed 1
         with pytest.raises(ConfigurationError):
-            ChiSquareInput((-1, 11), (0.5, 0.5), 10)  # negative count
+            chi_square_statistic((-1, 11), (0.5, 0.5), 10)  # negative count
         with pytest.raises(ConfigurationError):
-            ChiSquareInput((5, 5), (1.0, -0.0), 10)  # zero probability
+            chi_square_statistic((5, 5), (1.0, -0.0), 10)  # zero probability
 
 
 class TestGaussianPvalue:
@@ -194,8 +214,7 @@ class TestKs:
         t = 0.58870501125773734551
         assert ks_two_sided_pvalue(t) == pytest.approx(
             0.87887579199741949754, abs=1e-12)
-        big = KsStatistic(k_plus=t, k_minus=t, n=10**12)
-        assert ks_pvalue(big, KsSide.PLUS) == pytest.approx(0.5, abs=1e-5)
+        assert ks_pvalue(t, 10**12) == pytest.approx(0.5, abs=1e-5)
 
     def test_two_sided_edges(self):
         assert ks_two_sided_pvalue(0.0) == 1.0
@@ -210,45 +229,38 @@ class TestKs:
 
     def test_one_sided_formula(self):
         # p = exp(-2 t^2) (1 - 2t / (3 sqrt(n))), clamped to [0, 1]
-        stat = KsStatistic(k_plus=1.2, k_minus=0.3, n=100)
         expected_plus = math.exp(-2 * 1.2**2) * (1 - 2 * 1.2 / 30.0)
         expected_minus = math.exp(-2 * 0.3**2) * (1 - 2 * 0.3 / 30.0)
-        assert ks_pvalue(stat, KsSide.PLUS) == pytest.approx(expected_plus)
-        assert ks_pvalue(stat, KsSide.MINUS) == pytest.approx(expected_minus)
-        assert ks_pvalue(stat, KsSide.TWO_SIDED) == pytest.approx(
-            ks_two_sided_pvalue(1.2))
+        assert ks_pvalue(1.2, 100) == pytest.approx(expected_plus)
+        assert ks_pvalue(0.3, 100) == pytest.approx(expected_minus)
 
     def test_statistic_known_sample(self):
         # n = 4 uniform sample; empirical steps at 1/4 ... 4/4
-        inp = KsInput(samples=(0.1, 0.2, 0.3, 0.9),
-                      theoretical_cdf=lambda x: x)
-        stat = ks_statistic(inp)
+        k_plus, k_minus = ks_statistic((0.1, 0.2, 0.3, 0.9))
         # K+ = sqrt(4) max(i/n - F) = 2 * (3/4 - 0.3) = 0.9
-        assert stat.k_plus == pytest.approx(0.9)
+        assert k_plus == pytest.approx(0.9)
         # K- = sqrt(4) max(F - (i-1)/n) = 2 * (0.9 - 3/4) = 0.3
-        assert stat.k_minus == pytest.approx(0.3)
-        assert stat.n == 4
+        assert k_minus == pytest.approx(0.3)
 
     def test_statistic_unsorted_input(self):
-        a = ks_statistic(KsInput((0.9, 0.1, 0.3, 0.2), lambda x: x))
-        b = ks_statistic(KsInput((0.1, 0.2, 0.3, 0.9), lambda x: x))
-        assert (a.k_plus, a.k_minus) == (b.k_plus, b.k_minus)
-
-    def test_statistic_rejects_decreasing_cdf(self):
-        with pytest.raises(ConfigurationError):
-            ks_statistic(KsInput((0.1, 0.9), lambda x: -x))
+        assert (ks_statistic((0.9, 0.1, 0.3, 0.2))
+                == ks_statistic((0.1, 0.2, 0.3, 0.9)))
 
     def test_statistic_rejects_empty(self):
         with pytest.raises(ConfigurationError):
-            KsInput((), lambda x: x)
+            ks_statistic(())
+
+    def test_statistic_bounds_enforced(self):
+        with pytest.raises(ConfigurationError, match="sqrt"):
+            ks_statistic((3.0,) * 4)  # K- = 2 * 3, above sqrt(4)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0),
                     min_size=1, max_size=60))
     def test_statistic_bounds(self, xs):
-        stat = ks_statistic(KsInput(xs, lambda x: x))
+        k_plus, k_minus = ks_statistic(xs)
         root = math.sqrt(len(xs))
-        assert 0.0 <= stat.k_plus <= root
-        assert 0.0 <= stat.k_minus <= root
+        assert 0.0 <= k_plus <= root
+        assert 0.0 <= k_minus <= root
 
 
 class TestResultTypes:
@@ -276,8 +288,159 @@ class TestResultTypes:
                                 {"p": 0.4})
         assert r.meta_kind == "KS"
 
-    def test_ks_statistic_bounds_enforced(self):
-        with pytest.raises(ConfigurationError):
-            KsStatistic(k_plus=3.0, k_minus=0.0, n=4)  # above sqrt(4)
-        with pytest.raises(ConfigurationError):
-            KsStatistic(k_plus=0.5, k_minus=0.5, n=0)
+
+# ---------------------------------------------------------------------------
+# the input-record implementation that the plain functions replaced, kept
+# as the oracle they must match bit for bit
+
+
+@dataclass(frozen=True)
+class _ChiSquareInput:
+    observed_counts: Sequence[int]
+    cell_probabilities: Sequence[float]
+    sample_size: int
+
+    def __post_init__(self):
+        k = len(self.observed_counts)
+        if k != len(self.cell_probabilities) or k < 2:
+            raise ConfigurationError(
+                "chi-square needs matching count/probability cells, at least 2"
+            )
+        if any(c < 0 for c in self.observed_counts):
+            raise ConfigurationError("observed counts must be non-negative")
+        if self.sample_size <= 0:
+            raise ConfigurationError("sample size must be positive")
+        if sum(self.observed_counts) != self.sample_size:
+            raise ConfigurationError("observed counts must sum to the sample size")
+        if any(not (0.0 < p <= 1.0) for p in self.cell_probabilities):
+            raise ConfigurationError("cell probabilities must lie in (0, 1]")
+        if abs(math.fsum(self.cell_probabilities) - 1.0) > 1e-9:
+            raise ConfigurationError("cell probabilities must sum to 1 within 1e-9")
+
+
+@dataclass(frozen=True)
+class _KsInput:
+    samples: Sequence[float]
+    theoretical_cdf: Callable[[float], float]
+
+    def __post_init__(self):
+        if len(self.samples) == 0:
+            raise ConfigurationError("KS needs a non-empty sample")
+
+
+@dataclass(frozen=True)
+class _KsStatistic:
+    k_plus: float
+    k_minus: float
+    n: int
+
+    def __post_init__(self):
+        if self.n <= 0:
+            raise ConfigurationError("KS statistic needs a positive sample size")
+        root = math.sqrt(self.n)
+        if not (0.0 <= self.k_plus <= root and 0.0 <= self.k_minus <= root):
+            raise ConfigurationError("KS statistics must lie in [0, sqrt(n)]")
+
+
+def _oracle_chi_square(counts, probs, sample_size):
+    inp = _ChiSquareInput([int(c) for c in counts],
+                          [float(p) for p in probs], sample_size)
+    observed = np.asarray(inp.observed_counts, dtype=np.float64)
+    expected = np.asarray(inp.cell_probabilities, dtype=np.float64) * inp.sample_size
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    return chi2, len(inp.observed_counts) - 1
+
+
+def _oracle_ks(samples):
+    """(K+, K-, p+, p-, two-sided p) through the record types."""
+    inp = _KsInput(samples=list(samples), theoretical_cdf=lambda x: x)
+    xs = np.sort(np.asarray(inp.samples, dtype=np.float64))
+    n = xs.size
+    f = inp.theoretical_cdf
+    try:
+        fx = np.asarray(f(xs), dtype=np.float64)
+        if fx.shape != xs.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        fx = np.array([f(x) for x in xs], dtype=np.float64)
+    if np.any(np.diff(fx) < 0.0):
+        raise ConfigurationError("theoretical CDF is not non-decreasing on the sample")
+    i = np.arange(1, n + 1, dtype=np.float64)
+    root = math.sqrt(n)
+    k_plus = root * max(0.0, float((i / n - fx).max()))
+    k_minus = root * max(0.0, float((fx - (i - 1.0) / n).max()))
+    stat = _KsStatistic(k_plus=k_plus, k_minus=k_minus, n=n)
+
+    def one_sided(t):
+        p = math.exp(-2.0 * t * t) * (1.0 - 2.0 * t / (3.0 * math.sqrt(stat.n)))
+        return min(1.0, max(0.0, p))
+
+    return (stat.k_plus, stat.k_minus, one_sided(stat.k_plus),
+            one_sided(stat.k_minus),
+            ks_two_sided_pvalue(max(stat.k_plus, stat.k_minus)))
+
+
+def _hex(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+@st.composite
+def _chi_square_cells(draw):
+    k = draw(st.integers(min_value=2, max_value=40))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                           min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(min_value=1e-3, max_value=1e3),
+                            min_size=k, max_size=k))
+    total = math.fsum(weights)
+    return counts, [w / total for w in weights], sum(counts)
+
+
+class TestAgainstRecordOracle:
+    @given(_chi_square_cells())
+    def test_chi_square_bits(self, cells):
+        counts, probs, n = cells
+        if n == 0:
+            counts[0], n = 1, 1
+        expected = _hex(_oracle_chi_square(counts, probs, n))
+        assert _hex(chi_square_statistic(
+            np.asarray(counts, dtype=np.int64), np.asarray(probs), n)) == expected
+        assert _hex(chi_square_statistic(counts, probs, n)) == expected
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                    min_size=1, max_size=300))
+    def test_ks_bits(self, xs):
+        expected = _hex(_oracle_ks(xs))
+        for sample in (xs, np.asarray(xs)):
+            k_plus, k_minus = ks_statistic(sample)
+            n = len(xs)
+            assert _hex((k_plus, k_minus, ks_pvalue(k_plus, n),
+                         ks_pvalue(k_minus, n),
+                         ks_two_sided_pvalue(max(k_plus, k_minus)))) == expected
+
+    @pytest.mark.parametrize("counts, probs, n", [
+        ((10,), (1.0,), 10),
+        ((5, 6), (0.5, 0.5), 10),
+        ((5, 5), (0.5, 0.6), 10),
+        ((-1, 11), (0.5, 0.5), 10),
+        ((5, 5), (1.0, -0.0), 10),
+        ((5, 5), (0.5, 0.5), 0),
+        ((5, 5, 5), (0.5, 0.5), 15),
+    ], ids=["one-cell", "count-mismatch", "probs-above-one", "negative-count",
+            "zero-probability", "zero-sample", "length-mismatch"])
+    def test_chi_square_rejects_like_oracle(self, counts, probs, n):
+        with pytest.raises(ConfigurationError) as oracle:
+            _oracle_chi_square(counts, probs, n)
+        with pytest.raises(ConfigurationError) as new:
+            chi_square_statistic(counts, probs, n)
+        assert str(new.value) == str(oracle.value)
+        with pytest.raises(ConfigurationError) as arrays:
+            chi_square_statistic(np.asarray(counts), np.asarray(probs), n)
+        assert str(arrays.value) == str(oracle.value)
+
+    def test_ks_rejects_empty_like_oracle(self):
+        with pytest.raises(ConfigurationError) as oracle:
+            _oracle_ks([])
+        for sample in ([], np.array([])):
+            with pytest.raises(ConfigurationError) as new:
+                ks_statistic(sample)
+            assert str(new.value) == str(oracle.value)
