@@ -204,28 +204,47 @@ def pool_cells(counts: np.ndarray, probs: np.ndarray,
     last closed cell.  Depends only on probabilities and sample size, so
     the pooling is fixed before any data are seen.
     """
+    counts = np.asarray(counts, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    # A cell whose expected count reaches 5 with nothing pending closes
+    # on its own, as itself (0.0 + p == p), so runs of such cells are
+    # copied whole; the scan steps only through the stretches from each
+    # other cell to the cell that closes its sum.
     pooled_counts = []
     pooled_probs = []
     acc_c = 0
     acc_p = 0.0
-    for c, p in zip(counts, probs):
-        acc_c += int(c)
-        acc_p += float(p)
-        if acc_p * sample_size >= 5.0:
-            pooled_counts.append(acc_c)
-            pooled_probs.append(acc_p)
-            acc_c = 0
-            acc_p = 0.0
+    start = 0  # the first cell not yet pooled
+    for i in np.flatnonzero(~(probs * sample_size >= 5.0)).tolist():
+        if i < start:
+            continue
+        pooled_counts.append(counts[start:i])
+        pooled_probs.append(probs[start:i])
+        start = probs.size
+        for j in range(i, probs.size):
+            acc_c += int(counts[j])
+            acc_p += float(probs[j])
+            if acc_p * sample_size >= 5.0:
+                pooled_counts.append([acc_c])
+                pooled_probs.append([acc_p])
+                acc_c = 0
+                acc_p = 0.0
+                start = j + 1
+                break
+    pooled_counts = np.concatenate([*pooled_counts, counts[start:]],
+                                   dtype=np.int64)
+    pooled_probs = np.concatenate([*pooled_probs, probs[start:]],
+                                  dtype=np.float64)
     if acc_p > 0.0 or acc_c > 0:
-        if not pooled_counts:
+        if not pooled_counts.size:
             raise ConfigurationError(
                 "pooling left no complete cell; sample too small for the bins"
             )
         pooled_counts[-1] += acc_c
         pooled_probs[-1] += acc_p
-    if len(pooled_counts) < 2:
+    if pooled_counts.size < 2:
         raise ConfigurationError("pooling left fewer than 2 cells")
-    return np.asarray(pooled_counts, dtype=np.int64), np.asarray(pooled_probs)
+    return pooled_counts, pooled_probs
 
 
 def chi_square_result(counts: np.ndarray, probs: np.ndarray,

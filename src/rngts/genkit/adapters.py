@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, StreamExhausted
 from .base import RandomStream
 
 
@@ -30,7 +30,13 @@ class BitExtractStream(RandomStream):
         self.name = f"bits[{lo}..{hi}]({inner.name})"
 
     def _generate(self, n: int) -> np.ndarray:
-        raw = self._inner.next_block(min(n, 65536))
+        try:
+            raw = self._inner.next_block(min(n, 65536))
+        except StreamExhausted as exc:
+            # a finite inner stream serves the words it still holds
+            if not exc.available:
+                raise
+            raw = self._inner.next_block(exc.available)
         return (raw >> np.uint64(self._lo)) & np.uint64(self._mask)
 
 

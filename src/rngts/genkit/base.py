@@ -3,10 +3,13 @@
 Engines produce blocks for speed; the base class buffers so single draws
 and block draws can be mixed freely without perturbing the sequence.
 `scan` is the one loop that reads a data-dependent number of outputs.
+A `Tape` keeps one seeded source's outputs so that several readers can
+each read them from the start without generating them again.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
@@ -111,10 +114,77 @@ class RandomStream:
 
 
 class SeedableStream(RandomStream):
-    """Stream whose sequence is a deterministic function of an integer seed."""
+    """Stream whose sequence is a deterministic function of an integer seed.
+
+    Built by its factory and seeded with s, it always yields the same
+    outputs.  The runner relies on that: it builds, seeds and warms up
+    one stream per generator, seed and warmup, records its outputs on a
+    `Tape`, and gives every test of that row a replay of the tape.
+    """
 
     def seed(self, s: int) -> None:
         raise NotImplementedError
+
+
+# The most outputs a Tape records: 2 MiB of uint64.
+TAPE_WORDS = 1 << 18
+
+
+class Tape:
+    """The outputs of one source, recorded once and replayed from the start.
+
+    The tape records outputs as its replays ask for them, growing to
+    max(needed, 2 x recorded) outputs, up to TAPE_WORDS.  The source only
+    moves forward through the tape, so once the tape is full the source
+    stands at its end, and a replay that reads past the end continues on
+    its own deep copy of the source.  Replays get read-only views of the
+    recorded outputs.
+    """
+
+    def __init__(self, source: RandomStream):
+        self.source = source
+        self._words = np.empty(TAPE_WORDS, dtype=np.uint64)
+        self._size = 0
+
+    def words(self, stop: int) -> np.ndarray:
+        """The recorded outputs, first recording through `stop` if the
+        tape has room for them."""
+        cap = self._words.size
+        if self._size < min(stop, cap):
+            grow = min(max(stop, 2 * self._size), cap)
+            self._words[self._size:grow] = self.source.next_block(
+                grow - self._size)
+            self._size = grow
+        view = self._words[:self._size]
+        view.flags.writeable = False
+        return view
+
+    def replay(self) -> RandomStream:
+        """A new stream of the source's outputs from the first one."""
+        return _Replay(self)
+
+
+class _Replay(RandomStream):
+    """Reads a Tape from the start, then a deep copy of its source."""
+
+    def __init__(self, tape: Tape):
+        super().__init__()
+        self._tape = tape
+        self._at = 0
+        self._rest = None
+        self.name = tape.source.name
+        self.min_value = tape.source.min_value
+        self.max_value = tape.source.max_value
+
+    def _generate(self, n: int) -> np.ndarray:
+        if self._rest is None:
+            words = self._tape.words(self._at + n)
+            if self._at < words.size:
+                out = words[self._at:self._at + n]
+                self._at += out.size
+                return out
+            self._rest = copy.deepcopy(self._tape.source)
+        return self._rest.next_block(n)
 
 
 _FIRST_BLOCK = 65536

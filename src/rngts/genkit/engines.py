@@ -5,7 +5,7 @@ seedable.  Block generation is vectorized: the multiplicative congruential
 engines, and both components of L'Ecuyer's combined generator, step
 through one precomputed multiplier table (x_{k+j} = a^j x_k mod m); the
 Mersenne Twister is numpy's own MT19937; the Bays-Durham shuffle draws
-its inner words a block at a time.
+its inner words a block at a time and walks only the slot addresses.
 """
 
 from __future__ import annotations
@@ -232,33 +232,50 @@ class ShuffledStream(SeedableStream):
 
     def _fill(self) -> None:
         self._tbl = self._inner.next_block(self._size)
-        self._j = self._slots(self._tbl[-1:])[0]
+        self._j = int(self._slots(self._tbl[-1:])[0])
         self._reset_buffer()
 
     def seed(self, s: int) -> None:
         self._inner.seed(s)
         self._fill()
 
-    def _slots(self, words: np.ndarray) -> list:
+    def _slots(self, words: np.ndarray) -> np.ndarray:
         """The table slot each word addresses when it is the last output."""
-        return ((words - self.min_value) * self._size
-                // self.range_size).tolist()
+        return (words - self.min_value) * self._size // self.range_size
 
     def _generate(self, n: int) -> np.ndarray:
         # each output refills its slot with one inner word, so drawing
         # exactly as many inner words as outputs keeps consumption exact
-        fresh = self._inner.next_block(min(n, 1024))
+        fresh = self._inner.next_block(min(n, 65536))
         words = np.concatenate([self._tbl, fresh])
+        size = self._size
+        # The walk moves slot numbers only: addr[j] is the slot that the
+        # word now in slot j addresses, and visits[t] is draw t's slot.
+        # Up to 256 slots, bytes are the fastest buffers to walk.
         slot = self._slots(words)
-        # the table holds indices into words: the walk moves no values
-        idx = list(range(self._size))
-        taken = []
+        if size <= 256:
+            slot, visits = slot.astype(np.uint8).tobytes(), bytearray()
+        else:
+            slot, visits = slot.tolist(), []
+        addr = list(slot[:size])
+        visit = visits.append
         j = self._j
-        for i in range(self._size, words.size):
-            k = idx[j]
-            idx[j] = i
-            taken.append(k)
-            j = slot[k]
+        for s in slot[size:]:
+            visit(j)
+            addr[j], j = s, addr[j]
         self._j = j
-        self._tbl = words[idx]
-        return words[taken]
+        visits = (np.frombuffer(visits, dtype=np.uint8) if size <= 256
+                  else np.array(visits))
+        # The writes to the table are word j to slot j, then draw t's
+        # fresh word, words[size + t], to slot visits[t].  A draw outputs
+        # the word of the previous write to its slot; a stable sort by
+        # slot puts that write just before it, and starts each slot's run
+        # with its table word.
+        order = np.argsort(
+            np.concatenate([np.arange(size, dtype=visits.dtype), visits]),
+            kind="stable")
+        previous = np.empty(order.size, dtype=np.intp)
+        previous[order[1:]] = order[:-1]
+        ends = np.append(np.flatnonzero(order < size)[1:], order.size) - 1
+        self._tbl = words[order[ends]]
+        return words[previous[size:]]

@@ -1,10 +1,19 @@
 """Suite orchestration: registries, the run matrix, and execution.
 
 A run is a full cross product: generators (outer), then seeds, then
-tests.  Every cell gets a freshly constructed, freshly seeded stream,
-so cells are independent and may execute concurrently in forked worker
-processes, at most one per cell; the report is assembled in matrix
-order regardless of completion order.
+tests.  Every cell reads its generator's outputs from the start of the
+seed's stream after the warmup, so cells are independent and may execute
+concurrently in forked worker processes, at most one per cell; the
+report is assembled in matrix order regardless of completion order.
+
+A seedable generator is built, seeded and warmed up once per process and
+row (factory, seed, warmup).  Its outputs go on a `Tape`, and each cell
+of the row reads a replay of the tape, so a row generates about as many
+outputs as its hungriest cell rather than the sum over its cells.  The
+`SeedableStream` contract (the outputs are a deterministic function of
+the seed) makes a replay read exactly what a freshly seeded stream
+would.  File and external sources are opened, warmed up and closed per
+cell.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .battery import (
 from .battery.base import TestCase, TestOutcome, is_integer, is_real
 from .errors import ConfigurationError, StreamExhausted, TestAborted
 from .genkit.adapters import external_stream, file_stream
-from .genkit.base import RandomStream, SeedableStream
+from .genkit.base import RandomStream, SeedableStream, Tape
 from .genkit.engines import (
     Ecuyer1988,
     LaggedFibonacci1279,
@@ -207,17 +216,38 @@ class RunManifest:
     jobs: Optional[int] = None
 
 
+# The row (factory, seed, warmup) whose outputs this process has on
+# tape, and the tape.  A row that fails to build, seed or warm up is not
+# recorded, so each of its cells fails alike.
+_tape_row: tuple = ()
+_tape: Optional[Tape] = None
+
+
+def _clear_tape() -> None:
+    global _tape_row, _tape
+    _tape_row, _tape = (), None
+
+
 def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
               test_factory: Callable[[], TestCase],
               levels: Sequence[float]) -> TestOutcome:
+    global _tape_row, _tape
     case = test_factory()
     stream = None
     try:
-        stream = factory()
-        if isinstance(stream, SeedableStream):
-            stream.seed(seed)
-        if warmup:
-            stream.warmup(warmup)
+        row = (factory, seed, warmup)
+        if row == _tape_row:
+            stream = _tape.replay()
+        else:
+            stream = factory()
+            seedable = isinstance(stream, SeedableStream)
+            if seedable:
+                stream.seed(seed)
+            if warmup:
+                stream.warmup(warmup)
+            if seedable:
+                _tape_row, _tape = row, Tape(stream)
+                stream = _tape.replay()
         return case.execute(stream, levels)
     except (ConfigurationError, StreamExhausted, TestAborted) as exc:
         # execute() already contains aborts raised inside run(); this
@@ -245,6 +275,7 @@ _worker_levels: tuple = ()
 def _init_worker(cells: list, levels: tuple) -> None:
     global _worker_cells, _worker_levels
     _worker_cells, _worker_levels = cells, levels
+    _clear_tape()
 
 
 def _run_cell_at(index: int) -> TestOutcome:
@@ -305,12 +336,14 @@ def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
     With `jobs` above 1, cells run in forked worker processes, at most
     one per cell, and `progress` is called in matrix order as results
     are read; output order and content are independent of the job
-    count.  Aborted cells (exhausted or misconfigured streams, any other
-    exception in a cell, or a worker that died) appear in the report and
-    never halt the run.
+    count.  Each process keeps the tape of the row it last ran; the
+    tape is cleared when the run starts.  Aborted cells (exhausted or
+    misconfigured streams, any other exception in a cell, or a worker
+    that died) appear in the report and never halt the run.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
+    _clear_tape()
     # validate test construction before any cell runs
     for test_factory in matrix.tests:
         test_factory()

@@ -17,6 +17,40 @@ from rngts.genkit.base import RandomStream, scan
 from rngts.stats import StatKind, StatisticResult, Verdict
 
 
+def _pool_cells_loop(counts, probs, sample_size):
+    """The cell-by-cell pooling loop that `pool_cells` replaced."""
+    pooled_counts = []
+    pooled_probs = []
+    acc_c = 0
+    acc_p = 0.0
+    for c, p in zip(counts, probs):
+        acc_c += int(c)
+        acc_p += float(p)
+        if acc_p * sample_size >= 5.0:
+            pooled_counts.append(acc_c)
+            pooled_probs.append(acc_p)
+            acc_c = 0
+            acc_p = 0.0
+    if acc_p > 0.0 or acc_c > 0:
+        if not pooled_counts:
+            raise ConfigurationError(
+                "pooling left no complete cell; sample too small for the bins"
+            )
+        pooled_counts[-1] += acc_c
+        pooled_probs[-1] += acc_p
+    if len(pooled_counts) < 2:
+        raise ConfigurationError("pooling left fewer than 2 cells")
+    return np.asarray(pooled_counts, dtype=np.int64), np.asarray(pooled_probs)
+
+
+def _pooled_or_error(counts, probs, sample_size, pool):
+    try:
+        pc, pp = pool(counts, probs, sample_size)
+    except ConfigurationError as exc:
+        return str(exc)
+    return pc.dtype, pc.tolist(), pp.dtype, [p.hex() for p in pp.tolist()]
+
+
 class TestPoolCells:
     def test_closes_cells_at_expected_five(self):
         counts = np.array([10, 20, 30, 25, 15])
@@ -73,6 +107,31 @@ class TestPoolCells:
         assert len(pc) == len(pp) >= 2
         # every pooled cell meets the expected-count floor
         assert np.all(pp * n >= 5.0 - 1e-9)
+
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=50),
+                              st.floats(min_value=0.0, max_value=0.3)),
+                    min_size=1, max_size=60),
+           st.integers(min_value=1, max_value=200))
+    def test_matches_the_cell_by_cell_loop(self, cells, sample_size):
+        counts = np.array([c for c, _ in cells], dtype=np.int64)
+        probs = np.array([p for _, p in cells])
+        assert (_pooled_or_error(counts, probs, sample_size, pool_cells)
+                == _pooled_or_error(counts, probs, sample_size,
+                                    _pool_cells_loop))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_cell_by_cell_loop_on_mixed_tables(self, seed):
+        # long runs of cells that close on their own, broken by stretches
+        # of small cells, with and without a deficient tail
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 5000))
+        probs = rng.dirichlet(rng.choice([0.05, 1.0, 20.0], size=k))
+        probs[rng.random(k) < 0.2] *= 1e-3
+        counts = rng.integers(0, 100, size=k)
+        sample_size = int(rng.integers(10, 10**6))
+        assert (_pooled_or_error(counts, probs, sample_size, pool_cells)
+                == _pooled_or_error(counts, probs, sample_size,
+                                    _pool_cells_loop))
 
 
 class TestResultHelpers:

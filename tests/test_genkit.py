@@ -20,7 +20,8 @@ from rngts.genkit.adapters import (
     FileStream,
     bit_extract,
 )
-from rngts.genkit.base import RandomStream
+from rngts.genkit import base as genkit_base
+from rngts.genkit.base import RandomStream, Tape
 from rngts.genkit.bits import BitReader
 from rngts.genkit.distributions import (
     uniform01,
@@ -347,6 +348,76 @@ class TestStreamBuffering:
             Mt19937(1).warmup(-1)
 
 
+class Counting(RandomStream):
+    """Wraps a stream and records the size of every block it serves."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self._inner = inner
+        self.blocks = []
+        self.name = inner.name
+        self.min_value, self.max_value = inner.min_value, inner.max_value
+
+    def _generate(self, n):
+        self.blocks.append(n)
+        return self._inner.next_block(n)
+
+
+class TestTape:
+    @pytest.mark.parametrize("make", [
+        lambda: Mt19937(7), lambda: Ecuyer1988(7),
+        lambda: LaggedFibonacci1279(7), lambda: ShuffledStream(Minstd(7)),
+    ], ids=["mt19937", "ecuyer1988", "lagged_fibonacci", "shuffled"])
+    def test_replays_read_the_source_past_the_cap(self, monkeypatch, make):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        source = make()
+        source.next_block(333)  # a warmup leaves words in its buffer
+        tape = Tape(source)
+        fresh = make()
+        fresh.next_block(333)
+        expected = fresh.next_block(3000)
+        for sizes in ([3000], [1, 998, 1, 1, 999, 1000],
+                      [600, 600, 600, 1200], [5, 2995]):
+            replay = tape.replay()
+            got = np.concatenate([replay.next_block(k) for k in sizes])
+            assert np.array_equal(got, expected)
+
+    def test_grows_to_twice_its_size_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        source = Counting(Mt19937(3))
+        tape = Tape(source)
+        replay = tape.replay()
+        replay.next_block(10)
+        replay.next_block(5)
+        replay.next_block(200)
+        tape.replay().next_block(900)
+        replay.next_block(2000)
+        # the source moves forward only: 10, then 10 more (twice 10), then
+        # to 215 needed, then to 900 needed, then to the cap; the rest is
+        # read from a copy of the source
+        assert source.blocks == [10, 10, 195, 685, 100]
+        assert tape.words(10**6).size == 1000
+
+    def test_replays_carry_the_source_range_and_name(self):
+        replay = Tape(Minstd(1)).replay()
+        assert (replay.name, replay.min_value, replay.max_value) == (
+            "minstd", 1, 2**31 - 2)
+        assert replay.bit_width == 31
+
+    def test_recorded_words_are_read_only(self):
+        replay = Tape(Mt19937(1)).replay()
+        block = replay.next_block(100)
+        with pytest.raises(ValueError):
+            block[0] = 0
+
+    def test_unread_words_are_served_again(self):
+        replay = Tape(Mt19937(2)).replay()
+        first = replay.next_block(50)
+        replay.unread(first[20:])
+        assert np.array_equal(replay.next_block(40),
+                              Mt19937(2).next_block(60)[20:])
+
+
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -522,11 +593,11 @@ class TestBitExtract:
         path = tmp_path / "words.bin"
         path.write_bytes(values.astype("<u4").tobytes())
         g = bit_extract(FileStream(str(path)), 31, 16)
-        # the file runs out inside the second inner read; the first
-        # 65536 words stay with the bit stream, the rest with the file
+        # the file runs out inside the second inner read; the bit stream
+        # reads the words the file still holds and keeps all 70000
         with pytest.raises(StreamExhausted) as info:
             g.next_block(100000)
-        assert info.value.available == 65536
+        assert info.value.available == 70000
         assert np.array_equal(g.next_block(70000), values >> np.uint64(16))
         with pytest.raises(StreamExhausted):
             g.next_block(1)

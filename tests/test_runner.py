@@ -20,15 +20,28 @@ import pytest
 
 from rngts import runner
 from rngts.battery.base import TestCase as BatteryCase
+from rngts.battery.games import RepetitionTest, SqueezeTest
 from rngts.battery.uniformity import (
     ChisqrUniformityTest,
     CouponCollectorTest,
     GapTest,
+    KsUniformityTest,
+    RunsTest,
+    SerialCorrelationTest,
 )
 from rngts.cli import main
 from rngts.errors import ConfigurationError
-from rngts.genkit.engines import Minstd, Mt19937
+from rngts.genkit import base as genkit_base
+from rngts.genkit.base import SeedableStream
+from rngts.genkit.engines import (
+    LaggedFibonacci1279,
+    Minstd,
+    Mt19937,
+    ShuffledStream,
+)
+from rngts.meta import IterateTestCase
 from rngts.report import parse_xml, write_xml
+from rngts.report import test_section_from_outcome as section_of
 from rngts.runner import (
     RunManifest,
     RunMatrix,
@@ -545,6 +558,164 @@ class TestWorkerProcesses:
                     "alpha": 0.0, "beta": 0.5, "t": 8, "n_gaps": 500}}]}))
         assert main(["run", "--config", str(config), "--jobs", "2",
                      "--out", str(tmp_path / "r.xml")]) == 2
+
+
+def _shuffled_minstd():
+    return ShuffledStream(Minstd(), 32)
+
+
+# tests that read the stream in different ways: fixed blocks, scans that
+# push words back, a bit extractor, and a repeated inner test
+_ROW_TESTS = (
+    lambda: ChisqrUniformityTest(n=3000, k=64),
+    lambda: GapTest(n_gaps=300),
+    lambda: CouponCollectorTest(n_segments=200),
+    lambda: RunsTest(n_runs=400),
+    lambda: SqueezeTest(games=300),
+    lambda: RepetitionTest(bits=12, reps=50),
+    lambda: SerialCorrelationTest(n=2500),
+    lambda: IterateTestCase(KsUniformityTest(n=200), repetitions=10),
+)
+
+
+def _fresh_outcomes(matrix):
+    """Each cell run on its own freshly built, seeded and warmed stream."""
+    outcomes = []
+    for _, factory, warmup in matrix.generators:
+        for seed in matrix.seeds:
+            for test_factory in matrix.tests:
+                stream = factory()
+                stream.seed(seed)
+                stream.warmup(warmup)
+                outcomes.append(test_factory().execute(stream,
+                                                       matrix.levels))
+    return outcomes
+
+
+def _cells(doc):
+    return [test for rng in doc.generators for seed in rng.seeds
+            for test in seed.tests]
+
+
+class TestTapeRows:
+    """A seedable generator's row reads one tape of its outputs."""
+
+    def _matrix(self, tests=_ROW_TESTS):
+        return RunMatrix(
+            generators=(("shuffled_minstd", _shuffled_minstd, 601),
+                        ("lagged_fibonacci_1279", LaggedFibonacci1279, 0),
+                        ("mt19937", Mt19937, 4001)),
+            seeds=(1, 97),
+            levels=(0.05, 0.95),
+            tests=tests,
+        )
+
+    def test_rows_past_the_cap_read_what_fresh_streams_read(
+            self, monkeypatch):
+        # most cells read past a 1000-word tape onto a copy of the source
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        matrix = self._matrix()
+        doc = run_suite(matrix, date="2025-06-01")
+        expected = [section_of(outcome, matrix.levels)
+                    for outcome in _fresh_outcomes(matrix)]
+        assert _cells(doc) == expected
+        assert all(cell.aborted is None for cell in expected)
+
+    def test_rows_at_the_full_cap_read_what_fresh_streams_read(self):
+        matrix = RunMatrix(
+            generators=(("mt19937", Mt19937, 5),),
+            seeds=(3,),
+            levels=(0.05,),
+            tests=(lambda: ChisqrUniformityTest(n=100000, k=64),
+                   lambda: ChisqrUniformityTest(n=300000, k=64),
+                   lambda: ChisqrUniformityTest(n=200000, k=64)),
+        )
+        doc = run_suite(matrix, date="2025-06-01")
+        expected = [section_of(outcome, matrix.levels)
+                    for outcome in _fresh_outcomes(matrix)]
+        assert _cells(doc) == expected
+
+    def test_one_build_per_row_and_run(self):
+        builds = []
+
+        def factory():
+            builds.append(1)
+            return Mt19937()
+
+        matrix = RunMatrix(generators=(("mt", factory, 10),), seeds=(1, 2),
+                           levels=(0.05,), tests=_ROW_TESTS[:3])
+        first = run_suite(matrix, date="2025-06-01")
+        assert len(builds) == 2
+        # a new run records its rows again, the last row's too
+        again = RunMatrix(generators=matrix.generators, seeds=(2,),
+                          levels=(0.05,), tests=_ROW_TESTS[:3])
+        last_row = run_suite(again, date="2025-06-01").generators[0].seeds
+        assert last_row == first.generators[0].seeds[1:]
+        assert len(builds) == 3
+
+    def test_a_seed_that_fails_aborts_every_cell_of_its_row(self):
+        builds = []
+
+        class Picky(Mt19937):
+            def seed(self, s):
+                if s == 3:
+                    raise ConfigurationError("seed 3 is not accepted")
+                super().seed(s)
+
+        def factory():
+            builds.append(1)
+            return Picky()
+
+        matrix = RunMatrix(generators=(("picky", factory, 0),),
+                           seeds=(1, 3, 4), levels=(0.05,),
+                           tests=_ROW_TESTS[:3])
+        doc = run_suite(matrix, date="2025-06-01")
+        one, three, four = doc.generators[0].seeds
+        assert [t.aborted for t in three.tests] == [
+            "seed 3 is not accepted"] * 3
+        assert all(t.aborted is None for t in one.tests + four.tests)
+        # the failing seed was tried once per cell; nothing was recorded
+        assert len(builds) == 1 + 3 + 1
+
+    def test_file_sources_are_opened_and_closed_per_cell(self, tmp_path):
+        words = tmp_path / "words.bin"
+        words.write_bytes(Mt19937(5).next_block(50000).astype("<u4")
+                          .tobytes())
+        opened = []
+
+        def factory():
+            stream = runner.file_stream(str(words))
+            opened.append(stream)
+            return stream
+
+        matrix = RunMatrix(generators=(("file", factory, 7),),
+                           seeds=(1, 2), levels=(0.05,),
+                           tests=_ROW_TESTS[:3])
+        doc = run_suite(matrix, date="2025-06-01")
+        assert len(opened) == 6
+        assert all(stream._fh.closed for stream in opened)
+        first, second = doc.generators[0].seeds
+        assert first.tests == second.tests
+        assert all(t.aborted is None for t in first.tests)
+
+    def test_iterate_over_a_replay(self):
+        iterate = _ROW_TESTS[-1]
+        matrix = RunMatrix(generators=(("mt19937", Mt19937, 3),), seeds=(8,),
+                           levels=(0.05,), tests=(iterate, iterate))
+        doc = run_suite(matrix, date="2025-06-01")
+        stream = Mt19937(8)
+        stream.warmup(3)
+        direct = section_of(
+            iterate().execute(stream, (0.05,)), (0.05,))
+        assert _cells(doc) == [direct, direct]
+        assert dict(direct.diagnostics)["Successful Repetitions"] == "10"
+
+    def test_job_count_does_not_change_the_bytes(self, monkeypatch):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        matrix = self._matrix(tests=_ROW_TESTS[:5])
+        runs = [_xml(run_suite(matrix, jobs=jobs, date="2025-06-01"))
+                for jobs in (1, 2, 3)]
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestDocumentHasFailures:
