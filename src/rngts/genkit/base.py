@@ -9,7 +9,6 @@ each read them from the start without generating them again.
 
 from __future__ import annotations
 
-import copy
 from typing import Callable
 
 import numpy as np
@@ -119,7 +118,11 @@ class SeedableStream(RandomStream):
     Built by its factory and seeded with s, it always yields the same
     outputs.  The runner relies on that: it builds, seeds and warms up
     one stream per generator, seed and warmup, records its outputs on a
-    `Tape`, and gives every test of that row a replay of the tape.
+    `Tape`, and gives every test of that row a replay of the tape.  A
+    test that reads past the tape's cap continues on another stream
+    built, seeded and warmed up the same way.  A stream that ends
+    (raises StreamExhausted) is replayed through its last output, and a
+    `close()` method, if it has one, is called when its tape is dropped.
     """
 
     def seed(self, s: int) -> None:
@@ -130,19 +133,30 @@ class SeedableStream(RandomStream):
 TAPE_WORDS = 1 << 18
 
 
+def close_stream(stream: RandomStream) -> None:
+    """Call the stream's close() method, if it has one."""
+    method = getattr(stream, "close", None)
+    if method is not None:
+        method()
+
+
 class Tape:
     """The outputs of one source, recorded once and replayed from the start.
 
-    The tape records outputs as its replays ask for them, growing to
-    max(needed, 2 x recorded) outputs, up to TAPE_WORDS.  The source only
-    moves forward through the tape, so once the tape is full the source
-    stands at its end, and a replay that reads past the end continues on
-    its own deep copy of the source.  Replays get read-only views of the
+    `source` is a stream at its first output, and `fresh()` builds
+    another stream that yields the same outputs.  The tape records the
+    source's outputs as its replays ask for them, growing to
+    max(needed, 2 x recorded) outputs, up to TAPE_WORDS; a source that
+    ends sooner is recorded through its last output.  A replay that
+    reads past a full tape continues on its own `fresh()` stream, moved
+    past the recorded outputs.  Replays get read-only views of the
     recorded outputs.
     """
 
-    def __init__(self, source: RandomStream):
+    def __init__(self, source: RandomStream,
+                 fresh: Callable[[], RandomStream]):
         self.source = source
+        self._fresh = fresh
         self._words = np.empty(TAPE_WORDS, dtype=np.uint64)
         self._size = 0
 
@@ -152,20 +166,40 @@ class Tape:
         cap = self._words.size
         if self._size < min(stop, cap):
             grow = min(max(stop, 2 * self._size), cap)
-            self._words[self._size:grow] = self.source.next_block(
-                grow - self._size)
-            self._size = grow
+            try:
+                block = self.source.next_block(grow - self._size)
+            except StreamExhausted as exc:
+                block = self.source.next_block(exc.available)
+            self._words[self._size:self._size + block.size] = block
+            self._size += block.size
         view = self._words[:self._size]
         view.flags.writeable = False
         return view
+
+    @property
+    def full(self) -> bool:
+        return self._size == self._words.size
+
+    def past_end(self) -> RandomStream:
+        """A new stream of the source's outputs after the recorded ones."""
+        stream = self._fresh()
+        try:
+            stream.warmup(self._size)
+        except BaseException:
+            close_stream(stream)
+            raise
+        return stream
 
     def replay(self) -> RandomStream:
         """A new stream of the source's outputs from the first one."""
         return _Replay(self)
 
+    def close(self) -> None:
+        close_stream(self.source)
+
 
 class _Replay(RandomStream):
-    """Reads a Tape from the start, then a deep copy of its source."""
+    """Reads a Tape from the start, then a stream past its end."""
 
     def __init__(self, tape: Tape):
         super().__init__()
@@ -179,12 +213,17 @@ class _Replay(RandomStream):
     def _generate(self, n: int) -> np.ndarray:
         if self._rest is None:
             words = self._tape.words(self._at + n)
-            if self._at < words.size:
+            if self._at < words.size or not self._tape.full:
+                # a tape short of the cap holds all its source had
                 out = words[self._at:self._at + n]
                 self._at += out.size
                 return out
-            self._rest = copy.deepcopy(self._tape.source)
+            self._rest = self._tape.past_end()
         return self._rest.next_block(n)
+
+    def close(self) -> None:
+        if self._rest is not None:
+            close_stream(self._rest)
 
 
 _FIRST_BLOCK = 65536

@@ -10,6 +10,7 @@ its inner words a block at a time and walks only the slot addresses.
 
 from __future__ import annotations
 
+import array
 import functools
 
 import numpy as np
@@ -251,21 +252,20 @@ class ShuffledStream(SeedableStream):
         size = self._size
         # The walk moves slot numbers only: addr[j] is the slot that the
         # word now in slot j addresses, and visits[t] is draw t's slot.
-        # Up to 256 slots, bytes are the fastest buffers to walk.
-        slot = self._slots(words)
-        if size <= 256:
-            slot, visits = slot.astype(np.uint8).tobytes(), bytearray()
-        else:
-            slot, visits = slot.tolist(), []
+        # C unsigned int buffers hold any table size and iterate fast.
+        slot = array.array("I", self._slots(words).astype(np.uintc).tobytes())
         addr = list(slot[:size])
+        visits = array.array("I")
         visit = visits.append
         j = self._j
         for s in slot[size:]:
             visit(j)
             addr[j], j = s, addr[j]
         self._j = j
-        visits = (np.frombuffer(visits, dtype=np.uint8) if size <= 256
-                  else np.array(visits))
+        # sorted as the narrowest type that holds a slot: a stable sort
+        # of 8- or 16-bit keys is a radix sort
+        visits = np.frombuffer(visits, dtype=np.uintc).astype(
+            np.min_scalar_type(size - 1))
         # The writes to the table are word j to slot j, then draw t's
         # fresh word, words[size + t], to slot visits[t].  A draw outputs
         # the word of the previous write to its slot; a stable sort by

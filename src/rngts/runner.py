@@ -12,7 +12,8 @@ of the row reads a replay of the tape, so a row generates about as many
 outputs as its hungriest cell rather than the sum over its cells.  The
 `SeedableStream` contract (the outputs are a deterministic function of
 the seed) makes a replay read exactly what a freshly seeded stream
-would.  File and external sources are opened, warmed up and closed per
+would; a cell that reads past the tape continues on a stream built,
+seeded and warmed up again.  File and external sources are opened, warmed up and closed per
 cell.
 """
 
@@ -51,7 +52,8 @@ from .battery import (
 from .battery.base import TestCase, TestOutcome, is_integer, is_real
 from .errors import ConfigurationError, StreamExhausted, TestAborted
 from .genkit.adapters import external_stream, file_stream
-from .genkit.base import RandomStream, SeedableStream, Tape
+from .genkit.base import (RandomStream, SeedableStream, Tape,
+                          close_stream)
 from .genkit.engines import (
     Ecuyer1988,
     LaggedFibonacci1279,
@@ -219,35 +221,49 @@ class RunManifest:
 # The row (factory, seed, warmup) whose outputs this process has on
 # tape, and the tape.  A row that fails to build, seed or warm up is not
 # recorded, so each of its cells fails alike.
-_tape_row: tuple = ()
-_tape: Optional[Tape] = None
+_tape: tuple = ((), None)
 
 
-def _clear_tape() -> None:
-    global _tape_row, _tape
-    _tape_row, _tape = (), None
+def _set_tape(row: tuple, tape: Optional[Tape]) -> None:
+    """Keep `tape` for `row`, closing the source of the tape it replaces."""
+    global _tape
+    old = _tape[1]
+    _tape = (row, tape)
+    if old is not None:
+        old.close()
+
+
+def _started(factory: Callable[[], RandomStream], seed: int,
+             warmup: int) -> RandomStream:
+    """A new stream of the generator, seeded and warmed up."""
+    stream = factory()
+    try:
+        if isinstance(stream, SeedableStream):
+            stream.seed(seed)
+        if warmup:
+            stream.warmup(warmup)
+    except BaseException:
+        close_stream(stream)
+        raise
+    return stream
 
 
 def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
               test_factory: Callable[[], TestCase],
               levels: Sequence[float]) -> TestOutcome:
-    global _tape_row, _tape
     case = test_factory()
     stream = None
     try:
         row = (factory, seed, warmup)
-        if row == _tape_row:
-            stream = _tape.replay()
+        taped_row, tape = _tape
+        if row == taped_row:
+            stream = tape.replay()
         else:
-            stream = factory()
-            seedable = isinstance(stream, SeedableStream)
-            if seedable:
-                stream.seed(seed)
-            if warmup:
-                stream.warmup(warmup)
-            if seedable:
-                _tape_row, _tape = row, Tape(stream)
-                stream = _tape.replay()
+            stream = _started(factory, seed, warmup)
+            if isinstance(stream, SeedableStream):
+                tape = Tape(stream, lambda: _started(factory, seed, warmup))
+                stream = tape.replay()
+                _set_tape(row, tape)
         return case.execute(stream, levels)
     except (ConfigurationError, StreamExhausted, TestAborted) as exc:
         # execute() already contains aborts raised inside run(); this
@@ -258,9 +274,8 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
         _log.exception("cell %s aborted", case.test_name)
         reason = f"{type(exc).__name__}: {exc}"
     finally:
-        close = getattr(stream, "close", None)
-        if close is not None:
-            close()
+        if stream is not None:
+            close_stream(stream)
     return case.aborted(reason)
 
 
@@ -275,7 +290,9 @@ _worker_levels: tuple = ()
 def _init_worker(cells: list, levels: tuple) -> None:
     global _worker_cells, _worker_levels
     _worker_cells, _worker_levels = cells, levels
-    _clear_tape()
+    # the worker's last tape is dropped, and its source closed, on exit
+    from multiprocessing import util
+    util.Finalize(None, _set_tape, args=((), None), exitpriority=0)
 
 
 def _run_cell_at(index: int) -> TestOutcome:
@@ -336,14 +353,13 @@ def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
     With `jobs` above 1, cells run in forked worker processes, at most
     one per cell, and `progress` is called in matrix order as results
     are read; output order and content are independent of the job
-    count.  Each process keeps the tape of the row it last ran; the
-    tape is cleared when the run starts.  Aborted cells (exhausted or
+    count.  Each process keeps the tape of the row it last ran until
+    the run, or the worker, ends.  Aborted cells (exhausted or
     misconfigured streams, any other exception in a cell, or a worker
     that died) appear in the report and never halt the run.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
-    _clear_tape()
     # validate test construction before any cell runs
     for test_factory in matrix.tests:
         test_factory()
@@ -363,10 +379,13 @@ def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
             progress(name, seed, outcome)
         return outcome
 
-    if jobs == 1:
-        outcomes = [execute(cell) for cell in cells]
-    else:
-        outcomes = _run_in_workers(cells, matrix.levels, jobs, progress)
+    try:
+        if jobs == 1:
+            outcomes = [execute(cell) for cell in cells]
+        else:
+            outcomes = _run_in_workers(cells, matrix.levels, jobs, progress)
+    finally:
+        _set_tape((), None)
 
     sections = []
     index = 0

@@ -363,19 +363,38 @@ class Counting(RandomStream):
         return self._inner.next_block(n)
 
 
+def _warmed(make, warmup):
+    stream = make()
+    stream.warmup(warmup)
+    return stream
+
+
+class Finite(RandomStream):
+    """The first `size` outputs of a stream, then nothing."""
+
+    def __init__(self, inner, size):
+        super().__init__()
+        self._inner = inner
+        self._left = size
+        self.name = inner.name
+        self.min_value, self.max_value = inner.min_value, inner.max_value
+
+    def _generate(self, n):
+        n = min(n, self._left)
+        self._left -= n
+        return self._inner.next_block(n)
+
+
 class TestTape:
     @pytest.mark.parametrize("make", [
         lambda: Mt19937(7), lambda: Ecuyer1988(7),
         lambda: LaggedFibonacci1279(7), lambda: ShuffledStream(Minstd(7)),
     ], ids=["mt19937", "ecuyer1988", "lagged_fibonacci", "shuffled"])
-    def test_replays_read_the_source_past_the_cap(self, monkeypatch, make):
+    def test_replays_read_past_the_cap(self, monkeypatch, make):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
-        source = make()
-        source.next_block(333)  # a warmup leaves words in its buffer
-        tape = Tape(source)
-        fresh = make()
-        fresh.next_block(333)
-        expected = fresh.next_block(3000)
+        # a warmup leaves words in the source's buffer
+        tape = Tape(_warmed(make, 333), lambda: _warmed(make, 333))
+        expected = _warmed(make, 333).next_block(3000)
         for sizes in ([3000], [1, 998, 1, 1, 999, 1000],
                       [600, 600, 600, 1200], [5, 2995]):
             replay = tape.replay()
@@ -385,7 +404,13 @@ class TestTape:
     def test_grows_to_twice_its_size_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
         source = Counting(Mt19937(3))
-        tape = Tape(source)
+        rest = []
+
+        def fresh():
+            rest.append(Counting(Mt19937(3)))
+            return rest[-1]
+
+        tape = Tape(source, fresh)
         replay = tape.replay()
         replay.next_block(10)
         replay.next_block(5)
@@ -394,24 +419,61 @@ class TestTape:
         replay.next_block(2000)
         # the source moves forward only: 10, then 10 more (twice 10), then
         # to 215 needed, then to 900 needed, then to the cap; the rest is
-        # read from a copy of the source
+        # read from a fresh stream moved past the cap
         assert source.blocks == [10, 10, 195, 685, 100]
+        assert len(rest) == 1 and rest[0].blocks == [1000, 1215]
         assert tape.words(10**6).size == 1000
 
+    def test_a_source_that_ends_is_replayed_through_its_last_output(
+            self, monkeypatch):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        expected = Mt19937(4).next_block(300)
+        tape = Tape(Finite(Mt19937(4), 300), None)
+        # growth asks for 2 x 200 outputs; the 300 the source holds are
+        # recorded and served
+        assert np.array_equal(tape.replay().next_block(200), expected[:200])
+        replay = tape.replay()
+        assert np.array_equal(replay.next_block(300), expected)
+        with pytest.raises(StreamExhausted) as exc:
+            tape.replay().next_block(301)
+        assert exc.value.available == 300
+        with pytest.raises(StreamExhausted) as exc:
+            replay.next_block(1)
+        assert exc.value.available == 0
+
+    def test_close_closes_the_source_and_streams_past_the_cap(
+            self, monkeypatch):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 100)
+        closed = []
+
+        class Closing(Mt19937):
+            def close(self):
+                closed.append(self)
+
+        tape = Tape(Closing(1), lambda: Closing(1))
+        short, long = tape.replay(), tape.replay()
+        short.next_block(50)
+        long.next_block(150)
+        short.close()
+        long.close()
+        assert len(closed) == 1 and closed[0] is not tape.source
+        tape.close()
+        assert closed[1] is tape.source
+
     def test_replays_carry_the_source_range_and_name(self):
-        replay = Tape(Minstd(1)).replay()
+        replay = Tape(Minstd(1), Minstd).replay()
         assert (replay.name, replay.min_value, replay.max_value) == (
             "minstd", 1, 2**31 - 2)
         assert replay.bit_width == 31
 
     def test_recorded_words_are_read_only(self):
-        replay = Tape(Mt19937(1)).replay()
+        replay = Tape(Mt19937(1), Mt19937).replay()
         block = replay.next_block(100)
         with pytest.raises(ValueError):
             block[0] = 0
 
     def test_unread_words_are_served_again(self):
-        replay = Tape(Mt19937(2)).replay()
+        replay = Tape(Mt19937(2), Mt19937).replay()
         first = replay.next_block(50)
         replay.unread(first[20:])
         assert np.array_equal(replay.next_block(40),

@@ -7,11 +7,13 @@ catalogs stay pristine for other tests.
 """
 
 import concurrent.futures
+import copy
 import io
 import json
 import os
 import re
 import struct
+import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -709,6 +711,73 @@ class TestTapeRows:
             iterate().execute(stream, (0.05,)), (0.05,))
         assert _cells(doc) == [direct, direct]
         assert dict(direct.diagnostics)["Successful Repetitions"] == "10"
+
+    def test_sources_that_cannot_be_copied_are_built_again_and_closed(
+            self, monkeypatch, tmp_path):
+        # most cells read past a 1000-word tape onto a stream built again
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        log = tmp_path / "log"
+
+        class Locked(Mt19937):
+            def __init__(self):
+                super().__init__()
+                self._lock = threading.Lock()
+                with open(log, "a") as fh:
+                    fh.write("built\n")
+
+            def close(self):
+                with open(log, "a") as fh:
+                    fh.write("closed\n")
+
+        with pytest.raises(TypeError):
+            copy.deepcopy(Locked())
+        matrix = RunMatrix(generators=(("locked", Locked, 3),), seeds=(1, 2),
+                           levels=(0.05, 0.95), tests=_ROW_TESTS)
+        expected = [section_of(outcome, matrix.levels)
+                    for outcome in _fresh_outcomes(matrix)]
+        for jobs in (1, 2):
+            log.write_text("")
+            doc = run_suite(matrix, jobs=jobs, date="2025-06-01")
+            assert _cells(doc) == expected
+            # every stream built, the workers' included, is closed
+            lines = log.read_text().split()
+            assert lines.count("built") == lines.count("closed") > 2
+
+    def test_a_source_that_ends_serves_every_cell_that_fits(self):
+        class Short(SeedableStream):
+            """The first 5000 outputs of mt19937 for each seed."""
+
+            name = "short"
+            max_value = 2**32 - 1
+
+            def __init__(self):
+                super().__init__()
+                self._inner = Mt19937()
+                self._left = 0
+
+            def seed(self, s):
+                self._inner.seed(s)
+                self._reset_buffer()
+                self._left = 5000
+
+            def _generate(self, n):
+                n = min(n, self._left)
+                self._left -= n
+                return self._inner.next_block(n)
+
+        # the tape grows to 3000, then asks for 6000 and records 5000
+        matrix = RunMatrix(
+            generators=(("short", Short, 0),), seeds=(1,), levels=(0.05,),
+            tests=(lambda: ChisqrUniformityTest(n=3000, k=64),
+                   lambda: ChisqrUniformityTest(n=4000, k=64),
+                   lambda: GapTest(n_gaps=300),
+                   lambda: ChisqrUniformityTest(n=6000, k=64)))
+        doc = run_suite(matrix, date="2025-06-01")
+        expected = [section_of(outcome, matrix.levels)
+                    for outcome in _fresh_outcomes(matrix)]
+        assert _cells(doc) == expected
+        assert [cell.aborted for cell in expected] == [None] * 3 + [
+            "short: stream exhausted, 5000 of 6000 outputs available"]
 
     def test_job_count_does_not_change_the_bytes(self, monkeypatch):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
