@@ -183,11 +183,7 @@ class Tape:
     def past_end(self) -> RandomStream:
         """A new stream of the source's outputs after the recorded ones."""
         stream = self._fresh()
-        try:
-            stream.warmup(self._size)
-        except BaseException:
-            close_stream(stream)
-            raise
+        stream.warmup(self._size)
         return stream
 
     def replay(self) -> RandomStream:
@@ -222,8 +218,7 @@ class _Replay(RandomStream):
         return self._rest.next_block(n)
 
     def close(self) -> None:
-        if self._rest is not None:
-            close_stream(self._rest)
+        close_stream(self._rest)
 
 
 _FIRST_BLOCK = 65536

@@ -13,8 +13,8 @@ outputs as its hungriest cell rather than the sum over its cells.  The
 `SeedableStream` contract (the outputs are a deterministic function of
 the seed) makes a replay read exactly what a freshly seeded stream
 would; a cell that reads past the tape continues on a stream built,
-seeded and warmed up again.  File and external sources are opened, warmed up and closed per
-cell.
+seeded and warmed up again.  File and external sources are opened,
+warmed up and closed per cell.
 """
 
 from __future__ import annotations
@@ -274,8 +274,7 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
         _log.exception("cell %s aborted", case.test_name)
         reason = f"{type(exc).__name__}: {exc}"
     finally:
-        if stream is not None:
-            close_stream(stream)
+        close_stream(stream)
     return case.aborted(reason)
 
 
