@@ -11,9 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ConfigurationError, TestAborted
-from ..genkit.adapters import bit_extract
 from ..genkit.base import RandomStream, scan
-from ..genkit.bits import BitReader
+from ..genkit.bits import read_fields
 from ..genkit.distributions import uniform01_map, uniform_int_block
 from .base import (
     Param,
@@ -106,8 +105,9 @@ def craps_throw_probabilities(cells: int = 21) -> np.ndarray:
 class CrapsTest(TestCase):
     """Craps games: win rate as a Gaussian, throw counts as a chi-square.
 
-    Dice are 1 + uniform_int(0, 5); both reference laws are computed
-    exactly at run time from the dice-sum table.
+    Dice are drawn by rejection as uniform_int_block(stream, 1, 6, n)
+    draws them; both reference laws are computed exactly at run time
+    from the dice-sum table.
     """
 
     test_name = "Craps-Test"
@@ -204,8 +204,7 @@ class RepetitionTest(TestCase):
     """Draws until the first repeated b-bit value, binned at the exact
     law's quantiles.
 
-    Values are the high b bits of each raw output.  Words buffered past
-    the final repetition are discarded, not returned to the stream.
+    Values are the high b bits of each raw output.
     """
 
     test_name = "Repetition-Test"
@@ -216,24 +215,24 @@ class RepetitionTest(TestCase):
     )
 
     def run(self, stream: RandomStream):
+        """Consumes through the draw ending the last repetition."""
         if stream.bit_width < self.bits:
             raise ConfigurationError(
                 f"stream outputs have {stream.bit_width} bits; "
                 f"cannot extract {self.bits}"
             )
-        sub = bit_extract(stream, stream.bit_width - 1,
-                          stream.bit_width - self.bits)
+        shift = np.uint64(stream.bit_width - self.bits)
         ts = np.empty(self.reps, dtype=np.int64)
         done = 0
 
-        def step(vals, remaining):
+        def step(raw, remaining):
             nonlocal done
-            times, consumed = repetition_times(vals, remaining)
+            times, consumed = repetition_times(raw >> shift, remaining)
             ts[done:done + times.size] = times
             done += times.size
             return times.size, consumed
 
-        scan(sub, self.reps, step)
+        scan(stream, self.reps, step)
         n_bins = max(10, min(30, self.reps // 25))
         edges, probs = repetition_bins(self.bits, n_bins)
         cells = np.searchsorted(edges, ts, side="left")
@@ -321,9 +320,8 @@ class MaurersUniversalTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes ceil((Q+K)*L / width) raw draws via bits."""
-        reader = BitReader(stream)
         vals = np.ascontiguousarray(
-            reader.read_values(self.Q + self.K, self.L)
+            read_fields(stream, self.Q + self.K, self.L)
         )
         total = maurer_sum(vals, self.Q, self.K)
         f = total / self.K

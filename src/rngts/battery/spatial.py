@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..genkit.base import RandomStream
-from ..genkit.bits import BitReader
+from ..genkit.bits import read_bits, read_fields
 from ..genkit.distributions import uniform01_block, uniform_int_block
 from ..stats import StatKind, StatisticResult
 from .base import (
@@ -175,8 +175,7 @@ class BinaryRankTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes ceil(n_matrices*rows*cols / width) raw draws via bits."""
-        rows = BitReader(stream).read_values(self.n_matrices * self.rows,
-                                             self.cols)
+        rows = read_fields(stream, self.n_matrices * self.rows, self.cols)
         mats = rows.astype(np.uint64).reshape(self.n_matrices, self.rows)
         rank_counts = gf2_rank_counts(mats, self.cols)
         named, probs = self._categories()
@@ -275,7 +274,7 @@ class RandomWalkTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes ceil(2*walkers*steps / width) raw draws via bits."""
-        bits = BitReader(stream).read(2 * self.walkers * self.steps)
+        bits = read_bits(stream, 2 * self.walkers * self.steps)
         ones = bits.reshape(self.walkers, self.steps, 2).sum(
             axis=1, dtype=np.int64)
         finals = self.steps - 2 * ones
@@ -302,7 +301,7 @@ class Monkey20BitTest(TestCase):
     def run(self, stream: RandomStream):
         """Consumes ceil((2^21 + 19) / width) raw draws via bits."""
         packed = np.packbits(
-            BitReader(stream).read(self._N_WORDS + self._WORD_BITS - 1))
+            read_bits(stream, self._N_WORDS + self._WORD_BITS - 1))
         joined = np.ndarray(self._N_WORDS // 8, ">u4", packed,
                             strides=(1,)).astype(np.uint32)
         seen = np.zeros(2**self._WORD_BITS, dtype=bool)

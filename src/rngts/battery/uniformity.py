@@ -49,7 +49,7 @@ def _stirling2_rows(n: int, k: int) -> list:
 
 
 class ChisqrUniformityTest(TestCase):
-    """Chi-square of uniform01 draws binned into k equal cells."""
+    """Chi-square of [0, 1) draws binned into k equal cells."""
 
     test_name = "Chi-Square-Uniformity-Test"
 
@@ -75,7 +75,7 @@ class ChisqrUniformityTest(TestCase):
 
 
 class KsUniformityTest(TestCase):
-    """KS of uniform01 draws against F(x) = x; reports both one-sided p's."""
+    """KS of [0, 1) draws against F(x) = x; reports both one-sided p's."""
 
     test_name = "KS-Uniformity-Test"
 
@@ -88,7 +88,7 @@ class KsUniformityTest(TestCase):
 
 
 class GapTest(TestCase):
-    """Lengths of gaps between hits of [alpha, beta) in a uniform01 scan."""
+    """Lengths of gaps between hits of [alpha, beta) among [0, 1) draws."""
 
     test_name = "Gap-Test"
 

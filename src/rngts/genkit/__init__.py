@@ -1,12 +1,14 @@
-"""Generator engines, distributions, and stream adapters."""
+"""Generator engines, distributions, bit reads and stream adapters.
+
+Every read of a stream's words goes through `RandomStream.next_block`,
+or through `base.scan` when a test needs a data-dependent number of them.
+"""
 
 from .base import RandomStream, SeedableStream
-from .bits import BitReader
+from .bits import read_bits, read_fields
 from .distributions import (
-    uniform01,
     uniform01_block,
     uniform01_map,
-    uniform_int,
     uniform_int_block,
 )
 from .engines import (
@@ -18,10 +20,8 @@ from .engines import (
     ShuffledStream,
 )
 from .adapters import (
-    BitExtractStream,
     ExternalStream,
     FileStream,
-    bit_extract,
     external_stream,
     file_stream,
 )
@@ -29,11 +29,10 @@ from .adapters import (
 __all__ = [
     "RandomStream",
     "SeedableStream",
-    "BitReader",
-    "uniform01",
+    "read_bits",
+    "read_fields",
     "uniform01_block",
     "uniform01_map",
-    "uniform_int",
     "uniform_int_block",
     "Ecuyer1988",
     "LaggedFibonacci1279",
@@ -41,10 +40,8 @@ __all__ = [
     "Mt19937",
     "Randu",
     "ShuffledStream",
-    "BitExtractStream",
     "ExternalStream",
     "FileStream",
-    "bit_extract",
     "external_stream",
     "file_stream",
 ]

@@ -1,4 +1,4 @@
-"""Stream adapters: bit extraction, file and child-process sources."""
+"""Stream adapters: words read from a file or a child process."""
 
 from __future__ import annotations
 
@@ -8,40 +8,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, StreamExhausted
+from ..errors import ConfigurationError
 from .base import RandomStream
-
-
-class BitExtractStream(RandomStream):
-    """Emits bits [lo..hi] of each raw output of the inner stream."""
-
-    def __init__(self, inner: RandomStream, hi: int, lo: int):
-        if not (0 <= lo <= hi < inner.bit_width):
-            raise ConfigurationError(
-                f"bit range [{lo}..{hi}] outside source width {inner.bit_width}"
-            )
-        super().__init__()
-        self._inner = inner
-        self._hi = hi
-        self._lo = lo
-        self._mask = (1 << (hi - lo + 1)) - 1
-        self.min_value = 0
-        self.max_value = self._mask
-        self.name = f"bits[{lo}..{hi}]({inner.name})"
-
-    def _generate(self, n: int) -> np.ndarray:
-        try:
-            raw = self._inner.next_block(min(n, 65536))
-        except StreamExhausted as exc:
-            # a finite inner stream serves the words it still holds
-            if not exc.available:
-                raise
-            raw = self._inner.next_block(exc.available)
-        return (raw >> np.uint64(self._lo)) & np.uint64(self._mask)
-
-
-def bit_extract(inner: RandomStream, hi: int, lo: int) -> RandomStream:
-    return BitExtractStream(inner, hi, lo)
 
 
 class FileStream(RandomStream):

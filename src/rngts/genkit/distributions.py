@@ -1,9 +1,9 @@
 """Distributions mapping raw stream outputs to test domains.
 
-uniform01 maps a raw output v to (v - min) / (max - min + 1), so 1.0 is
-unattainable.  uniform_int uses rejection sampling over the largest
-multiple of the target range fitting the stream range; it never maps by
-modulo alone, so every value in [a, b] is exactly equiprobable.
+uniform01_map maps a raw output v to (v - min) / (max - min + 1), so 1.0
+is unattainable.  uniform_int_block uses rejection sampling over the
+largest multiple of the target range fitting the stream range; it never
+maps by modulo alone, so every value in [a, b] is exactly equiprobable.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from .base import RandomStream, scan
-
-
-def uniform01(stream: RandomStream) -> float:
-    """One draw in [0, 1)."""
-    u = (stream.next() - stream.min_value) / stream.range_size
-    return u if u < 1.0 else np.nextafter(1.0, 0.0)
 
 
 def uniform01_map(stream: RandomStream, raw: np.ndarray) -> np.ndarray:
@@ -43,15 +37,6 @@ def _int_params(stream: RandomStream, a: int, b: int) -> tuple[int, int]:
         )
     limit = stream.range_size - stream.range_size % m
     return m, limit
-
-
-def uniform_int(stream: RandomStream, a: int, b: int) -> int:
-    """One unbiased draw from {a, ..., b}."""
-    m, limit = _int_params(stream, a, b)
-    while True:
-        w = stream.next() - stream.min_value
-        if w < limit:
-            return a + w % m
 
 
 def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarray:

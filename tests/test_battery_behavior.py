@@ -740,7 +740,7 @@ class TestPinnedDefaults:
         (CrapsTest(),
          [{"p": "0x1.335e926241992p-1"}, {"p": "0x1.5dfca516fa51cp-1"}],
          1353334, (("Games Won", 98703),)),
-        (RepetitionTest(), [{"p": "0x1.4fcb2b1f2b82cp-1"}], 713165, ()),
+        (RepetitionTest(), [{"p": "0x1.4fcb2b1f2b82cp-1"}], 651088, ()),
         (MaurersUniversalTest(), [{"p": "0x1.5212e5babfba4p-2"}], 64640,
          (("Statistic f", 7.1815700299479035),)),
         (CollisionTest(),
@@ -826,20 +826,18 @@ class TestPinnedDefaults:
 # finite sources serve every word they hold
 
 
-# (case, raw words it uses of Mt19937(1), raw words it draws from the
-# engine); repetition reads through a bit extractor in blocks of up to
-# 65536 words and discards the words after its last repetition
+# (case, raw words it draws from Mt19937(1))
 _FINITE_CASES = [
-    (GapTest(n_gaps=1000), 1972, 1972),
-    (RunsTest(n_runs=1000), 2700, 2700),
-    (CouponCollectorTest(n_segments=1000), 21964, 21964),
-    (SqueezeTest(games=2000), 46180, 46180),
-    (CrapsTest(games=1000), 6814, 6814),
-    (RepetitionTest(bits=12, reps=50), 3489, 65536),
-    (SerialTest(d=10, n_pairs=1000), 2000, 2000),
-    (PokerTest(n_hands=1000), 5000, 5000),
-    (BirthdaySpacingsTest(m=2**16, n=64, reps=20), 1280, 1280),
-    (GcdTest(pairs=1000), 2000, 2000),
+    (GapTest(n_gaps=1000), 1972),
+    (RunsTest(n_runs=1000), 2700),
+    (CouponCollectorTest(n_segments=1000), 21964),
+    (SqueezeTest(games=2000), 46180),
+    (CrapsTest(games=1000), 6814),
+    (RepetitionTest(bits=12, reps=50), 3489),
+    (SerialTest(d=10, n_pairs=1000), 2000),
+    (PokerTest(n_hands=1000), 5000),
+    (BirthdaySpacingsTest(m=2**16, n=64, reps=20), 1280),
+    (GcdTest(pairs=1000), 2000),
 ]
 _FINITE_IDS = ["gap", "runs", "coupon", "squeeze", "craps", "repetition",
                "serial", "poker", "birthday_spacings", "gcd"]
@@ -861,11 +859,9 @@ def _engine_run(case, words):
 
 
 class TestFiniteSources:
-    @pytest.mark.parametrize("case, words, drawn", _FINITE_CASES,
-                             ids=_FINITE_IDS)
-    def test_file_of_exactly_the_words_drawn(self, tmp_path, case, words,
-                                             drawn):
-        expected = _engine_run(case, drawn)
+    @pytest.mark.parametrize("case, words", _FINITE_CASES, ids=_FINITE_IDS)
+    def test_file_of_exactly_the_words_drawn(self, tmp_path, case, words):
+        expected = _engine_run(case, words)
         stream = file_stream(_words_file(tmp_path, words))
         out = case.execute(stream, LEVELS)
         assert out.aborted is None
@@ -876,9 +872,8 @@ class TestFiniteSources:
         assert info.value.available == 0
         stream.close()
 
-    @pytest.mark.parametrize("case, words, drawn", _FINITE_CASES,
-                             ids=_FINITE_IDS)
-    def test_file_one_word_short_aborts(self, tmp_path, case, words, drawn):
+    @pytest.mark.parametrize("case, words", _FINITE_CASES, ids=_FINITE_IDS)
+    def test_file_one_word_short_aborts(self, tmp_path, case, words):
         stream = file_stream(_words_file(tmp_path, words - 1))
         out = case.execute(stream, LEVELS)
         assert out.aborted and "stream exhausted" in out.aborted
@@ -887,7 +882,7 @@ class TestFiniteSources:
 
     @pytest.mark.parametrize("short", [0, 1], ids=["exact", "one-short"])
     def test_external_source(self, tmp_path, short):
-        case, words, _ = _FINITE_CASES[_FINITE_IDS.index("craps")]
+        case, words = _FINITE_CASES[_FINITE_IDS.index("craps")]
         stream = ExternalStream(["cat", _words_file(tmp_path, words - short)])
         out = case.execute(stream, LEVELS)
         stream.close()

@@ -14,21 +14,11 @@ import numpy as np
 import pytest
 
 from rngts.errors import ConfigurationError, StreamExhausted
-from rngts.genkit.adapters import (
-    BitExtractStream,
-    ExternalStream,
-    FileStream,
-    bit_extract,
-)
+from rngts.genkit.adapters import ExternalStream, FileStream
 from rngts.genkit import base as genkit_base
 from rngts.genkit.base import RandomStream, Tape
-from rngts.genkit.bits import BitReader
-from rngts.genkit.distributions import (
-    uniform01,
-    uniform01_block,
-    uniform_int,
-    uniform_int_block,
-)
+from rngts.genkit.bits import read_bits, read_fields
+from rngts.genkit.distributions import uniform01_block, uniform_int_block
 from rngts.genkit.engines import (
     Ecuyer1988,
     LaggedFibonacci1279,
@@ -494,18 +484,11 @@ class TestUniform01:
         s = Scripted([1, 4], min_value=1, max_value=4)
         assert np.array_equal(uniform01_block(s, 2), [0.0, 0.75])
 
-    def test_single_matches_block(self):
-        a = Mt19937(3)
-        b = Mt19937(3)
-        singles = [uniform01(a) for _ in range(100)]
-        assert np.array_equal(uniform01_block(b, 100), singles)
-
     def test_never_reaches_one(self):
         top = 2**63 - 1
         s = Scripted([top, top], max_value=top)
         u = uniform01_block(s, 2)
         assert np.all(u < 1.0)
-        assert uniform01(Scripted([top], max_value=top)) < 1.0
 
 
 class TestUniformInt:
@@ -518,12 +501,6 @@ class TestUniformInt:
         # consumed exactly through the third acceptance; tail replayed
         assert list(s.next_block(3)) == [9, 0, 4]
 
-    def test_single_matches_block(self):
-        a = Mt19937(31)
-        b = Mt19937(31)
-        singles = [uniform_int(a, 5, 20) for _ in range(500)]
-        assert np.array_equal(uniform_int_block(b, 5, 20, 500), singles)
-
     def test_bounds_inclusive(self):
         out = uniform_int_block(Mt19937(2), 3, 10, 20000)
         assert out.min() == 3 and out.max() == 10
@@ -535,134 +512,84 @@ class TestUniformInt:
 
     def test_interval_validation(self):
         with pytest.raises(ConfigurationError):
-            uniform_int(Mt19937(1), 5, 4)
+            uniform_int_block(Mt19937(1), 5, 4, 1)
         with pytest.raises(ConfigurationError):
             # interval larger than an 8-value stream range
-            uniform_int(Scripted([0], max_value=7), 0, 8)
+            uniform_int_block(Scripted([0], max_value=7), 0, 8, 1)
 
 
 # ---------------------------------------------------------------------------
 # bit access
 
 
-class TestBitReader:
+class TestBitReads:
     def test_msb_first_bit_order(self):
         s = Scripted([0xA, 0x5], max_value=0xF)
-        r = BitReader(s)
-        assert list(r.read(8)) == [1, 0, 1, 0, 0, 1, 0, 1]
+        assert list(read_bits(s, 8)) == [1, 0, 1, 0, 0, 1, 0, 1]
 
-    def test_partial_reads_continue(self):
-        s = Scripted([0xA, 0x5], max_value=0xF)
-        r = BitReader(s)
-        assert list(r.read(3)) == [1, 0, 1]
-        assert list(r.read(5)) == [0, 0, 1, 0, 1]
-
-    def test_read_values_big_endian(self):
+    def test_fields_big_endian(self):
         s = Scripted([0xA, 0x5, 0x3, 0xC], max_value=0xF)
-        r = BitReader(s)
-        assert list(r.read_values(2, 8)) == [0xA5, 0x3C]
+        assert list(read_fields(s, 2, 8)) == [0xA5, 0x3C]
 
-    def test_read_values_across_word_boundary(self):
+    def test_fields_across_word_boundary(self):
         s = Scripted([0b110, 0b101], max_value=7)
-        r = BitReader(s)
-        # bit stream 110101 in 3-bit fields: 110, 101
-        assert list(r.read_values(3, 2)) == [0b11, 0b01, 0b01]
+        # bit stream 110101 in 2-bit fields: 11, 01, 01
+        assert list(read_fields(s, 3, 2)) == [0b11, 0b01, 0b01]
 
     @pytest.mark.parametrize("L", [1, 5, 7, 8, 24, 33, 64])
     @pytest.mark.parametrize("width", [1, 3, 4, 7, 13, 22, 32])
-    def test_read_values_match_bit_expansion(self, L, width):
-        # fields cut by shifts equal the bit expansion they replaced,
-        # fed the same bits, with and without unread bits of a word left
-        # over from an earlier read, at widths below and above L
+    def test_fields_match_bit_expansion(self, L, width):
+        # fields cut by shifts equal the bit expansion they replaced, fed
+        # the same bits, at widths below and above L
         raw = np.random.default_rng(width).integers(0, 2**width, 400)
-        for skip in (0, 1, width - 1, width + 2):
-            for count in (1, 2, 3, 33, 100):
-                count = min(count, (400 * width - skip - 40) // L)
-                got_reader = BitReader(Scripted(raw, max_value=2**width - 1))
-                want_reader = BitReader(Scripted(raw, max_value=2**width - 1))
-                got_reader.read(skip)
-                want_reader.read(skip)
-                got = got_reader.read_values(count, L)
-                want = _values_by_expansion(want_reader, count, L)
-                assert got.dtype == np.int64
-                assert got.tolist() == want.tolist()
-                # both readers stop at the same bit
-                assert got_reader.read(40).tolist() \
-                    == want_reader.read(40).tolist()
-
-    def test_read_values_keep_the_rest_of_a_word(self):
-        # 35 bits draw two words; the last 29 bits of the second are
-        # served next, before any new word
-        words = Mt19937(1).next_block(3)
-        s = Mt19937(1)
-        r = BitReader(s)
-        r.read_values(5, 7)
-        rest = [(int(words[1]) >> b) & 1 for b in range(28, -1, -1)]
-        assert r.read(29).tolist() == rest
-        assert s.next() == int(words[2])
+        for count in (1, 2, 3, 33, 100):
+            count = min(count, 400 * width // L)
+            got = read_fields(Scripted(raw, max_value=2**width - 1),
+                              count, L)
+            assert got.dtype == np.int64
+            assert got.tolist() \
+                == _fields_by_expansion(raw, width, count, L).tolist()
 
     @pytest.mark.parametrize("width", [1, 8, 19, 20, 31, 32])
-    def test_read_matches_shift_expansion(self, width):
-        # unpacked bytes give the bits the per-bit shifts gave, across
-        # partial reads that leave a word part read, and draw the same
-        # words
+    def test_bits_match_shift_expansion(self, width):
+        # unpacked bytes give the bits the per-bit shifts gave
         raw = np.random.default_rng(width).integers(0, 2**width, 500)
-        s = Scripted(raw, max_value=2**width - 1)
-        r = BitReader(s)
-        sizes = [1, width - 1, 3, width + 2, 7 * width, 64, 129]
-        got = np.concatenate([r.read(k) for k in sizes])
-        total = sum(sizes)
-        assert got.dtype == np.uint8
-        assert got.tolist() == _bits_by_shifts(raw, width)[:total].tolist()
-        assert s.next() == raw[-(-total // width)]
+        want = _bits_by_shifts(raw, width)
+        for n in (1, 3, width + 2, 7 * width, 64, 129, 500 * width):
+            got = read_bits(Scripted(raw, max_value=2**width - 1), n)
+            assert got.dtype == np.uint8
+            assert got.tolist() == want[:n].tolist()
+
+    @pytest.mark.parametrize("width", [1, 7, 31, 32])
+    @pytest.mark.parametrize("n", [1, 6, 31, 32, 33, 64, 100])
+    def test_a_read_of_n_bits_draws_ceil_n_over_width_words(self, width, n):
+        raw = np.random.default_rng(width).integers(0, 2**width, 200)
+        reads = [lambda s: read_bits(s, n), lambda s: read_fields(s, n, 1)]
+        if n <= 64:
+            reads.append(lambda s: read_fields(s, 1, n))
+        for read in reads:
+            s = Scripted(raw, max_value=2**width - 1)
+            read(s)
+            assert s.next() == raw[-(-n // width)]
 
 
 def _bits_by_shifts(raw, width):
-    """The per-bit shifts read was, kept as its oracle."""
+    """The per-bit shifts read_bits was, kept as its oracle."""
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
     words = np.asarray(raw, dtype=np.uint64)
     return ((words[:, None] >> shifts) & np.uint64(1)).astype(
         np.uint8).ravel()
 
 
-def _values_by_expansion(reader, count, value_bits):
-    """The bit-matrix product read_values was, kept as its oracle."""
-    bits = reader.read(count * value_bits).reshape(count, value_bits)
+def _fields_by_expansion(raw, width, count, value_bits):
+    """The bit-matrix product read_fields was, kept as its oracle."""
+    bits = _bits_by_shifts(raw, width)[:count * value_bits]
     weights = (1 << np.arange(value_bits - 1, -1, -1)).astype(np.int64)
-    return bits.astype(np.int64) @ weights
+    return bits.reshape(count, value_bits).astype(np.int64) @ weights
 
 
 # ---------------------------------------------------------------------------
 # adapters
-
-
-class TestBitExtract:
-    def test_window(self):
-        s = Scripted([0b101100, 0b010011], max_value=63)
-        g = bit_extract(s, 4, 2)  # bits 4..2 of a 6-bit word
-        assert list(g.next_block(2)) == [0b011, 0b100]
-        assert g.min_value == 0 and g.max_value == 7
-
-    def test_range_validation(self):
-        s = Scripted([0], max_value=63)
-        with pytest.raises(ConfigurationError):
-            BitExtractStream(s, 6, 0)  # hi beyond 6-bit width
-        with pytest.raises(ConfigurationError):
-            BitExtractStream(s, 1, 2)  # lo > hi
-
-    def test_failed_read_over_a_file_keeps_its_words(self, tmp_path):
-        values = Mt19937(1).next_block(70000)
-        path = tmp_path / "words.bin"
-        path.write_bytes(values.astype("<u4").tobytes())
-        g = bit_extract(FileStream(str(path)), 31, 16)
-        # the file runs out inside the second inner read; the bit stream
-        # reads the words the file still holds and keeps all 70000
-        with pytest.raises(StreamExhausted) as info:
-            g.next_block(100000)
-        assert info.value.available == 70000
-        assert np.array_equal(g.next_block(70000), values >> np.uint64(16))
-        with pytest.raises(StreamExhausted):
-            g.next_block(1)
 
 
 class TestFileStream:

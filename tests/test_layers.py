@@ -4,7 +4,10 @@ below reporting and orchestration.
 `rngts.stats` imports only `rngts.errors` from the package, and no
 module of the catalog (`rngts.battery`) or of the second-order tests
 (`rngts.meta`) imports the report writer, the runner or the command
-line, not even inside a function.
+line, not even inside a function.  Nor does the catalog import the
+stream adapters or define a stream of its own: it reads words only
+through `RandomStream.next_block`, `scan`, the distributions and the
+bit reads.
 """
 
 import ast
@@ -13,9 +16,19 @@ from pathlib import Path
 import pytest
 
 import rngts
+from rngts import genkit
+from rngts.genkit import adapters
 
 PACKAGE = Path(rngts.__file__).parent
 ABOVE_THE_CATALOG = {"rngts.report", "rngts.runner", "rngts.cli"}
+CATALOG = sorted(PACKAGE.glob("battery/*.py")) + [PACKAGE / "meta.py"]
+# the adapters module and every name the genkit package takes from it
+ADAPTERS = {"rngts.genkit.adapters"} | {
+    f"rngts.genkit.{name}" for name, obj in vars(genkit).items()
+    if getattr(obj, "__module__", None) == adapters.__name__}
+STREAM_CLASSES = {name for name, obj in vars(genkit).items()
+                  if isinstance(obj, type)
+                  and issubclass(obj, genkit.RandomStream)}
 
 
 def _imported(source: str, package: list) -> set:
@@ -47,11 +60,26 @@ def test_stats_imports_only_errors():
         "rngts.errors", "rngts.errors.ConfigurationError"}
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("battery/*.py"))
-                         + [PACKAGE / "meta.py"],
+def _base_names(source: str) -> set:
+    """The last part of the name of every base class in the source."""
+    return {base.attr if isinstance(base, ast.Attribute) else base.id
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for base in node.bases
+            if isinstance(base, (ast.Attribute, ast.Name))}
+
+
+@pytest.mark.parametrize("path", CATALOG,
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_catalog_imports_nothing_above_it(path):
     assert not _module_imports(path) & ABOVE_THE_CATALOG
+
+
+@pytest.mark.parametrize("path", CATALOG,
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_catalog_reads_words_only_through_blocks(path):
+    assert not _module_imports(path) & ADAPTERS
+    assert not _base_names(path.read_text()) & STREAM_CLASSES
 
 
 def test_relative_and_lazy_imports_are_resolved():
@@ -61,3 +89,13 @@ def test_relative_and_lazy_imports_are_resolved():
               "    from . import base\n")
     assert _imported(source, ["rngts", "battery"]) >= {
         "rngts.report", "rngts.cli", "rngts.battery.base"}
+
+
+def test_adapter_imports_and_stream_subclasses_are_found():
+    source = ("from ..genkit import FileStream\n"
+              "class A(RandomStream): pass\n"
+              "class B(base.SeedableStream): pass\n")
+    assert _imported(source, ["rngts", "battery"]) & ADAPTERS \
+        == {"rngts.genkit.FileStream"}
+    assert _base_names(source) & STREAM_CLASSES \
+        == {"RandomStream", "SeedableStream"}

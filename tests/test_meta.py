@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from rngts.battery.base import TestCase as BatteryCase
+from rngts.battery.games import RepetitionTest
 from rngts.battery.uniformity import ChisqrUniformityTest, KsUniformityTest
 from rngts.errors import ConfigurationError, TestAborted as AbortedError
 from rngts.genkit.adapters import file_stream
@@ -205,6 +206,28 @@ class TestIterate:
             "3 of 20 inner runs aborted (last: file(words.bin): stream "
             "exhausted, 0 of 1 outputs available)"
         )
+
+    def test_repetition_runs_draw_only_the_words_they_use(self, tmp_path):
+        # ten repetition runs on one stream follow each other word for
+        # word: 39823 words in all, so a file of exactly those serves them
+        def case():
+            return IterateTestCase(RepetitionTest(bits=12, reps=50), 10)
+
+        stream = Mt19937(1)
+        [meta] = case().run(stream)
+        reference = Mt19937(1)
+        ps = [RepetitionTest(bits=12, reps=50).run(reference)[0]
+              .p_values["p"] for _ in range(10)]
+        assert _ks_p(meta) == _ks_p(ks_of_pvalues(ps))
+        words = Mt19937(1).next_block(39824)
+        assert stream.next() == reference.next() == words[-1]
+        path = tmp_path / "words.bin"
+        path.write_bytes(words[:-1].astype("<u4").tobytes())
+        source = file_stream(str(path))
+        out = case().execute(source, [0.05])
+        source.close()
+        assert out.aborted is None
+        assert _ks_p(out.results[0]) == _ks_p(meta)
 
 
 class TestCountFails:

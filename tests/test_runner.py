@@ -567,7 +567,7 @@ def _shuffled_minstd():
 
 
 # tests that read the stream in different ways: fixed blocks, scans that
-# push words back, a bit extractor, and a repeated inner test
+# push words back, and a repeated inner test
 _ROW_TESTS = (
     lambda: ChisqrUniformityTest(n=3000, k=64),
     lambda: GapTest(n_gaps=300),
