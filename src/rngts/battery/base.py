@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,7 +104,9 @@ class TestOutcome:
     """One test's parameters, results, and per-level verdicts.
 
     `verdicts[i][level]` is the verdict of results[i] at that confidence
-    level; aborted outcomes carry no verdicts.
+    level; aborted outcomes carry no verdicts.  `wall_s` and `words`, the
+    cell's wall time and net raw words as the runner measured them, are
+    never reported and take no part in comparisons.
     """
 
     test_name: str
@@ -113,6 +115,8 @@ class TestOutcome:
     verdicts: tuple
     aborted: Optional[str] = None
     diagnostics: tuple = ()
+    wall_s: float = field(default=0.0, compare=False)
+    words: int = field(default=0, compare=False)
 
 
 class TestCase:

@@ -60,7 +60,8 @@ class SqueezeTest(TestCase):
 
         def step(raw, remaining):
             done, consumed, aborted = squeeze_kernel(
-                uniform01_map(stream, raw), counts, remaining, self._GAME_CAP
+                raw, lambda r: uniform01_map(stream, r), counts, remaining,
+                self._GAME_CAP
             )
             if aborted:
                 raise TestAborted(
@@ -204,7 +205,10 @@ class RepetitionTest(TestCase):
     """Draws until the first repeated b-bit value, binned at the exact
     law's quantiles.
 
-    Values are the high b bits of each raw output.
+    Values are the high b bits of each raw output.  Each block is walked
+    in windows of max(2^14, 16 x the law's mean) values; a window that
+    completes no repetition doubles.  Repetitions end where they would
+    in one walk over the block, so the windows change no result.
     """
 
     test_name = "Repetition-Test"
@@ -224,13 +228,29 @@ class RepetitionTest(TestCase):
         shift = np.uint64(stream.bit_width - self.bits)
         ts = np.empty(self.reps, dtype=np.int64)
         done = 0
+        # a block holds many repetitions, and one sort over a window of
+        # about 16 of them costs less than one over the whole block
+        pmf = repetition_pmf(self.bits)
+        first = max(1 << 14, int(16 * (pmf @ np.arange(pmf.size))))
 
         def step(raw, remaining):
             nonlocal done
-            times, consumed = repetition_times(raw >> shift, remaining)
-            ts[done:done + times.size] = times
-            done += times.size
-            return times.size, consumed
+            vals = raw >> shift
+            got = at = 0
+            window = first
+            while got < remaining:
+                times, used = repetition_times(vals[at:at + window],
+                                               remaining - got)
+                if times.size == 0:
+                    if at + window >= vals.size:
+                        break
+                    window *= 2
+                    continue
+                ts[done:done + times.size] = times
+                done += times.size
+                got += times.size
+                at += used
+            return got, at
 
         scan(stream, self.reps, step)
         n_bins = max(10, min(30, self.reps // 25))

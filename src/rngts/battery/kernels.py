@@ -1,10 +1,11 @@
 """Hot loops of the battery.
 
-Every kernel is plain Python over numpy arrays.  Squeeze, craps,
-coupon collector, runs, repetition, Maurer's sums, minimum distance,
-GF(2) rank and gcd work on whole arrays; parking, which is sequential
-by nature, is a loop over Python floats.  Craps, coupon, runs and
-repetition share one pointer-doubling walk, `_walk`, over their units.
+Every kernel is plain Python over numpy arrays.  Craps, coupon
+collector, runs, repetition, Maurer's sums, minimum distance, GF(2)
+rank and gcd work on whole arrays; squeeze plays lockstep lanes over
+one chunk of draws at a time; parking, which is sequential by nature,
+is a loop over Python floats.  Craps, coupon, runs, repetition and
+squeeze share one pointer-doubling walk, `_walk`, over their units.
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
@@ -21,75 +22,142 @@ import math
 import numpy as np
 
 
-# squeeze lanes start this many words apart and each plays this many
-# draws in lockstep
-_SQUEEZE_SPAN = 2048
-_SQUEEZE_HORIZON = 4096
+# Squeeze lanes start _SQUEEZE_SPAN words apart and each plays
+# _SQUEEZE_HORIZON draws; on Mt19937(1) at the default block these sizes
+# leave 77 of 100000 games to the scalar loop.  The lockstep maps
+# _SQUEEZE_CHUNK draws of every lane at a time, and the chain is walked
+# over at most _SQUEEZE_WALK records per `_walk`.
+_SQUEEZE_SPAN = 4096
+_SQUEEZE_HORIZON = 8192
+_SQUEEZE_CHUNK = 128
+_SQUEEZE_WALK = 8192
+# a record packs (start << _LENGTH_BITS) | length; a length is at most
+# the horizon
+_LENGTH_BITS = _SQUEEZE_HORIZON.bit_length()
+_K0 = 2147483648.0
 
 
-def _squeeze_game(u, start, cap):
+def _squeeze_game(raw, to_u, start, cap):
     """Draws the squeeze game from `start` takes; -1 if it reaches the
     cap first, 0 if the buffer runs out first."""
     k = 2147483648
-    draw = u.item
-    stop = min(start + cap, u.shape[0])
-    for pos in range(start, stop):
-        k = math.ceil(k * draw(pos))
-        if k <= 1:
-            return pos + 1 - start
+    stop = min(start + cap, raw.shape[0])
+    for at in range(start, stop, _SQUEEZE_CHUNK):
+        piece = to_u(raw[at:min(at + _SQUEEZE_CHUNK, stop)]).tolist()
+        for end, x in enumerate(piece, at + 1):
+            k = math.ceil(k * x)
+            if k <= 1:
+                return end - start
     return -1 if stop - start >= cap else 0
 
 
-def squeeze_kernel(u, counts, games_needed, cap):
-    """Play squeeze games over a uniform buffer.
+def _squeeze_records(raw, to_u):
+    """Every game a lane finishes, as sorted unique packed records.
+
+    Lane i plays games from draw i*_SQUEEZE_SPAN on for
+    min(_SQUEEZE_HORIZON, n) draws, all lanes in lockstep.  Each chunk
+    of draws is mapped for every lane at once; a step is a multiply, a
+    ceil, a test into that draw's row of the finished flags, and a
+    reset of the finished lanes.  The flags then give each finished
+    game's end, and the lane's previous end (or its first draw) its
+    start.  A game's length depends only on its start, so lanes that
+    meet record the same games, kept once each.
+    """
+    n = raw.shape[0]
+    h = min(_SQUEEZE_HORIZON, n)
+    if h == 0:
+        return np.zeros(0, dtype=np.int64)
+    window = np.lib.stride_tricks.sliding_window_view(
+        raw, h)[::_SQUEEZE_SPAN]
+    base = np.arange(window.shape[0]) * _SQUEEZE_SPAN
+    begun = base.copy()  # where each lane's current game started
+    k = np.full(base.size, _K0)
+    u = np.empty((_SQUEEZE_CHUNK, base.size))
+    fin = np.empty((_SQUEEZE_CHUNK, base.size), dtype=bool)
+    records = []
+    for t0 in range(0, h, _SQUEEZE_CHUNK):
+        c = min(_SQUEEZE_CHUNK, h - t0)
+        np.copyto(u[:c], to_u(window[:, t0:t0 + c]).T)
+        for row, flags in zip(u[:c], fin[:c]):
+            np.multiply(k, row, out=k)
+            np.ceil(k, out=k)
+            np.less_equal(k, 1.0, out=flags)
+            np.copyto(k, _K0, where=flags)
+        # finished games in lane order, each lane's in draw order
+        lane, t = np.divmod(np.flatnonzero(fin[:c].T), c)
+        if lane.size == 0:
+            continue
+        end = base[lane] + (t0 + 1) + t
+        start = np.roll(end, 1)
+        first = np.ones(lane.size, dtype=bool)
+        np.not_equal(lane[1:], lane[:-1], out=first[1:])
+        start[first] = begun[lane[first]]
+        last = np.append(first[1:], True)
+        begun[lane[last]] = end[last]
+        records.append((start << _LENGTH_BITS) | (end - start))
+    if not records:
+        return np.zeros(0, dtype=np.int64)
+    records = np.concatenate(records)
+    records.sort()
+    keep = np.ones(records.size, dtype=bool)
+    np.not_equal(records[1:], records[:-1], out=keep[1:])
+    return records[keep]
+
+
+def squeeze_kernel(raw, to_u, counts, games_needed, cap):
+    """Play squeeze games over a raw buffer mapped by `to_u`.
 
     A game counts k = 2^31 down by k = ceil(k*u) until k <= 1, and the
     next game starts at the following draw.  That chain is sequential,
     so it is speculated on (Mytkowicz, Musuvathi & Schulte, ASPLOS
     2014): lanes start every _SQUEEZE_SPAN words and play games from
-    there for _SQUEEZE_HORIZON draws, all in lockstep, one draw per
-    lane per numpy step.  A game's length depends only on its start, so
-    each finished game is recorded by its start position.  Chains from
-    different starts soon meet, so the true chain, walked from 0, finds
-    its games recorded; one it does not find is played by a scalar
-    loop.  A game longer than `cap` aborts, and one the buffer cannot
-    finish is rolled back.
+    there, and each finished game becomes a (start, length) record.
+    Chains from different starts soon meet, so the true chain, walked
+    from draw 0 over the records by `_walk`, finds its games recorded;
+    one it does not find is played by a scalar loop, and the walk goes
+    on from the record at its end.  A game longer than `cap` aborts,
+    and one the buffer cannot finish is rolled back.
 
-    Returns (games_done, consumed, aborted).
+    `to_u` maps raw outputs to uniforms elementwise; it is applied to
+    one chunk of draws at a time, so no array as long as the buffer is
+    made.  Returns (games_done, consumed, aborted).
     """
-    n = u.shape[0]
-    # game length by start; 0 where no lane finished one, and at n
-    record = np.zeros(n + 1, dtype=np.int32)
-    if n >= _SQUEEZE_HORIZON:
-        window = np.lib.stride_tricks.sliding_window_view(
-            u, _SQUEEZE_HORIZON)[::_SQUEEZE_SPAN]
-        base = np.arange(window.shape[0]) * _SQUEEZE_SPAN
-        start = base.copy()
-        k = np.full(base.size, 2147483648.0)
-        for t in range(1, _SQUEEZE_HORIZON + 1):
-            np.multiply(k, window[:, t - 1], out=k)
-            np.ceil(k, out=k)
-            fin = np.flatnonzero(k <= 1.0)
-            if fin.size:
-                at = base[fin] + t
-                record[start[fin]] = at - start[fin]
-                start[fin] = at
-                k[fin] = 2147483648.0
-    at = 0
-    lengths = []
-    length = record.item
-    steps = 0
-    for _ in range(games_needed):
-        steps = length(at) or _squeeze_game(u, at, cap)
-        if not 0 < steps <= cap:
-            break
-        lengths.append(steps)
-        at += steps
-    done = len(lengths)
+    records = _squeeze_records(raw, to_u)
+    starts = records >> _LENGTH_BITS
+    lengths = records & ((1 << _LENGTH_BITS) - 1)
+    ends = starts + lengths
+    m = starts.size
+    # the record of the game after each one, or m where none is recorded
+    after = np.searchsorted(starts, ends)
+    after[starts.take(after, mode="clip") != ends] = m
+    played = []
+    done = at = aborted = 0
+    while done < games_needed:
+        j = int(np.searchsorted(starts, at))
+        if j < m and starts[j] == at:
+            w = min(_SQUEEZE_WALK, m - j)
+            chain = np.minimum(after[j:j + w] - j, w)
+            chain[lengths[j:j + w] > cap] = -1
+            units, stop = _walk(chain, games_needed - done)
+            if units.size:
+                played.append(lengths[j + units])
+                done += units.size
+                at = int(ends[j + units[-1]])
+            if done < games_needed and stop < w:
+                aborted = 1  # the record at `stop` is longer than cap
+                break
+        else:
+            steps = _squeeze_game(raw, to_u, at, cap)
+            if steps <= 0:
+                aborted = int(steps < 0)
+                break
+            played.append([steps])
+            done += 1
+            at += steps
     if done:
-        cells = np.clip(np.asarray(lengths), 6, 48) - 6
+        cells = np.clip(np.concatenate(played), 6, 48) - 6
         counts += np.bincount(cells, minlength=counts.size)
-    return done, at, int(steps < 0 or steps > cap)
+    return done, at, aborted
 
 
 def _walk(chain, needed):

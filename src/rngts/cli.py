@@ -102,8 +102,11 @@ def _cmd_run(args) -> int:
 
     def progress(name, seed, outcome):
         state = "aborted" if outcome.aborted else "done"
-        print(f"{name} seed={seed} {outcome.test_name}: {state}",
-              file=sys.stderr)
+        line = (f"{name} seed={seed} {outcome.test_name}: {state} "
+                f"{outcome.wall_s:.3f} s {outcome.words} words")
+        if outcome.aborted:
+            line += f": {outcome.aborted}"
+        print(line, file=sys.stderr)
 
     doc = run_suite(manifest.matrix, progress=progress, jobs=jobs, date=date)
 

@@ -2,7 +2,10 @@
 
 Engines produce blocks for speed; the base class buffers so single draws
 and block draws can be mixed freely without perturbing the sequence.
-`scan` is the one loop that reads a data-dependent number of outputs.
+A read is generated at most TAPE_WORDS outputs at a time, so a long read
+holds one chunk beside its result, never a list of parts and their
+concatenation.  `scan` is the one loop that reads a data-dependent
+number of outputs.
 A `Tape` keeps one seeded source's outputs so that several readers can
 each read them from the start without generating them again.
 """
@@ -31,6 +34,8 @@ class RandomStream:
     def __init__(self):
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0
+        # outputs served by next_block and next, less those unread
+        self.served = 0
 
     # size of the raw output range
     @property
@@ -46,46 +51,62 @@ class RandomStream:
         raise NotImplementedError
 
     def next_block(self, n: int) -> np.ndarray:
-        """Return exactly n raw outputs as uint64, or raise StreamExhausted."""
+        """Return exactly n raw outputs as uint64, or raise StreamExhausted.
+
+        Outputs not buffered are asked of `_generate` at most TAPE_WORDS
+        at a time.  A read that one generated chunk serves returns that
+        chunk, uncopied; a longer one is assembled in one new array.  A
+        stream is one sequence whatever the block sizes, so chunking
+        changes no output.
+        """
         if n < 0:
             raise ConfigurationError("block size must be non-negative")
         avail = self._buf.size - self._pos
         if avail >= n:
             out = self._buf[self._pos:self._pos + n]
             self._pos += n
+            self.served += n
             return out
-        parts = [self._buf[self._pos:]] if avail else []
+        out = None
+        if avail:
+            out = np.empty(n, dtype=np.uint64)
+            out[:avail] = self._buf[self._pos:]
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0
         got = avail
         while got < n:
             try:
-                chunk = self._generate(n - got)
+                chunk = self._generate(min(n - got, TAPE_WORDS))
             except StreamExhausted:
                 # an inner stream ran out, so this one ends here too
                 chunk = np.empty(0, dtype=np.uint64)
             if chunk.size == 0:
                 # failed reads consume nothing: keep what was collected
-                if parts:
-                    self._buf = np.concatenate(parts)
+                if got:
+                    self._buf = out[:got]
                 raise StreamExhausted(
                     f"{self.name}: stream exhausted, {got} of {n} outputs "
                     "available", available=got
                 )
             chunk = np.ascontiguousarray(chunk, dtype=np.uint64)
-            if chunk.size > n - got:
-                parts.append(chunk[:n - got])
-                self._buf = chunk[n - got:]
-                got = n
+            take = min(chunk.size, n - got)
+            if chunk.size > take:
+                self._buf = chunk[take:]
+            if out is None and take == n:
+                out = chunk[:n]
             else:
-                parts.append(chunk)
-                got += chunk.size
-        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+                if out is None:
+                    out = np.empty(n, dtype=np.uint64)
+                out[got:got + take] = chunk[:take]
+            got += take
+        self.served += n
+        return out
 
     def next(self) -> int:
         if self._pos < self._buf.size:
             v = int(self._buf[self._pos])
             self._pos += 1
+            self.served += 1
             return v
         return int(self.next_block(1)[0])
 
@@ -96,6 +117,7 @@ class RandomStream:
         values = np.ascontiguousarray(values, dtype=np.uint64)
         self._buf = np.concatenate([values, self._buf[self._pos:]])
         self._pos = 0
+        self.served -= values.size
 
     def warmup(self, w: int) -> None:
         """Discard exactly w raw outputs."""
@@ -149,8 +171,9 @@ class Tape:
     max(needed, 2 x recorded) outputs, up to TAPE_WORDS; a source that
     ends sooner is recorded through its last output.  A replay that
     reads past a full tape continues on its own `fresh()` stream, moved
-    past the recorded outputs.  Replays get read-only views of the
-    recorded outputs.
+    past the recorded outputs.  A replay read that the tape alone serves
+    is a read-only view of the recorded outputs; a longer one is
+    assembled by `next_block` a tape's length at a time.
     """
 
     def __init__(self, source: RandomStream,
@@ -195,7 +218,11 @@ class Tape:
 
 
 class _Replay(RandomStream):
-    """Reads a Tape from the start, then a stream past its end."""
+    """Reads a Tape from the start, then a stream past its end.
+
+    `next_block` asks `_generate` for at most TAPE_WORDS outputs, so the
+    stream past the end is asked for no more than that at a time either.
+    """
 
     def __init__(self, tape: Tape):
         super().__init__()

@@ -22,7 +22,8 @@ from __future__ import annotations
 import datetime
 import json
 import logging
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from .battery import (
@@ -251,8 +252,12 @@ def _started(factory: Callable[[], RandomStream], seed: int,
 def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
               test_factory: Callable[[], TestCase],
               levels: Sequence[float]) -> TestOutcome:
+    """The cell's outcome, with its wall time and the net raw words the
+    test drew from its stream (0 when the cell failed outside `execute`)."""
+    begun = time.perf_counter()
     case = test_factory()
     stream = None
+    words = 0
     try:
         row = (factory, seed, warmup)
         taped_row, tape = _tape
@@ -264,18 +269,21 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
                 tape = Tape(stream, lambda: _started(factory, seed, warmup))
                 stream = tape.replay()
                 _set_tape(row, tape)
-        return case.execute(stream, levels)
+        served = stream.served
+        outcome = case.execute(stream, levels)
+        words = stream.served - served
     except (ConfigurationError, StreamExhausted, TestAborted) as exc:
         # execute() already contains aborts raised inside run(); this
         # catches stream construction, seeding, and warmup failures
         reason = exc.reason if isinstance(exc, TestAborted) else str(exc)
+        outcome = case.aborted(reason)
     except Exception as exc:
         # any other fault ends this cell only; the traceback goes to the log
         _log.exception("cell %s aborted", case.test_name)
-        reason = f"{type(exc).__name__}: {exc}"
+        outcome = case.aborted(f"{type(exc).__name__}: {exc}")
     finally:
         close_stream(stream)
-    return case.aborted(reason)
+    return replace(outcome, wall_s=time.perf_counter() - begun, words=words)
 
 
 # The cells and levels of the run a forked worker serves.  They are set

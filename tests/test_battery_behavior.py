@@ -15,6 +15,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,7 +58,7 @@ from rngts.battery.uniformity import (
 )
 from rngts.errors import StreamExhausted
 from rngts.genkit.adapters import ExternalStream, file_stream
-from rngts.genkit.base import RandomStream
+from rngts.genkit.base import RandomStream, Tape
 from rngts.genkit.engines import Mt19937
 from rngts.meta import CountFailsTestCase, IterateTestCase
 
@@ -820,6 +821,25 @@ class TestPinnedDefaults:
             reference = Mt19937(1)
             reference.next_block(next_word)
             assert stream.next() == reference.next()
+
+
+def test_squeeze_holds_little_beside_its_block():
+    # The default cell reads one block of 24 words per game.  Beside it,
+    # the read holds one tape-length chunk and the kernel maps a chunk
+    # of draws at a time, so no second array as long as the block is
+    # made: no float copy, no per-position record, no concatenation.
+    tape = Tape(Mt19937(1), lambda: Mt19937(1))
+    replay = tape.replay()
+    case = SqueezeTest()
+    tracemalloc.start()
+    try:
+        out = case.execute(replay, LEVELS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.aborted is None
+    block_bytes = 8 * case._WORDS_PER_GAME * case.games
+    assert peak < 1.6 * block_bytes, peak / block_bytes
 
 
 # ---------------------------------------------------------------------------

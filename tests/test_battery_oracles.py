@@ -15,7 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rngts.battery import kernels
 from rngts.battery.games import (
     SQUEEZE_CELL_PROBS,
     craps_throw_probabilities,
@@ -54,6 +57,8 @@ from rngts.battery.uniformity import (
 )
 from rngts.errors import ConfigurationError
 from rngts.genkit.base import RandomStream
+from rngts.genkit.distributions import uniform01_map
+from rngts.genkit.engines import Mt19937
 
 
 class Scripted(RandomStream):
@@ -415,7 +420,7 @@ class TestSqueezeOracle:
         # k = ceil(k * 0.5) halves 2^31 exactly down to 1 in 31 steps
         u = np.full(40, 0.5)
         counts = np.zeros(43, dtype=np.int64)
-        done, consumed, aborted = squeeze_kernel(u, counts, 1, 100)
+        done, consumed, aborted = _squeeze(u, counts, 1, 100)
         assert (done, consumed, aborted) == (1, 31, 0)
         assert counts[31 - 6] == 1
 
@@ -423,21 +428,44 @@ class TestSqueezeOracle:
         # tiny u ends each game in very few steps; cells below 6 clamp
         u = np.full(10, 1e-12)
         counts = np.zeros(43, dtype=np.int64)
-        done, consumed, aborted = squeeze_kernel(u, counts, 3, 100)
+        done, consumed, aborted = _squeeze(u, counts, 3, 100)
         assert done == 3 and aborted == 0
         assert counts[0] == 3
 
     def test_rollback_when_buffer_dries_up(self):
         u = np.full(10, 0.5)  # not enough for one 31-step game
         counts = np.zeros(43, dtype=np.int64)
-        done, consumed, aborted = squeeze_kernel(u, counts, 1, 100)
+        done, consumed, aborted = _squeeze(u, counts, 1, 100)
         assert (done, consumed, aborted) == (0, 0, 0)
 
     def test_cap_aborts(self):
         u = np.full(200, 0.999999)
         counts = np.zeros(43, dtype=np.int64)
-        done, consumed, aborted = squeeze_kernel(u, counts, 1, 50)
+        done, consumed, aborted = _squeeze(u, counts, 1, 50)
         assert aborted == 1 and done == 0 and consumed == 0
+
+    def test_recorded_games_are_not_played_again(self, monkeypatch):
+        played = []
+        game = kernels._squeeze_game
+        monkeypatch.setattr(kernels, "_squeeze_game",
+                            lambda *args: played.append(args[2]) or
+                            game(*args))
+        # the one lane records the one game; the second is played by
+        # the scalar loop and runs out of buffer
+        counts = np.zeros(43, dtype=np.int64)
+        assert _squeeze(np.full(40, 0.5), counts, 1, 100) == (1, 31, 0)
+        assert played == []
+        assert _squeeze(np.full(40, 0.5), counts, 2, 100) == (1, 31, 0)
+        assert played == [31]
+        # at the default block on Mt19937(1), 77 of 100000 games
+        played.clear()
+        stream = Mt19937(1)
+        raw = stream.next_block(2400000)
+        done, consumed, aborted = squeeze_kernel(
+            raw, lambda r: uniform01_map(stream, r),
+            np.zeros(43, dtype=np.int64), 100000, 10000)
+        assert (done, consumed, aborted) == (100000, 2308617, 0)
+        assert len(played) == 77
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +848,12 @@ class TestBirthdayOracle:
 # as oracles
 
 
+def _squeeze(u, counts, games_needed, cap):
+    """squeeze_kernel over the uniforms u: raw word i maps to u[i]."""
+    return squeeze_kernel(np.arange(u.size, dtype=np.uint64),
+                          lambda raw: u[raw], counts, games_needed, cap)
+
+
 def _squeeze_loop(u, counts, games_needed, cap):
     pos = 0
     n = u.shape[0]
@@ -1050,7 +1084,7 @@ class TestWholeArrayKernels:
         for needed in (1, 3, n // 20 + 1, 10**6):
             got_counts = np.zeros(43, dtype=np.int64)
             want_counts = np.zeros(43, dtype=np.int64)
-            got = squeeze_kernel(u, got_counts, needed, cap)
+            got = _squeeze(u, got_counts, needed, cap)
             want = _squeeze_loop(u, want_counts, needed, cap)
             assert tuple(int(x) for x in got) == want
             assert np.array_equal(got_counts, want_counts)
@@ -1065,37 +1099,71 @@ class TestWholeArrayKernels:
             counts = np.zeros(43, dtype=np.int64)
             want_counts = np.zeros(43, dtype=np.int64)
             want = _squeeze_loop(u[:n], want_counts, 10**6, 30)
-            got = squeeze_kernel(u[:n], counts, 10**6, 30)
+            got = _squeeze(u[:n], counts, 10**6, 30)
             assert want[2] == 1
             assert tuple(int(x) for x in got) == want
             assert np.array_equal(counts, want_counts)
 
     def test_squeeze_speculative_lane_over_cap_does_not_abort(self):
-        # Games on [0, 2046) end within 30 draws (u < 0.3).  u[2046]
-        # ends any game, and the game from 2047 halves 2^29 over the
-        # 0.5s to finish in 30 draws.  The lane that starts a game at
-        # 2048 halves 2^31 thirty times and reaches the cap there; the
-        # true chain never starts a game at 2048.
+        # Games on [0, span - 2) end within 30 draws (u < 0.3).
+        # u[span - 2] ends any game, and the game from span - 1 halves
+        # 2^29 over the 0.5s to finish in 30 draws.  The lane that starts
+        # a game at span halves 2^31 thirty times and reaches the cap
+        # there; the true chain never starts a game at span.
+        span = kernels._SQUEEZE_SPAN
         rng = np.random.default_rng(7)
-        u = rng.random(6000) * 0.3
-        u[2046] = 1e-12
-        u[2047] = 0.25
-        u[2048:2078] = 0.5
-        u[2078] = 1e-12
-        assert _squeeze_loop(u[2048:], np.zeros(43, dtype=np.int64),
+        u = rng.random(span + kernels._SQUEEZE_HORIZON + 2000) * 0.3
+        u[span - 2] = 1e-12
+        u[span - 1] = 0.25
+        u[span:span + 30] = 0.5
+        u[span + 30] = 1e-12
+        assert _squeeze_loop(u[span:], np.zeros(43, dtype=np.int64),
                              1, 30)[2] == 1
         counts = np.zeros(43, dtype=np.int64)
         want_counts = np.zeros(43, dtype=np.int64)
         want = _squeeze_loop(u, want_counts, 10**6, 30)
-        got = squeeze_kernel(u, counts, 10**6, 30)
-        assert want[2] == 0 and want[1] > 2078
+        got = _squeeze(u, counts, 10**6, 30)
+        assert want[2] == 0 and want[1] > span + 30
         assert tuple(int(x) for x in got) == want
         assert np.array_equal(counts, want_counts)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.one_of(
+            st.sampled_from([
+                edge + d
+                for edge in (kernels._SQUEEZE_CHUNK, kernels._SQUEEZE_SPAN,
+                             kernels._SQUEEZE_HORIZON,
+                             kernels._SQUEEZE_SPAN + kernels._SQUEEZE_HORIZON)
+                for d in (-1, 0, 1)]),
+            st.integers(0, 3 * kernels._SQUEEZE_HORIZON)),
+        seed=st.integers(0, 2**32 - 1),
+        halves=st.booleans(),
+        near_one=st.sampled_from([0.0, 0.01, 0.2]),
+        cap=st.sampled_from([1, 5, 30, 60, 10000]),
+        needed=st.sampled_from([1, 3, 50, 10**6]),
+    )
+    def test_squeeze_matches_the_sequential_loop(self, n, seed, halves,
+                                                 near_one, cap, needed):
+        # With u = 1/2 every game takes 31 draws, so lanes 4096 draws
+        # apart never meet and the chain leaves each lane's records for
+        # scalar games.  u close to 1 stalls small k, so games grow long
+        # and small caps abort them; 10**6 games never fit, so the
+        # buffer's end is met.
+        rng = np.random.default_rng(seed)
+        u = np.full(n, 0.5) if halves else rng.random(n)
+        u[rng.random(n) < near_one] = 1.0 - 2.0**-32
+        got_counts = np.zeros(43, dtype=np.int64)
+        want_counts = np.zeros(43, dtype=np.int64)
+        got = _squeeze(u, got_counts, needed, cap)
+        want = _squeeze_loop(u, want_counts, needed, cap)
+        assert tuple(int(x) for x in got) == want
+        assert np.array_equal(got_counts, want_counts)
 
     def test_squeeze_cap_zero_aborts_at_once(self):
         counts = np.zeros(43, dtype=np.int64)
         for n in (0, 10):
-            assert squeeze_kernel(np.full(n, 0.5), counts, 1, 0) == (0, 0, 1)
+            assert _squeeze(np.full(n, 0.5), counts, 1, 0) == (0, 0, 1)
             assert _squeeze_loop(np.full(n, 0.5), counts, 1, 0) == (0, 0, 1)
 
     @pytest.mark.parametrize("cap", [0, 1, 3, 10000])

@@ -8,6 +8,7 @@ for byte through the whole stack (manifest, registry, suite, writer).
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -59,6 +60,26 @@ class TestRun:
         assert captured.out == ""
         assert ("mt19937 seed=331 Chi-Square-Uniformity-Test: done"
                 in captured.err)
+
+    def test_progress_lines_carry_time_words_and_reason(self, tmp_path,
+                                                        capfd):
+        # randu's coupon cell aborts; the counts are taken where each
+        # cell runs, so both job counts print the same lines
+        config = _manifest(tmp_path, generators=[{"name": "randu"}],
+                           tests=[{"name": "coupon_collector"},
+                                  {"name": "gcd",
+                                   "parameters": {"pairs": 1000}}])
+        lines = {}
+        for jobs in ("1", "2"):
+            main(["run", "--config", config, "--out", str(tmp_path / "r"),
+                  "--jobs", jobs, "--date", "2025-06-01"])
+            lines[jobs] = [re.sub(r" \d+\.\d{3} s ", " T s ", line)
+                           for line in capfd.readouterr().err.splitlines()]
+        assert lines["1"] == lines["2"] == [
+            "randu seed=331 Coupon-Collector-Test: aborted T s 1048576 "
+            "words: coupon segment exceeded 1000000 draws",
+            "randu seed=331 GCD-Test: done T s 2000 words",
+        ]
 
     def test_stdout_with_dash(self, tmp_path, capfd):
         code = main(["run", "--config", _manifest(tmp_path),

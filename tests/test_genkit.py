@@ -409,9 +409,10 @@ class TestTape:
         replay.next_block(2000)
         # the source moves forward only: 10, then 10 more (twice 10), then
         # to 215 needed, then to 900 needed, then to the cap; the rest is
-        # read from a fresh stream moved past the cap
+        # read from a fresh stream moved past the cap, at most a tape's
+        # length at a time
         assert source.blocks == [10, 10, 195, 685, 100]
-        assert len(rest) == 1 and rest[0].blocks == [1000, 1215]
+        assert len(rest) == 1 and rest[0].blocks == [1000, 1000, 215]
         assert tape.words(10**6).size == 1000
 
     def test_a_source_that_ends_is_replayed_through_its_last_output(
@@ -470,6 +471,83 @@ class TestTape:
                               Mt19937(2).next_block(60)[20:])
 
 
+class TestLongReads:
+    """Reads past TAPE_WORDS are generated a tape's length at a time."""
+
+    _ENGINES = [
+        lambda: Minstd(9), lambda: Randu(9), lambda: Ecuyer1988(9),
+        lambda: Mt19937(9), lambda: LaggedFibonacci1279(9),
+        lambda: ShuffledStream(Minstd(9), 32),
+    ]
+
+    @staticmethod
+    def _small_reads(stream, total):
+        sizes = [1, 7, 999, 1000, 1001, 2]
+        got, i = [], 0
+        while total:
+            k = min(sizes[i % len(sizes)], total)
+            got.append(stream.next_block(k))
+            total -= k
+            i += 1
+        return np.concatenate(got)
+
+    @pytest.mark.parametrize("make", _ENGINES, ids=[
+        "minstd", "randu", "ecuyer1988", "mt19937", "lagged_fibonacci",
+        "shuffled"])
+    def test_one_long_read_equals_many_small_ones(self, monkeypatch, make):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        counting = Counting(make())
+        long = counting.next_block(3 * 1000 + 5)
+        assert max(counting.blocks) <= 1000
+        assert np.array_equal(long, self._small_reads(make(), 3005))
+
+    def test_one_long_read_of_a_file(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        words = Mt19937(4).next_block(3005)
+        path = tmp_path / "w.bin"
+        path.write_bytes(words.astype("<u4").tobytes())
+        stream = FileStream(str(path))
+        stream.next_block(3)
+        assert np.array_equal(stream.next_block(3002), words[3:])
+        assert np.array_equal(self._small_reads(FileStream(str(path)), 3005),
+                              words)
+
+    def test_a_replay_read_across_the_tape_end(self, monkeypatch):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        tape = Tape(Mt19937(6), lambda: Mt19937(6))
+        replay = tape.replay()
+        first = replay.next_block(400)
+        assert not first.flags.writeable  # a view of the tape
+        across = replay.next_block(3 * 1000 + 5)
+        assert np.array_equal(across, Mt19937(6).next_block(3405)[400:])
+        assert np.array_equal(replay.next_block(5),
+                              Mt19937(6).next_block(3410)[3405:])
+
+    def test_a_file_shorter_than_a_two_chunk_read(self, monkeypatch,
+                                                  tmp_path):
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        words = Mt19937(8).next_block(1500)
+        path = tmp_path / "w.bin"
+        path.write_bytes(words.astype("<u4").tobytes())
+        stream = FileStream(str(path))
+        with pytest.raises(StreamExhausted) as exc:
+            stream.next_block(2000)
+        assert exc.value.available == 1500
+        assert np.array_equal(stream.next_block(1500), words)
+        with pytest.raises(StreamExhausted) as exc:
+            stream.next_block(1)
+        assert exc.value.available == 0
+
+    def test_served_counts_reads_less_unreads(self):
+        stream = Mt19937(2)
+        block = stream.next_block(300)
+        stream.unread(block[100:])
+        stream.next()
+        assert stream.served == 101
+        stream.next_block(5000)
+        assert stream.served == 5101
+
+
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -514,8 +592,37 @@ class TestUniformInt:
         with pytest.raises(ConfigurationError):
             uniform_int_block(Mt19937(1), 5, 4, 1)
         with pytest.raises(ConfigurationError):
-            # interval larger than an 8-value stream range
-            uniform_int_block(Scripted([0], max_value=7), 0, 8, 1)
+            # 2^63 + 1 values need 22 outputs of an 8-value stream, and
+            # 8^22 passes 2^63
+            uniform_int_block(Scripted([0], max_value=7), 0, 2**63, 1)
+        with pytest.raises(ConfigurationError):
+            # a one-value stream combines to one value however many
+            uniform_int_block(Scripted([3], min_value=3, max_value=3),
+                              0, 1, 1)
+        # 2^63 values take 21 outputs, and 8^21 is 2^63
+        assert uniform_int_block(Scripted([7] * 21, max_value=7),
+                                 0, 2**63 - 1, 1).tolist() == [2**63 - 1]
+
+    def test_wide_interval_combines_outputs_exhaustively(self):
+        # m = 50 on an 8-value stream takes pairs, 8 w1 + w2 in [0, 64);
+        # the 64 pairs in order give every value below 50 once, and
+        # the candidates 50..63 are rejected
+        pairs = [v for w1 in range(8) for w2 in range(8) for v in (w1, w2)]
+        s = Scripted(pairs, max_value=7)
+        assert uniform_int_block(s, 0, 49, 50).tolist() == list(range(50))
+        # consumed through the pair giving 49; the pair giving 50 is next
+        assert s.next_block(2).tolist() == [6, 2]
+
+    def test_wide_interval_on_a_31_bit_engine(self):
+        # [1, 2^31 - 1] is one wider than minstd's outputs: two outputs
+        # form each candidate, consumed a pair at a time
+        s = Minstd(5)
+        vals = uniform_int_block(s, 1, 2**31 - 1, 1000)
+        w = Minstd(5).next_block(4000).astype(object) - 1
+        cand = [w[i] * (2**31 - 2) + w[i + 1] for i in range(0, 4000, 2)]
+        limit = (2**31 - 2)**2 - (2**31 - 2)**2 % (2**31 - 1)
+        want = [1 + c % (2**31 - 1) for c in cand if c < limit][:1000]
+        assert vals.tolist() == want
 
 
 # ---------------------------------------------------------------------------
