@@ -45,29 +45,31 @@ from .uniformity import (
     SerialTest,
 )
 
-ALL_TESTS = (
-    ChisqrUniformityTest,
-    KsUniformityTest,
-    GapTest,
-    SerialTest,
-    PokerTest,
-    CouponCollectorTest,
-    PermutationTest,
-    RunsTest,
-    MaxOfTTest,
-    CollisionTest,
-    SerialCorrelationTest,
-    BirthdaySpacingsTest,
-    BinaryRankTest,
-    ParkingLotTest,
-    MinimumDistanceTest,
-    SqueezeTest,
-    CrapsTest,
-    RandomWalkTest,
-    RepetitionTest,
-    GcdTest,
-    MaurersUniversalTest,
-    Monkey20BitTest,
+# (alias, class) of every catalog test, in registry order; the runner
+# registers each as `<alias>_test`
+CATALOG = (
+    ("chisqr_uniformity", ChisqrUniformityTest),
+    ("ks_uniformity", KsUniformityTest),
+    ("gap", GapTest),
+    ("serial", SerialTest),
+    ("poker", PokerTest),
+    ("coupon_collector", CouponCollectorTest),
+    ("permutation", PermutationTest),
+    ("runs", RunsTest),
+    ("max_of_t", MaxOfTTest),
+    ("collision", CollisionTest),
+    ("serial_correlation", SerialCorrelationTest),
+    ("birthday_spacings", BirthdaySpacingsTest),
+    ("binary_rank", BinaryRankTest),
+    ("parking_lot", ParkingLotTest),
+    ("minimum_distance", MinimumDistanceTest),
+    ("squeeze", SqueezeTest),
+    ("craps", CrapsTest),
+    ("random_walk", RandomWalkTest),
+    ("repetition", RepetitionTest),
+    ("gcd", GcdTest),
+    ("maurers_universal", MaurersUniversalTest),
+    ("monkey_20bit", Monkey20BitTest),
 )
 
 __all__ = [
@@ -77,7 +79,7 @@ __all__ = [
     "gaussian_result",
     "ks_result",
     "pool_cells",
-    "ALL_TESTS",
+    "CATALOG",
     "SQUEEZE_CELL_PROBS",
     "collision_null_distribution",
     "craps_throw_probabilities",
@@ -86,4 +88,4 @@ __all__ = [
     "rank_distribution",
     "repetition_bins",
     "repetition_pmf",
-] + [cls.__name__ for cls in ALL_TESTS]
+] + [cls.__name__ for _, cls in CATALOG]

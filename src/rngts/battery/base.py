@@ -130,6 +130,11 @@ class TestCase:
     the draw consumption rule of each test is stated in its docstring.
     `analyze` judges results against confidence levels; a result with
     several named p-values fails at a level when any of them fails.
+
+    An instance may run any number of streams, one after another.  The
+    `diagnostics` belong to the last `run`, which sets them for the
+    stream it ends; `execute` reads them in the `analyze` that follows,
+    and an aborted outcome carries none.
     """
 
     test_name: str = "test"
@@ -194,8 +199,7 @@ class TestCase:
         try:
             results = self.run(stream)
         except (TestAborted, StreamExhausted) as exc:
-            reason = exc.reason if isinstance(exc, TestAborted) else str(exc)
-            return self.aborted(reason)
+            return self.aborted(str(exc))
         return self.analyze(results, levels)
 
 

@@ -24,9 +24,5 @@ class StreamExhausted(RuntimeError):
 class TestAborted(RuntimeError):
     """A test could not complete; distinct from a statistical failure.
 
-    Carries a human-readable reason that ends up in the report.
+    Its message is the human-readable reason that ends up in the report.
     """
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .battery.base import DRAW_BUDGET, TestCase, is_integer
+from .battery.base import Param, TestCase
 from .errors import ConfigurationError, StreamExhausted, TestAborted
 from .genkit.base import RandomStream
 from .stats import (
@@ -63,22 +63,19 @@ class _RepeatedTest(TestCase):
     across the run's results, or else the first result's first.
     """
 
+    PARAMS = (Param("repetitions", "Repetitions", 100, 10),)
+
     def __init__(self, inner: TestCase, repetitions: int,
                  p_name: Optional[str]):
-        if not is_integer(repetitions) or not 10 <= repetitions <= DRAW_BUDGET:
-            raise ConfigurationError(f"meta tests need 10 to {DRAW_BUDGET} "
-                                     f"repetitions, got {repetitions!r}")
+        super().__init__(repetitions=repetitions)
         if not (p_name is None or isinstance(p_name, str)):
             raise ConfigurationError(f"p_name must be a string: {p_name!r}")
         self.inner = inner
-        self.repetitions = repetitions
         self.p_name = p_name
 
     def parameters(self):
-        return [
-            ("Inner Test", self.inner.test_name),
-            ("Repetitions", self.repetitions),
-        ] + self.inner.parameters()
+        return ([("Inner Test", self.inner.test_name)]
+                + super().parameters() + self.inner.parameters())
 
     def _p(self, results) -> float:
         if self.p_name is None:

@@ -5,6 +5,8 @@ tests.  Every cell reads its generator's outputs from the start of the
 seed's stream after the warmup, so cells are independent and may execute
 concurrently in forked worker processes, at most one per cell; the
 report is assembled in matrix order regardless of completion order.
+A test is a `TestCase` instance, built once by `load_manifest` or by the
+caller; every cell of its column runs that instance.
 
 A seedable generator is built, seeded and warmed up once per process and
 row (factory, seed, warmup).  Its outputs go on a `Tape`, and each cell
@@ -23,33 +25,10 @@ import datetime
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .battery import (
-    BinaryRankTest,
-    BirthdaySpacingsTest,
-    ChisqrUniformityTest,
-    CollisionTest,
-    CouponCollectorTest,
-    CrapsTest,
-    GapTest,
-    GcdTest,
-    KsUniformityTest,
-    MaurersUniversalTest,
-    MaxOfTTest,
-    MinimumDistanceTest,
-    Monkey20BitTest,
-    ParkingLotTest,
-    PermutationTest,
-    PokerTest,
-    RandomWalkTest,
-    RepetitionTest,
-    RunsTest,
-    SerialCorrelationTest,
-    SerialTest,
-    SqueezeTest,
-)
+from .battery import CATALOG
 from .battery.base import TestCase, TestOutcome, is_integer, is_real
 from .errors import ConfigurationError, StreamExhausted, TestAborted
 from .genkit.adapters import external_stream, file_stream
@@ -131,33 +110,8 @@ def _register_builtins() -> None:
     register_generator("shuffled_minstd",
                        lambda: ShuffledStream(Minstd(), 32))
 
-    catalog = [
-        ("chisqr_uniformity_test", ChisqrUniformityTest, "chisqr_uniformity"),
-        ("ks_uniformity_test", KsUniformityTest, "ks_uniformity"),
-        ("gap_test", GapTest, "gap"),
-        ("serial_test", SerialTest, "serial"),
-        ("poker_test", PokerTest, "poker"),
-        ("coupon_collector_test", CouponCollectorTest, "coupon_collector"),
-        ("permutation_test", PermutationTest, "permutation"),
-        ("runs_test", RunsTest, "runs"),
-        ("max_of_t_test", MaxOfTTest, "max_of_t"),
-        ("collision_test", CollisionTest, "collision"),
-        ("serial_correlation_test", SerialCorrelationTest,
-         "serial_correlation"),
-        ("birthday_spacings_test", BirthdaySpacingsTest, "birthday_spacings"),
-        ("binary_rank_test", BinaryRankTest, "binary_rank"),
-        ("parking_lot_test", ParkingLotTest, "parking_lot"),
-        ("minimum_distance_test", MinimumDistanceTest, "minimum_distance"),
-        ("squeeze_test", SqueezeTest, "squeeze"),
-        ("craps_test", CrapsTest, "craps"),
-        ("random_walk_test", RandomWalkTest, "random_walk"),
-        ("repetition_test", RepetitionTest, "repetition"),
-        ("gcd_test", GcdTest, "gcd"),
-        ("maurers_universal_test", MaurersUniversalTest, "maurers_universal"),
-        ("monkey_20bit_test", Monkey20BitTest, "monkey_20bit"),
-    ]
-    for name, cls, alias in catalog:
-        register_test(name, cls, aliases=(alias,))
+    for alias, cls in CATALOG:
+        register_test(f"{alias}_test", cls, aliases=(alias,))
 
 
 _register_builtins()
@@ -172,8 +126,8 @@ class RunMatrix:
     """Cross product to execute: generators outer, then seeds, then tests.
 
     generators hold (name, zero-argument stream factory, warmup count);
-    tests hold (zero-argument TestCase factories), one instance built
-    per cell.
+    tests hold TestCase instances, each run by every cell of its column
+    (the `diagnostics` of an instance are those of its last `run`).
     """
 
     generators: tuple
@@ -196,6 +150,11 @@ class RunMatrix:
                 raise ConfigurationError(
                     f"generator {name!r}: warmup must be a non-negative "
                     f"integer, got {warmup!r}"
+                )
+        for index, case in enumerate(self.tests):
+            if not isinstance(case, TestCase):
+                raise ConfigurationError(
+                    f"tests[{index}] is not a TestCase instance: {case!r}"
                 )
         for seed in self.seeds:
             if not is_integer(seed) or seed < 0:
@@ -250,12 +209,10 @@ def _started(factory: Callable[[], RandomStream], seed: int,
 
 
 def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
-              test_factory: Callable[[], TestCase],
-              levels: Sequence[float]) -> TestOutcome:
+              case: TestCase, levels: Sequence[float]) -> TestOutcome:
     """The cell's outcome, with its wall time and the net raw words the
     test drew from its stream (0 when the cell failed outside `execute`)."""
     begun = time.perf_counter()
-    case = test_factory()
     stream = None
     words = 0
     try:
@@ -275,8 +232,7 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
     except (ConfigurationError, StreamExhausted, TestAborted) as exc:
         # execute() already contains aborts raised inside run(); this
         # catches stream construction, seeding, and warmup failures
-        reason = exc.reason if isinstance(exc, TestAborted) else str(exc)
-        outcome = case.aborted(reason)
+        outcome = case.aborted(str(exc))
     except Exception as exc:
         # any other fault ends this cell only; the traceback goes to the log
         _log.exception("cell %s aborted", case.test_name)
@@ -288,8 +244,8 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
 
 # The cells and levels of the run a forked worker serves.  They are set
 # by the pool's initializer, whose arguments fork hands over without
-# pickling, so cells may hold lambdas, closures, locally defined tests,
-# and file or external generators.
+# pickling, so cells may hold lambdas, closures, instances of locally
+# defined tests, and file or external generators.
 _worker_cells: list = []
 _worker_levels: tuple = ()
 
@@ -303,9 +259,9 @@ def _init_worker(cells: list, levels: tuple) -> None:
 
 
 def _run_cell_at(index: int) -> TestOutcome:
-    (_, factory, warmup), seed, test_factory = _worker_cells[index]
+    (_, factory, warmup), seed, case = _worker_cells[index]
     # looked up at call time, so a wrapper installed on the module runs
-    return _run_cell(factory, warmup, seed, test_factory, _worker_levels)
+    return _run_cell(factory, warmup, seed, case, _worker_levels)
 
 
 def _run_in_workers(cells: list, levels: tuple, jobs: int,
@@ -340,13 +296,11 @@ def _run_in_workers(cells: list, levels: tuple, jobs: int,
                 futures.append(Future())
                 futures[-1].set_exception(exc)
         outcomes = []
-        for ((name, _, _), seed, test_factory), future in zip(cells,
-                                                              futures):
+        for ((name, _, _), seed, case), future in zip(cells, futures):
             try:
                 outcome = future.result()
             except Exception as exc:
-                outcome = test_factory().aborted(
-                    f"{type(exc).__name__}: {exc}")
+                outcome = case.aborted(f"{type(exc).__name__}: {exc}")
             if progress is not None:
                 progress(name, seed, outcome)
             outcomes.append(outcome)
@@ -367,21 +321,16 @@ def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
-    # validate test construction before any cell runs
-    for test_factory in matrix.tests:
-        test_factory()
-
     cells = [
-        (gen, seed, test_factory)
+        (gen, seed, case)
         for gen in matrix.generators
         for seed in matrix.seeds
-        for test_factory in matrix.tests
+        for case in matrix.tests
     ]
 
     def execute(cell):
-        (name, factory, warmup), seed, test_factory = cell
-        outcome = _run_cell(factory, warmup, seed, test_factory,
-                            matrix.levels)
+        (name, factory, warmup), seed, case = cell
+        outcome = _run_cell(factory, warmup, seed, case, matrix.levels)
         if progress is not None:
             progress(name, seed, outcome)
         return outcome
@@ -461,7 +410,7 @@ def _generator_entry(entry) -> tuple:
     return name, factory, warmup
 
 
-def _test_entry(entry) -> Callable[[], TestCase]:
+def _test_entry(entry) -> TestCase:
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         raise ConfigurationError(
             "each test entry must be an object with a 'name' string"
@@ -474,11 +423,10 @@ def _test_entry(entry) -> Callable[[], TestCase]:
         )
     cls = resolve_test(name)
     try:
-        cls(**params)
+        return cls(**params)
     except (ConfigurationError, TypeError) as exc:
         # TypeError: a registered test with its own constructor
         raise ConfigurationError(f"test {name!r}: {exc}") from None
-    return lambda: cls(**params)
 
 
 def load_manifest(path) -> RunManifest:

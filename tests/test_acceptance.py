@@ -298,7 +298,7 @@ def test_criterion_08_report_fidelity():
         generators=(("mt19937", Mt19937, 0),),
         seeds=(331,),
         levels=LEVELS,
-        tests=(ChisqrUniformityTest,),
+        tests=(ChisqrUniformityTest(),),
     )
     doc = run_suite(matrix, date="2025-06-01")
     fresh = _xml_bytes(doc)
@@ -318,8 +318,8 @@ def test_criterion_09_parallel_determinism():
         seeds=(331, 332),
         levels=LEVELS,
         tests=(
-            lambda: ChisqrUniformityTest(n=20000, k=64),
-            GapTest,
+            ChisqrUniformityTest(n=20000, k=64),
+            GapTest(),
         ),
     )
     one = _xml_bytes(run_suite(matrix, jobs=1, date="2025-06-01"))

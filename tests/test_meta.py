@@ -335,9 +335,9 @@ class TestInSuite:
             seeds=(1, 7),
             levels=(0.05, 0.95),
             tests=(
-                lambda: IterateTestCase(ChisqrUniformityTest(n=2000, k=64),
-                                        repetitions=12),
-                lambda: CountFailsTestCase(
+                IterateTestCase(ChisqrUniformityTest(n=2000, k=64),
+                                repetitions=12),
+                CountFailsTestCase(
                     ChisqrUniformityTest(n=2000, k=64), repetitions=12,
                     levels=[0.05, 0.95]),
             ),

@@ -345,7 +345,7 @@ def test_accepted_arguments_run_or_abort(words_file, name, data):
         side_effect=AssertionError("cell ended in the generic branch"))
     with generic, _memory_cap():
         outcome = runner._run_cell(lambda: file_stream(words_file), 0, 1,
-                                   lambda: case, (0.05,))
+                                   case, (0.05,))
     if outcome.aborted is None:
         assert outcome.results
         for result in outcome.results:

@@ -312,7 +312,7 @@ class TestGolden:
             generators=(("mt19937", Mt19937, 0),),
             seeds=(331,),
             levels=(0.05, 0.95),
-            tests=(ChisqrUniformityTest,),
+            tests=(ChisqrUniformityTest(),),
         )
         doc = run_suite(matrix, date="2025-06-01")
         buf = io.BytesIO()

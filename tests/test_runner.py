@@ -22,7 +22,8 @@ import pytest
 
 from rngts import runner
 from rngts.battery.base import TestCase as BatteryCase
-from rngts.battery.games import RepetitionTest, SqueezeTest
+from rngts.battery.games import (CrapsTest, GcdTest, RepetitionTest,
+                                 SqueezeTest)
 from rngts.battery.uniformity import (
     ChisqrUniformityTest,
     CouponCollectorTest,
@@ -124,7 +125,7 @@ class TestRunMatrixValidation:
             generators=(("mt19937", Mt19937, 0),),
             seeds=(1,),
             levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=2000, k=64),),
+            tests=(ChisqrUniformityTest(n=2000, k=64),),
         )
         base.update(kw)
         return RunMatrix(**base)
@@ -159,6 +160,21 @@ class TestRunMatrixValidation:
         with pytest.raises(ConfigurationError, match="level"):
             self._matrix(levels=(level,))
 
+    @pytest.mark.parametrize("entry", [
+        lambda: ChisqrUniformityTest(n=2000, k=64),
+        ChisqrUniformityTest,
+        None,
+    ], ids=["lambda", "class", "none"])
+    def test_tests_must_be_instances(self, entry):
+        good = ChisqrUniformityTest(n=2000, k=64)
+        with pytest.raises(ConfigurationError,
+                           match=r"tests\[1\] is not a TestCase instance"):
+            self._matrix(tests=(good, entry))
+
+    def test_bad_test_configuration_fails_at_construction(self):
+        with pytest.raises(ConfigurationError, match="below 5"):
+            ChisqrUniformityTest(n=10, k=256)
+
 
 class _Faulty(BatteryCase):
     test_name = "Faulty-Test"
@@ -176,8 +192,8 @@ def _small_matrix():
         seeds=(1, 331),
         levels=(0.05, 0.95),
         tests=(
-            lambda: ChisqrUniformityTest(n=4000, k=64),
-            lambda: GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500),
+            ChisqrUniformityTest(n=4000, k=64),
+            GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500),
         ),
     )
 
@@ -207,7 +223,7 @@ class TestRunSuite:
             generators=(("mt19937", Mt19937, 64),),
             seeds=(9,),
             levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=2000, k=64),),
+            tests=(ChisqrUniformityTest(n=2000, k=64),),
         )
         doc = run_suite(matrix, date="2025-06-01")
         stream = Mt19937(9)
@@ -235,7 +251,7 @@ class TestRunSuite:
             generators=(("broken", broken, 0), ("mt19937", Mt19937, 0)),
             seeds=(1,),
             levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=2000, k=64),),
+            tests=(ChisqrUniformityTest(n=2000, k=64),),
         )
         doc = run_suite(matrix, date="2025-06-01")
         aborted = doc.generators[0].seeds[0].tests[0]
@@ -247,8 +263,8 @@ class TestRunSuite:
     def test_unexpected_error_in_run_aborts_only_its_cell(
             self, tmp_path, pristine_registries, caplog):
         register_test("faulty_test", _Faulty)
-        tests = (lambda: ChisqrUniformityTest(n=2000, k=64), _Faulty,
-                 lambda: GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500))
+        tests = (ChisqrUniformityTest(n=2000, k=64), _Faulty(),
+                 GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500))
         matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
                            seeds=(1,), levels=(0.05, 0.95), tests=tests)
         doc = run_suite(matrix, date="2025-06-01")
@@ -296,8 +312,8 @@ class TestRunSuite:
             generators=(("minstd", Minstd, 0),),
             seeds=(1,),
             levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=2000, k=64),
-                   lambda: CouponCollectorTest(t=3000)),
+            tests=(ChisqrUniformityTest(n=2000, k=64),
+                   CouponCollectorTest(t=3000)),
         )
         doc = run_suite(matrix, date="2025-06-01")
         first, coupon = doc.generators[0].seeds[0].tests
@@ -312,23 +328,47 @@ class TestRunSuite:
             generators=(("short", lambda: runner.file_stream(str(path)), 0),),
             seeds=(1,),
             levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=2000, k=64),),
+            tests=(ChisqrUniformityTest(n=2000, k=64),),
         )
         doc = run_suite(matrix, date="2025-06-01")
         section = doc.generators[0].seeds[0].tests[0]
         assert section.aborted and "exhausted" in section.aborted
 
-    def test_preflight_rejects_bad_test_configuration(self):
-        calls = []
+    def test_one_instance_serves_every_cell_of_its_column(self):
         matrix = RunMatrix(
-            generators=(("mt19937", Mt19937, 0),),
+            generators=(("mt19937", Mt19937, 0), ("minstd", Minstd, 0)),
+            seeds=(1, 2),
+            levels=(0.05, 0.95),
+            tests=(CrapsTest(games=2000), GcdTest(pairs=5000)),
+        )
+        expected = []
+        for _, factory, _ in matrix.generators:
+            for seed in matrix.seeds:
+                for fresh in (CrapsTest(games=2000), GcdTest(pairs=5000)):
+                    outcome = fresh.execute(factory(seed), matrix.levels)
+                    expected.append(section_of(outcome, matrix.levels))
+        # each cell's diagnostics are its own
+        assert all(cell.diagnostics for cell in expected)
+        assert len({cell.diagnostics for cell in expected[0::2]}) == 4
+        for jobs in (1, 2):
+            doc = run_suite(matrix, jobs=jobs, date="2025-06-01")
+            assert _cells(doc) == expected
+
+    def test_a_cell_that_aborts_carries_no_earlier_diagnostics(self,
+                                                               tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(struct.pack("<50I", *range(50)))
+        matrix = RunMatrix(
+            generators=(("mt19937", Mt19937, 0),
+                        ("short", lambda: runner.file_stream(str(path)), 0)),
             seeds=(1,),
             levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=10, k=256),),
+            tests=(CrapsTest(games=2000),),
         )
-        with pytest.raises(ConfigurationError, match="below 5"):
-            run_suite(matrix, progress=lambda *a: calls.append(a))
-        assert calls == []
+        done, aborted = _cells(run_suite(matrix, date="2025-06-01"))
+        assert dict(done.diagnostics)["Games Won"]
+        assert "exhausted" in aborted.aborted
+        assert aborted.diagnostics == ()
 
     def test_jobs_floor(self):
         with pytest.raises(ConfigurationError, match="jobs"):
@@ -339,7 +379,7 @@ class TestRunSuite:
             generators=(("mt19937", Mt19937, 0),),
             seeds=(1,),
             levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=2000, k=64),),
+            tests=(ChisqrUniformityTest(n=2000, k=64),),
         )
         doc = run_suite(matrix)
         assert re.fullmatch(r"\d{4}-\d{2}-\d{2}", doc.date)
@@ -427,10 +467,10 @@ class TestWorkerProcesses:
             seeds=(1, 331),
             levels=(0.05, 0.95),
             tests=(
-                lambda: ChisqrUniformityTest(n=4000, k=64),
-                lambda: resolve_test("local_gap")(alpha=0.0, beta=0.5, t=8,
-                                                  n_gaps=500),
-                _Faulty,
+                ChisqrUniformityTest(n=4000, k=64),
+                resolve_test("local_gap")(alpha=0.0, beta=0.5, t=8,
+                                          n_gaps=500),
+                _Faulty(),
             ),
         )
         runs = {jobs: run_suite(matrix, jobs=jobs, date="2025-06-01")
@@ -460,9 +500,9 @@ class TestWorkerProcesses:
         # cell, so those cells must keep their results
         go = tmp_path / "go"
         monkeypatch.setattr(_Exiting, "go", str(go))
-        tests = (lambda: ChisqrUniformityTest(n=2000, k=64),
-                 lambda: GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500),
-                 _Exiting)
+        tests = (ChisqrUniformityTest(n=2000, k=64),
+                 GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500),
+                 _Exiting())
         matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
                            seeds=(1,), levels=(0.05,), tests=tests)
 
@@ -500,9 +540,9 @@ class TestWorkerProcesses:
     def test_outcome_that_cannot_travel_back_aborts_its_cell(self):
         matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
                            seeds=(1,), levels=(0.05,),
-                           tests=(_Unsendable,
-                                  lambda: GapTest(alpha=0.0, beta=0.5, t=8,
-                                                  n_gaps=500)))
+                           tests=(_Unsendable(),
+                                  GapTest(alpha=0.0, beta=0.5, t=8,
+                                          n_gaps=500)))
         doc = run_suite(matrix, jobs=2, date="2025-06-01")
         unsent, gap = doc.generators[0].seeds[0].tests
         assert unsent.name == "Unsendable-Test" and unsent.aborted
@@ -516,8 +556,7 @@ class TestWorkerProcesses:
         monkeypatch.setattr(runner, "_worker_cells", [])
         matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
                            seeds=(1, 2), levels=(0.05,),
-                           tests=(lambda: ChisqrUniformityTest(n=2000,
-                                                               k=64),))
+                           tests=(ChisqrUniformityTest(n=2000, k=64),))
         doc = run_suite(matrix, jobs=64, date="2025-06-01")
         assert sizes == [2]
         assert _xml(doc) == _xml(run_suite(matrix, date="2025-06-01"))
@@ -569,14 +608,14 @@ def _shuffled_minstd():
 # tests that read the stream in different ways: fixed blocks, scans that
 # push words back, and a repeated inner test
 _ROW_TESTS = (
-    lambda: ChisqrUniformityTest(n=3000, k=64),
-    lambda: GapTest(n_gaps=300),
-    lambda: CouponCollectorTest(n_segments=200),
-    lambda: RunsTest(n_runs=400),
-    lambda: SqueezeTest(games=300),
-    lambda: RepetitionTest(bits=12, reps=50),
-    lambda: SerialCorrelationTest(n=2500),
-    lambda: IterateTestCase(KsUniformityTest(n=200), repetitions=10),
+    ChisqrUniformityTest(n=3000, k=64),
+    GapTest(n_gaps=300),
+    CouponCollectorTest(n_segments=200),
+    RunsTest(n_runs=400),
+    SqueezeTest(games=300),
+    RepetitionTest(bits=12, reps=50),
+    SerialCorrelationTest(n=2500),
+    IterateTestCase(KsUniformityTest(n=200), repetitions=10),
 )
 
 
@@ -585,12 +624,11 @@ def _fresh_outcomes(matrix):
     outcomes = []
     for _, factory, warmup in matrix.generators:
         for seed in matrix.seeds:
-            for test_factory in matrix.tests:
+            for case in matrix.tests:
                 stream = factory()
                 stream.seed(seed)
                 stream.warmup(warmup)
-                outcomes.append(test_factory().execute(stream,
-                                                       matrix.levels))
+                outcomes.append(case.execute(stream, matrix.levels))
     return outcomes
 
 
@@ -628,9 +666,9 @@ class TestTapeRows:
             generators=(("mt19937", Mt19937, 5),),
             seeds=(3,),
             levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=100000, k=64),
-                   lambda: ChisqrUniformityTest(n=300000, k=64),
-                   lambda: ChisqrUniformityTest(n=200000, k=64)),
+            tests=(ChisqrUniformityTest(n=100000, k=64),
+                   ChisqrUniformityTest(n=300000, k=64),
+                   ChisqrUniformityTest(n=200000, k=64)),
         )
         doc = run_suite(matrix, date="2025-06-01")
         expected = [section_of(outcome, matrix.levels)
@@ -708,7 +746,7 @@ class TestTapeRows:
         stream = Mt19937(8)
         stream.warmup(3)
         direct = section_of(
-            iterate().execute(stream, (0.05,)), (0.05,))
+            iterate.execute(stream, (0.05,)), (0.05,))
         assert _cells(doc) == [direct, direct]
         assert dict(direct.diagnostics)["Successful Repetitions"] == "10"
 
@@ -768,10 +806,10 @@ class TestTapeRows:
         # the tape grows to 3000, then asks for 6000 and records 5000
         matrix = RunMatrix(
             generators=(("short", Short, 0),), seeds=(1,), levels=(0.05,),
-            tests=(lambda: ChisqrUniformityTest(n=3000, k=64),
-                   lambda: ChisqrUniformityTest(n=4000, k=64),
-                   lambda: GapTest(n_gaps=300),
-                   lambda: ChisqrUniformityTest(n=6000, k=64)))
+            tests=(ChisqrUniformityTest(n=3000, k=64),
+                   ChisqrUniformityTest(n=4000, k=64),
+                   GapTest(n_gaps=300),
+                   ChisqrUniformityTest(n=6000, k=64)))
         doc = run_suite(matrix, date="2025-06-01")
         expected = [section_of(outcome, matrix.levels)
                     for outcome in _fresh_outcomes(matrix)]
@@ -844,13 +882,43 @@ class TestLoadManifest:
         assert [g[2] for g in matrix.generators] == [0, 100]
         assert matrix.seeds == (331, 42)
         assert matrix.levels == (0.05, 0.95)
-        case = matrix.tests[0]()
+        case = matrix.tests[0]
         assert isinstance(case, ChisqrUniformityTest)
         assert (case.n, case.k) == (2000, 64)
-        assert isinstance(matrix.tests[1](), GapTest)
+        assert isinstance(matrix.tests[1], GapTest)
         assert manifest.output == "out.xml"
         assert manifest.html == "out.html"
         assert manifest.jobs == 4
+
+    def test_each_test_is_built_once(self, tmp_path, pristine_registries):
+        builds = []
+
+        class CountedGap(GapTest):
+            def __init__(self, **kwargs):
+                builds.append(kwargs)
+                super().__init__(**kwargs)
+
+        register_test("counted_gap", CountedGap)
+        data = self._base()
+        data["tests"] = [{"name": "counted_gap",
+                          "parameters": {"n_gaps": 300}},
+                         {"name": "counted_gap"}]
+        matrix = load_manifest(self._write(tmp_path, data)).matrix
+        assert builds == [{"n_gaps": 300}, {}]
+        doc = run_suite(matrix, date="2025-06-01")
+        assert len(_cells(doc)) == 8
+        assert len(builds) == 2
+
+    def test_a_factory_that_builds_no_test_exits_2(self, tmp_path,
+                                                   pristine_registries):
+        register_test("not_a_test", lambda: object())
+        data = self._base()
+        data["tests"] = [{"name": "not_a_test"}]
+        path = self._write(tmp_path, data)
+        with pytest.raises(ConfigurationError, match="not a TestCase"):
+            load_manifest(path)
+        assert main(["run", "--config", path,
+                     "--out", str(tmp_path / "r.xml")]) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="manifest"):
