@@ -73,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--html", metavar="HTML",
                      help="also render an HTML report to this path")
     run.add_argument("--jobs", type=int, metavar="N",
-                     help="forked worker processes, at most one per cell "
-                          "(default: RNGTS_JOBS, manifest, or 1)")
+                     help="forked worker processes, at most one per task "
+                          "(a row, or a cell when rows are fewer than "
+                          "jobs; default: RNGTS_JOBS, manifest, or 1)")
     run.add_argument("--date", metavar="YYYY-MM-DD",
                      help="pin the report date (default: today)")
 

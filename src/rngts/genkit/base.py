@@ -1,7 +1,7 @@
 """Stream model: raw integer generators with a declared inclusive range.
 
-Engines produce blocks for speed; the base class buffers so single draws
-and block draws can be mixed freely without perturbing the sequence.
+Engines produce blocks for speed; the base class buffers so blocks of
+any size, and outputs pushed back with `unread`, read one sequence.
 A read is generated at most TAPE_WORDS outputs at a time, so a long read
 holds one chunk beside its result, never a list of parts and their
 concatenation.  `scan` is the one loop that reads a data-dependent
@@ -34,7 +34,7 @@ class RandomStream:
     def __init__(self):
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0
-        # outputs served by next_block and next, less those unread
+        # outputs served by next_block, less those unread
         self.served = 0
 
     # size of the raw output range
@@ -102,14 +102,6 @@ class RandomStream:
         self.served += n
         return out
 
-    def next(self) -> int:
-        if self._pos < self._buf.size:
-            v = int(self._buf[self._pos])
-            self._pos += 1
-            self.served += 1
-            return v
-        return int(self.next_block(1)[0])
-
     def unread(self, values: np.ndarray) -> None:
         """Push raw outputs back; they are served again before new ones."""
         if len(values) == 0:
@@ -138,13 +130,14 @@ class SeedableStream(RandomStream):
     """Stream whose sequence is a deterministic function of an integer seed.
 
     Built by its factory and seeded with s, it always yields the same
-    outputs.  The runner relies on that: it builds, seeds and warms up
-    one stream per generator, seed and warmup, records its outputs on a
-    `Tape`, and gives every test of that row a replay of the tape.  A
-    test that reads past the tape's cap continues on another stream
-    built, seeded and warmed up the same way.  A stream that ends
-    (raises StreamExhausted) is replayed through its last output, and a
-    `close()` method, if it has one, is called when its tape is dropped.
+    outputs.  The runner relies on that: each task (a row of generator
+    and seed, or one cell of it) builds, seeds and warms up one stream,
+    records its outputs on a `Tape`, and gives every test of the task a
+    replay of the tape.  A test that reads past the tape's cap continues
+    on another stream built, seeded and warmed up the same way.  A
+    stream that ends (raises StreamExhausted) is replayed through its
+    last output, and a `close()` method, if it has one, is called when
+    the task ends.
     """
 
     def seed(self, s: int) -> None:

@@ -68,6 +68,9 @@ class _RepeatedTest(TestCase):
     def __init__(self, inner: TestCase, repetitions: int,
                  p_name: Optional[str]):
         super().__init__(repetitions=repetitions)
+        if not isinstance(inner, TestCase):
+            raise ConfigurationError(
+                f"inner must be a TestCase instance: {inner!r}")
         if not (p_name is None or isinstance(p_name, str)):
             raise ConfigurationError(f"p_name must be a string: {p_name!r}")
         self.inner = inner

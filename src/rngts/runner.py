@@ -1,22 +1,24 @@
 """Suite orchestration: registries, the run matrix, and execution.
 
 A run is a full cross product: generators (outer), then seeds, then
-tests.  Every cell reads its generator's outputs from the start of the
-seed's stream after the warmup, so cells are independent and may execute
-concurrently in forked worker processes, at most one per cell; the
+tests.  A row is one generator and seed; every cell of it reads the
+generator's outputs from the start of the seed's stream after the
+warmup, so cells are independent.  A task is a whole row when there
+are at least as many rows as jobs, else a single cell; tasks may run
+concurrently in forked worker processes, at most one per task, and the
 report is assembled in matrix order regardless of completion order.
 A test is a `TestCase` instance, built once by `load_manifest` or by the
 caller; every cell of its column runs that instance.
 
-A seedable generator is built, seeded and warmed up once per process and
-row (factory, seed, warmup).  Its outputs go on a `Tape`, and each cell
-of the row reads a replay of the tape, so a row generates about as many
-outputs as its hungriest cell rather than the sum over its cells.  The
-`SeedableStream` contract (the outputs are a deterministic function of
-the seed) makes a replay read exactly what a freshly seeded stream
-would; a cell that reads past the tape continues on a stream built,
-seeded and warmed up again.  File and external sources are opened,
-warmed up and closed per cell.
+A seedable generator is built, seeded and warmed up once per task.  Its
+outputs go on the task's `Tape`, and each cell reads a replay of the
+tape, so a row generates about as many outputs as its hungriest cell
+rather than the sum over its cells; the tape's source is closed when
+the task ends.  The `SeedableStream` contract (the outputs are a
+deterministic function of the seed) makes a replay read exactly what a
+freshly seeded stream would; a cell that reads past the tape continues
+on a stream built, seeded and warmed up again.  File and external
+sources are opened, warmed up and closed per cell.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import logging
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .battery import CATALOG
 from .battery.base import TestCase, TestOutcome, is_integer, is_real
@@ -178,21 +180,6 @@ class RunManifest:
     jobs: Optional[int] = None
 
 
-# The row (factory, seed, warmup) whose outputs this process has on
-# tape, and the tape.  A row that fails to build, seed or warm up is not
-# recorded, so each of its cells fails alike.
-_tape: tuple = ((), None)
-
-
-def _set_tape(row: tuple, tape: Optional[Tape]) -> None:
-    """Keep `tape` for `row`, closing the source of the tape it replaces."""
-    global _tape
-    old = _tape[1]
-    _tape = (row, tape)
-    if old is not None:
-        old.close()
-
-
 def _started(factory: Callable[[], RandomStream], seed: int,
              warmup: int) -> RandomStream:
     """A new stream of the generator, seeded and warmed up."""
@@ -208,24 +195,16 @@ def _started(factory: Callable[[], RandomStream], seed: int,
     return stream
 
 
-def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
-              case: TestCase, levels: Sequence[float]) -> TestOutcome:
-    """The cell's outcome, with its wall time and the net raw words the
-    test drew from its stream (0 when the cell failed outside `execute`)."""
+def _run_cell(open_stream: Callable[[], RandomStream], case: TestCase,
+              levels: Sequence[float]) -> TestOutcome:
+    """The cell's outcome on the stream `open_stream()` returns, with its
+    wall time and the net raw words the test drew from that stream (0
+    when the cell failed outside `execute`)."""
     begun = time.perf_counter()
     stream = None
     words = 0
     try:
-        row = (factory, seed, warmup)
-        taped_row, tape = _tape
-        if row == taped_row:
-            stream = tape.replay()
-        else:
-            stream = _started(factory, seed, warmup)
-            if isinstance(stream, SeedableStream):
-                tape = Tape(stream, lambda: _started(factory, seed, warmup))
-                stream = tape.replay()
-                _set_tape(row, tape)
+        stream = open_stream()
         served = stream.served
         outcome = case.execute(stream, levels)
         words = stream.served - served
@@ -242,35 +221,65 @@ def _run_cell(factory: Callable[[], RandomStream], warmup: int, seed: int,
     return replace(outcome, wall_s=time.perf_counter() - begun, words=words)
 
 
-# The cells and levels of the run a forked worker serves.  They are set
-# by the pool's initializer, whose arguments fork hands over without
-# pickling, so cells may hold lambdas, closures, instances of locally
-# defined tests, and file or external generators.
-_worker_cells: list = []
-_worker_levels: tuple = ()
+def _run_row(generator: tuple, seed: int, tests: Sequence[TestCase],
+             levels: Sequence[float]) -> Iterator[TestOutcome]:
+    """Yield the outcome of each test on the row's stream, in order.
 
-
-def _init_worker(cells: list, levels: tuple) -> None:
-    global _worker_cells, _worker_levels
-    _worker_cells, _worker_levels = cells, levels
-    # the worker's last tape is dropped, and its source closed, on exit
-    from multiprocessing import util
-    util.Finalize(None, _set_tape, args=((), None), exitpriority=0)
-
-
-def _run_cell_at(index: int) -> TestOutcome:
-    (_, factory, warmup), seed, case = _worker_cells[index]
-    # looked up at call time, so a wrapper installed on the module runs
-    return _run_cell(factory, warmup, seed, case, _worker_levels)
-
-
-def _run_in_workers(cells: list, levels: tuple, jobs: int,
-                    progress: Optional[Callable]) -> list:
-    """Every cell's outcome, in matrix order, from forked workers.
-
-    A cell whose future raises (its worker died, or its outcome could
-    not be pickled) aborts; the cells already finished keep theirs.
+    A seedable generator's first stream that builds, seeds and warms up
+    goes on the row's tape, and every cell reads a replay of it; the
+    tape's source is closed when the row ends.  A row that fails to
+    build, seed or warm up records nothing, so each of its cells tries
+    again and fails alike.
     """
+    _, factory, warmup = generator
+    tape = None
+
+    def open_stream() -> RandomStream:
+        nonlocal tape
+        if tape is None:
+            stream = _started(factory, seed, warmup)
+            if not isinstance(stream, SeedableStream):
+                return stream
+            tape = Tape(stream, lambda: _started(factory, seed, warmup))
+        return tape.replay()
+
+    try:
+        for case in tests:
+            # looked up at call time, so a wrapper installed on the
+            # module runs
+            yield _run_cell(open_stream, case, levels)
+    finally:
+        if tape is not None:
+            tape.close()
+
+
+# The tasks of the run a forked worker serves, as `_run_row` arguments.
+# They are set by the pool's initializer, whose arguments fork hands
+# over without pickling, so tasks may hold lambdas, closures, instances
+# of locally defined tests, and file or external generators.
+_worker_tasks: list = []
+
+
+def _init_worker(tasks: list) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _run_task(index: int) -> list:
+    return list(_run_row(*_worker_tasks[index]))
+
+
+def _task_outcomes(tasks: list, jobs: int) -> Iterator[tuple]:
+    """Yield each task with its cells' outcomes, in task order.
+
+    With `jobs` above 1 the tasks run in forked workers; a task whose
+    future raises (its worker died, or an outcome could not be pickled)
+    aborts all its cells, and the tasks already read keep theirs.
+    """
+    if jobs == 1:
+        for task in tasks:
+            yield task, _run_row(*task)
+        return
     # imported here: these modules add about 18 ms to the start-up of
     # every run, and --jobs 1 never uses them
     import multiprocessing
@@ -284,64 +293,52 @@ def _run_in_workers(cells: list, levels: tuple, jobs: int,
             "jobs above 1 need the 'fork' start method, which this "
             "platform lacks"
         ) from None
-    with ProcessPoolExecutor(max_workers=min(jobs, len(cells)),
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                              mp_context=context, initializer=_init_worker,
-                             initargs=(cells, levels)) as pool:
+                             initargs=(tasks,)) as pool:
         futures = []
-        for index in range(len(cells)):
+        for index in range(len(tasks)):
             try:
-                futures.append(pool.submit(_run_cell_at, index))
+                futures.append(pool.submit(_run_task, index))
             except BrokenProcessPool as exc:
-                # a worker died while cells were still being submitted
+                # a worker died while tasks were still being submitted
                 futures.append(Future())
                 futures[-1].set_exception(exc)
-        outcomes = []
-        for ((name, _, _), seed, case), future in zip(cells, futures):
+        for task, future in zip(tasks, futures):
             try:
-                outcome = future.result()
+                outcomes = future.result()
             except Exception as exc:
-                outcome = case.aborted(f"{type(exc).__name__}: {exc}")
-            if progress is not None:
-                progress(name, seed, outcome)
-            outcomes.append(outcome)
-    return outcomes
+                outcomes = [case.aborted(f"{type(exc).__name__}: {exc}")
+                            for case in task[2]]
+            yield task, outcomes
 
 
 def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
               jobs: int = 1, date: Optional[str] = None) -> ReportDocument:
     """Execute the matrix and assemble the result document.
 
-    With `jobs` above 1, cells run in forked worker processes, at most
-    one per cell, and `progress` is called in matrix order as results
+    A task is a row (generator, seed) when there are at least as many
+    rows as jobs, else a single cell, so that every worker has work.
+    With `jobs` above 1, tasks run in forked worker processes, at most
+    one per task, and `progress` is called in matrix order as results
     are read; output order and content are independent of the job
-    count.  Each process keeps the tape of the row it last ran until
-    the run, or the worker, ends.  Aborted cells (exhausted or
-    misconfigured streams, any other exception in a cell, or a worker
-    that died) appear in the report and never halt the run.
+    count.  Aborted cells (exhausted or misconfigured streams, any other
+    exception in a cell, or a worker that died) appear in the report and
+    never halt the run.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
-    cells = [
-        (gen, seed, case)
-        for gen in matrix.generators
-        for seed in matrix.seeds
-        for case in matrix.tests
-    ]
-
-    def execute(cell):
-        (name, factory, warmup), seed, case = cell
-        outcome = _run_cell(factory, warmup, seed, case, matrix.levels)
-        if progress is not None:
-            progress(name, seed, outcome)
-        return outcome
-
-    try:
-        if jobs == 1:
-            outcomes = [execute(cell) for cell in cells]
-        else:
-            outcomes = _run_in_workers(cells, matrix.levels, jobs, progress)
-    finally:
-        _set_tape((), None)
+    rows = [(gen, seed) for gen in matrix.generators for seed in matrix.seeds]
+    parts = ([matrix.tests] if len(rows) >= jobs
+             else [(case,) for case in matrix.tests])
+    tasks = [(gen, seed, part, matrix.levels)
+             for gen, seed in rows for part in parts]
+    outcomes = []
+    for ((name, _, _), seed, _, _), results in _task_outcomes(tasks, jobs):
+        for outcome in results:
+            if progress is not None:
+                progress(name, seed, outcome)
+            outcomes.append(outcome)
 
     sections = []
     index = 0

@@ -153,7 +153,7 @@ class TestChisqrRecount:
             counts[int(_u(raw) * k)] += 1
         expected = chi_square_result(counts, np.full(k, 1.0 / k), n)
         _same(out.results[0], expected)
-        assert int(stream.next()) == slab[n]  # consumed exactly n
+        assert int(stream.next_block(1)[0]) == slab[n]  # consumed exactly n
 
     def test_deterministic(self):
         a = ChisqrUniformityTest(n=5000).execute(Mt19937(7), LEVELS)
@@ -183,7 +183,7 @@ class TestSerialRecount:
         expected = chi_square_result(
             counts, np.full(d * d, 1.0 / (d * d)), n_pairs)
         _same(out.results[0], expected)
-        assert int(stream.next()) == slab[2 * n_pairs]
+        assert int(stream.next_block(1)[0]) == slab[2 * n_pairs]
 
 
 class TestPokerRecount:
@@ -437,7 +437,7 @@ class TestRandomWalkWidths:
             out = case.execute(stream, LEVELS)
             _same(out.results[0], _random_walk_by_shifts(
                 raw[run * used:], width, walkers, steps))
-        assert stream.next() == raw[2 * used]
+        assert int(stream.next_block(1)[0]) == raw[2 * used]
 
 
 class TestRandomWalkMemory:
@@ -498,7 +498,7 @@ class TestMonkeyConsistency:
             bits = _bits_by_shifts(raw[run * used:(run + 1) * used], width)
             assert out.diagnostics == (
                 ("Missing Words", _missing_by_shifts(bits)),)
-        assert stream.next() == raw[2 * used]
+        assert int(stream.next_block(1)[0]) == raw[2 * used]
 
     def test_z_matches_reported_missing_words(self):
         out = Monkey20BitTest().execute(Mt19937(115), LEVELS)
@@ -541,7 +541,7 @@ class TestGapRecount:
         expected = chi_square_result(counts, case.cell_probabilities(),
                                      n_gaps)
         _same(out.results[0], expected)
-        assert int(stream.next()) == slab[pos]
+        assert int(stream.next_block(1)[0]) == slab[pos]
 
 
 class TestRunsRecount:
@@ -563,7 +563,7 @@ class TestRunsRecount:
         expected = chi_square_result(counts, np.asarray(RunsTest._PROBS),
                                      n_runs)
         _same(out.results[0], expected)
-        assert int(stream.next()) == slab[pos]
+        assert int(stream.next_block(1)[0]) == slab[pos]
 
 
 class TestCouponRecount:
@@ -586,7 +586,7 @@ class TestCouponRecount:
         expected = chi_square_result(counts, case.cell_probabilities(),
                                      n_segments)
         _same(out.results[0], expected)
-        assert int(stream.next()) == slab[pos]
+        assert int(stream.next_block(1)[0]) == slab[pos]
 
 
 class TestSqueezeRecount:
@@ -608,7 +608,7 @@ class TestSqueezeRecount:
         from rngts.battery.games import SQUEEZE_CELL_PROBS
         expected = chi_square_result(counts, SQUEEZE_CELL_PROBS, games)
         _same(out.results[0], expected)
-        assert int(stream.next()) == slab[pos]
+        assert int(stream.next_block(1)[0]) == slab[pos]
 
 
 class TestCrapsRecount:
@@ -660,7 +660,7 @@ class TestCrapsRecount:
               chi_square_result(throws_counts,
                                 craps_throw_probabilities(21), games))
         assert ("Games Won", wins) in out.diagnostics
-        assert int(stream.next()) == slab[pos]
+        assert int(stream.next_block(1)[0]) == slab[pos]
 
 
 class TestRepetitionRecount:
@@ -713,7 +713,7 @@ class TestGcdRecount:
         expected = chi_square_result(counts, case.cell_probabilities(),
                                      pairs)
         _same(out.results[0], expected)
-        assert int(stream.next()) == slab[pos]
+        assert int(stream.next_block(1)[0]) == slab[pos]
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +790,8 @@ class TestPinnedDefaults:
         assert out.diagnostics == diagnostics
         reference = Mt19937(1)
         reference.next_block(words)
-        assert stream.next() == reference.next()  # consumed exactly words
+        # consumed exactly words
+        assert stream.next_block(1)[0] == reference.next_block(1)[0]
 
     @pytest.mark.parametrize("length, aborted, next_word", [
         (2370000, None, 2308617),
@@ -816,11 +817,11 @@ class TestPinnedDefaults:
                     == "0x1.825e5f1400b34p-3")
         if next_word is None:
             with pytest.raises(StreamExhausted):
-                stream.next()
+                stream.next_block(1)
         else:
             reference = Mt19937(1)
             reference.next_block(next_word)
-            assert stream.next() == reference.next()
+            assert stream.next_block(1)[0] == reference.next_block(1)[0]
 
 
 def test_squeeze_holds_little_beside_its_block():
@@ -874,7 +875,8 @@ def _engine_run(case, words):
     out = case.execute(engine, LEVELS)
     reference = Mt19937(1)
     reference.next_block(words)
-    assert engine.next() == reference.next()  # consumed exactly words
+    # consumed exactly words
+    assert engine.next_block(1)[0] == reference.next_block(1)[0]
     return out
 
 
@@ -888,7 +890,7 @@ class TestFiniteSources:
         assert _hex_p_values(out) == _hex_p_values(expected)
         assert out.diagnostics == expected.diagnostics
         with pytest.raises(StreamExhausted) as info:
-            stream.next()
+            stream.next_block(1)
         assert info.value.available == 0
         stream.close()
 

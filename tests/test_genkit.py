@@ -186,7 +186,7 @@ class TestMt19937:
         g.load_state(state)
         # mixed read sizes across the 624-word twist boundaries
         got = [*g.next_block(1), *g.next_block(623), *g.next_block(700),
-               g.next()]
+               *g.next_block(1)]
         assert np.array_equal(got, Mt19937(4357).next_block(1325))
 
     def test_load_state_shape_checked(self):
@@ -217,7 +217,7 @@ def _shuffle_scalar(inner, size, count):
     for _ in range(count):
         j = ((int(prev) - lo) * size) // span
         v = tbl[j]
-        tbl[j] = inner.next()
+        tbl[j] = int(inner.next_block(1)[0])
         prev = v
         ref.append(int(v))
     return ref
@@ -231,10 +231,11 @@ class TestShuffledStream:
         g = ShuffledStream(shuffled_inner, size)
         # mixed read sizes across the 1024-output chunks
         got = [*g.next_block(1), *g.next_block(1023), *g.next_block(1500),
-               g.next(), *g.next_block(475)]
+               *g.next_block(1), *g.next_block(475)]
         assert np.array_equal(got, ref)
         # one inner word per table slot, then exactly one per output
-        assert shuffled_inner.next() == Minstd(44).next_block(size + 3001)[-1]
+        assert (shuffled_inner.next_block(1)[0]
+                == Minstd(44).next_block(size + 3001)[-1])
 
     @pytest.mark.parametrize("make_inner, size", [
         (lambda: Mt19937(3), 2), (lambda: Mt19937(3), 257),
@@ -243,7 +244,7 @@ class TestShuffledStream:
                                                          size):
         ref = _shuffle_scalar(make_inner(), size, 2500)
         g = ShuffledStream(make_inner(), size)
-        got = [*g.next_block(700), g.next(), *g.next_block(1799)]
+        got = [*g.next_block(700), *g.next_block(1), *g.next_block(1799)]
         assert np.array_equal(got, ref)
 
     def test_same_range_as_inner(self):
@@ -279,7 +280,7 @@ class TestStreamBuffering:
     def test_single_and_block_reads_agree(self):
         a = Mt19937(202)
         b = Mt19937(202)
-        singles = [a.next() for _ in range(700)]
+        singles = [int(a.next_block(1)[0]) for _ in range(700)]
         assert np.array_equal(b.next_block(700), singles)
 
     def test_mixed_reads_preserve_sequence(self):
@@ -287,9 +288,9 @@ class TestStreamBuffering:
         b = Mt19937(17)
         ref = b.next_block(1500).copy()
         got = list(a.next_block(100))
-        got.append(a.next())
+        got.append(int(a.next_block(1)[0]))
         got.extend(a.next_block(899))
-        got.extend(a.next() for _ in range(3))
+        got.extend(int(a.next_block(1)[0]) for _ in range(3))
         got.extend(a.next_block(497))
         assert np.array_equal(got, ref)
 
@@ -542,7 +543,7 @@ class TestLongReads:
         stream = Mt19937(2)
         block = stream.next_block(300)
         stream.unread(block[100:])
-        stream.next()
+        stream.next_block(1)
         assert stream.served == 101
         stream.next_block(5000)
         assert stream.served == 5101
@@ -677,7 +678,7 @@ class TestBitReads:
         for read in reads:
             s = Scripted(raw, max_value=2**width - 1)
             read(s)
-            assert s.next() == raw[-(-n // width)]
+            assert int(s.next_block(1)[0]) == raw[-(-n // width)]
 
 
 def _bits_by_shifts(raw, width):

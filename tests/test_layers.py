@@ -99,3 +99,40 @@ def test_adapter_imports_and_stream_subclasses_are_found():
         == {"rngts.genkit.FileStream"}
     assert _base_names(source) & STREAM_CLASSES \
         == {"RandomStream", "SeedableStream"}
+
+
+def _global_statements(source: str) -> set:
+    """(enclosing function, name) for each name a `global` statement
+    declares; the enclosing function is "" at module level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                found.update((scope, name) for name in child.names)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_worker_initializer_sets_module_state():
+    # a row's tape lives in the task that reads it, never in a module
+    found = {(path.relative_to(PACKAGE).as_posix(), scope, name)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for scope, name in _global_statements(path.read_text())}
+    assert found == {("runner.py", "_init_worker", "_worker_tasks")}
+
+
+def test_global_statements_are_found_with_their_function():
+    source = ("global a\n"
+              "def f():\n"
+              "    def g():\n"
+              "        global b, c\n"
+              "    if True:\n"
+              "        global d\n")
+    assert _global_statements(source) == {
+        ("", "a"), ("g", "b"), ("g", "c"), ("f", "d")}

@@ -16,7 +16,8 @@ import pytest
 
 from rngts.battery.base import TestCase as BatteryCase
 from rngts.battery.games import RepetitionTest
-from rngts.battery.uniformity import ChisqrUniformityTest, KsUniformityTest
+from rngts.battery.uniformity import (ChisqrUniformityTest, GapTest,
+                                      KsUniformityTest)
 from rngts.errors import ConfigurationError, TestAborted as AbortedError
 from rngts.genkit.adapters import file_stream
 from rngts.genkit.engines import Minstd, Mt19937
@@ -47,7 +48,7 @@ class PInner(BatteryCase):
     def run(self, stream):
         i = self.calls
         self.calls += 1
-        stream.next()
+        stream.next_block(1)
         if i in self.abort_on:
             raise AbortedError("scripted abort")
         return [StatisticResult(
@@ -64,7 +65,7 @@ class TwoResultInner(BatteryCase):
         return []
 
     def run(self, stream):
-        stream.next()
+        stream.next_block(1)
         return [
             StatisticResult(kind=StatKind.KOLMOGOROV_SMIRNOV,
                             statistic_value=1.0,
@@ -146,7 +147,7 @@ class TestIterate:
         assert inner.calls == reps
         reference = Mt19937(seed)
         reference.next_block(reps)
-        assert stream.next() == reference.next()
+        assert stream.next_block(1)[0] == reference.next_block(1)[0]
         assert _ks_p(results[0]) == _ks_p(ks_of_pvalues([0.5] * reps))
 
     def test_matches_direct_ks(self):
@@ -220,7 +221,8 @@ class TestIterate:
               .p_values["p"] for _ in range(10)]
         assert _ks_p(meta) == _ks_p(ks_of_pvalues(ps))
         words = Mt19937(1).next_block(39824)
-        assert stream.next() == reference.next() == words[-1]
+        assert (stream.next_block(1)[0] == reference.next_block(1)[0]
+                == words[-1])
         path = tmp_path / "words.bin"
         path.write_bytes(words[:-1].astype("<u4").tobytes())
         source = file_stream(str(path))
@@ -320,6 +322,15 @@ class TestAdapters:
         with pytest.raises(ConfigurationError):
             CountFailsTestCase(KsUniformityTest(n=100), levels=[0.05],
                                **kwargs)
+
+    @pytest.mark.parametrize("inner", [GapTest, None, "gap"],
+                             ids=["class", "none", "name"])
+    def test_inner_must_be_a_test_instance(self, inner):
+        # a class used to construct, then take its suite run down
+        with pytest.raises(ConfigurationError, match="inner"):
+            IterateTestCase(inner, repetitions=10)
+        with pytest.raises(ConfigurationError, match="inner"):
+            CountFailsTestCase(inner, repetitions=10, levels=[0.05])
 
     def test_adapter_repetition_floor(self):
         with pytest.raises(ConfigurationError):

@@ -418,9 +418,21 @@ class _Unsendable(BatteryCase):
         return []
 
 
+class _UnsendableOnMinstd(ChisqrUniformityTest):
+    """A chi-square test whose outcome cannot be pickled back on minstd."""
+
+    test_name = "Unsendable-On-Minstd"
+
+    def run(self, stream):
+        results = super().run(stream)
+        if stream.name == "minstd":
+            self.diagnostics = (("hook", lambda: None),)
+        return results
+
+
 class _InlinePool:
     """Stands in for the worker pool: records its size and runs each
-    submitted cell in this process."""
+    submitted task in this process."""
 
     sizes: list = []
 
@@ -548,12 +560,33 @@ class TestWorkerProcesses:
         assert unsent.name == "Unsendable-Test" and unsent.aborted
         assert gap.aborted is None and gap.analyses
 
+    def test_an_unsendable_outcome_aborts_its_whole_row_task(self):
+        # four rows for two jobs: each task is a whole row, so the cells
+        # of a minstd row fall with the one outcome that cannot travel
+        tests = (GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500),
+                 _UnsendableOnMinstd(n=2000, k=64),
+                 ChisqrUniformityTest(n=2000, k=64))
+        matrix = RunMatrix(
+            generators=(("mt19937", Mt19937, 0), ("minstd", Minstd, 16)),
+            seeds=(1, 331), levels=(0.05,), tests=tests)
+        doc = run_suite(matrix, jobs=2, date="2025-06-01")
+        mt, minstd = doc.generators
+        for seed in minstd.seeds:
+            reasons = {t.aborted for t in seed.tests}
+            assert len(reasons) == 1 and reasons.pop()
+            assert all(t.analyses == () for t in seed.tests)
+        alone = RunMatrix(generators=matrix.generators[:1], seeds=(1, 331),
+                          levels=(0.05,), tests=tests)
+        assert mt == run_suite(alone, date="2025-06-01").generators[0]
+        assert all(t.aborted is None and t.analyses
+                   for seed in mt.seeds for t in seed.tests)
+
     def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
         sizes = []
         monkeypatch.setattr(_InlinePool, "sizes", sizes)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             _InlinePool)
-        monkeypatch.setattr(runner, "_worker_cells", [])
+        monkeypatch.setattr(runner, "_worker_tasks", [])
         matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
                            seeds=(1, 2), levels=(0.05,),
                            tests=(ChisqrUniformityTest(n=2000, k=64),))
@@ -574,12 +607,13 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             BreaksAfterOne)
-        monkeypatch.setattr(runner, "_worker_cells", [])
+        monkeypatch.setattr(runner, "_worker_tasks", [])
         doc = run_suite(_small_matrix(), jobs=2, date="2025-06-01")
         cells = [t for g in doc.generators for s in g.seeds for t in s.tests]
-        assert cells[0].aborted is None and cells[0].analyses
-        assert [t.aborted for t in cells[1:]] == (
-            ["BrokenProcessPool: a worker died"] * 7)
+        # the first task, a whole row of two cells, was accepted
+        assert all(t.aborted is None and t.analyses for t in cells[:2])
+        assert [t.aborted for t in cells[2:]] == (
+            ["BrokenProcessPool: a worker died"] * 6)
 
     def test_no_fork_means_jobs_one_only(self, tmp_path, monkeypatch):
         import multiprocessing
@@ -692,6 +726,28 @@ class TestTapeRows:
         last_row = run_suite(again, date="2025-06-01").generators[0].seeds
         assert last_row == first.generators[0].seeds[1:]
         assert len(builds) == 3
+
+    def test_one_build_per_row_under_workers(self, tmp_path):
+        # three rows for two jobs, each row within the tape: every row
+        # is built, seeded and warmed up once, in one worker
+        log = tmp_path / "log"
+
+        class Logged(Mt19937):
+            def __init__(self):
+                super().__init__()
+                with open(log, "a") as fh:
+                    fh.write(f"built in {os.getpid()}\n")
+
+        matrix = RunMatrix(generators=(("logged", Logged, 10),),
+                           seeds=(1, 2, 3), levels=(0.05,),
+                           tests=_ROW_TESTS[:3])
+        log.write_text("")
+        doc = run_suite(matrix, jobs=2, date="2025-06-01")
+        builds = log.read_text().splitlines()
+        assert len(builds) == 3
+        assert f"built in {os.getpid()}" not in builds
+        assert _cells(doc) == [section_of(outcome, matrix.levels)
+                               for outcome in _fresh_outcomes(matrix)]
 
     def test_a_seed_that_fails_aborts_every_cell_of_its_row(self):
         builds = []
