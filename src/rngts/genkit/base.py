@@ -6,8 +6,9 @@ A read is generated at most TAPE_WORDS outputs at a time, so a long read
 holds one chunk beside its result, never a list of parts and their
 concatenation.  `scan` is the one loop that reads a data-dependent
 number of outputs.
-A `Tape` keeps one seeded source's outputs so that several readers can
-each read them from the start without generating them again.
+A `Tape` builds one source and keeps its outputs, so that several
+readers can each read them from the start without generating them
+again.
 """
 
 from __future__ import annotations
@@ -130,14 +131,12 @@ class SeedableStream(RandomStream):
     """Stream whose sequence is a deterministic function of an integer seed.
 
     Built by its factory and seeded with s, it always yields the same
-    outputs.  The runner relies on that: each task (a row of generator
-    and seed, or one cell of it) builds, seeds and warms up one stream,
-    records its outputs on a `Tape`, and gives every test of the task a
-    replay of the tape.  A test that reads past the tape's cap continues
-    on another stream built, seeded and warmed up the same way.  A
-    stream that ends (raises StreamExhausted) is replayed through its
-    last output, and a `close()` method, if it has one, is called when
-    the task ends.
+    outputs.  The runner seeds it before its task's `Tape` records it;
+    every source goes on a tape, but only a seedable one is seeded.
+    Since each build yields the same outputs, a replay of the tape
+    reads exactly what a freshly seeded stream would, also past the
+    tape's cap, where it continues on another stream built, seeded and
+    warmed up the same way.
     """
 
     def seed(self, s: int) -> None:
@@ -158,21 +157,22 @@ def close_stream(stream: RandomStream) -> None:
 class Tape:
     """The outputs of one source, recorded once and replayed from the start.
 
-    `source` is a stream at its first output, and `fresh()` builds
-    another stream that yields the same outputs.  The tape records the
-    source's outputs as its replays ask for them, growing to
-    max(needed, 2 x recorded) outputs, up to TAPE_WORDS; a source that
-    ends sooner is recorded through its last output.  A replay that
-    reads past a full tape continues on its own `fresh()` stream, moved
-    past the recorded outputs.  A replay read that the tape alone serves
-    is a read-only view of the recorded outputs; a longer one is
-    assembled by `next_block` a tape's length at a time.
+    `build()` returns a new stream at the source's first output, and
+    every stream it returns yields the same outputs.  The first replay
+    builds the tape's source; a build that raises records nothing, so
+    the next replay builds again.  The tape records the source's outputs
+    as its replays ask for them, growing to max(needed, 2 x recorded)
+    outputs, up to TAPE_WORDS; a source that ends sooner is recorded
+    through its last output.  A replay that reads past a full tape
+    continues on its own stream from `build()`, moved past the recorded
+    outputs.  A replay read that the tape alone serves is a read-only
+    view of the recorded outputs; a longer one is assembled by
+    `next_block` a tape's length at a time.
     """
 
-    def __init__(self, source: RandomStream,
-                 fresh: Callable[[], RandomStream]):
-        self.source = source
-        self._fresh = fresh
+    def __init__(self, build: Callable[[], RandomStream]):
+        self._build = build
+        self.source = None
         self._words = np.empty(TAPE_WORDS, dtype=np.uint64)
         self._size = 0
 
@@ -198,12 +198,18 @@ class Tape:
 
     def past_end(self) -> RandomStream:
         """A new stream of the source's outputs after the recorded ones."""
-        stream = self._fresh()
-        stream.warmup(self._size)
+        stream = self._build()
+        try:
+            stream.warmup(self._size)
+        except BaseException:
+            close_stream(stream)
+            raise
         return stream
 
     def replay(self) -> RandomStream:
         """A new stream of the source's outputs from the first one."""
+        if self.source is None:
+            self.source = self._build()
         return _Replay(self)
 
     def close(self) -> None:
@@ -235,7 +241,11 @@ class _Replay(RandomStream):
                 self._at += out.size
                 return out
             self._rest = self._tape.past_end()
-        return self._rest.next_block(n)
+        try:
+            return self._rest.next_block(n)
+        except StreamExhausted as exc:
+            # a finite source serves every output it still holds
+            return self._rest.next_block(exc.available)
 
     def close(self) -> None:
         close_stream(self._rest)

@@ -10,15 +10,16 @@ report is assembled in matrix order regardless of completion order.
 A test is a `TestCase` instance, built once by `load_manifest` or by the
 caller; every cell of its column runs that instance.
 
-A seedable generator is built, seeded and warmed up once per task.  Its
-outputs go on the task's `Tape`, and each cell reads a replay of the
-tape, so a row generates about as many outputs as its hungriest cell
-rather than the sum over its cells; the tape's source is closed when
-the task ends.  The `SeedableStream` contract (the outputs are a
-deterministic function of the seed) makes a replay read exactly what a
-freshly seeded stream would; a cell that reads past the tape continues
-on a stream built, seeded and warmed up again.  File and external
-sources are opened, warmed up and closed per cell.
+Every generator, built-in, file or external, is built, seeded (if it
+is a `SeedableStream`) and warmed up once per task.  Its outputs go on
+the task's `Tape`, and each cell reads a replay of the tape, so a row
+generates about as many outputs as its hungriest cell rather than the
+sum over its cells; the tape's source is closed when the task ends.  A
+cell that reads past the tape continues on a stream built, seeded and
+warmed up again.  A replay reads exactly what a fresh stream would when
+every build yields the same outputs, as the `SeedableStream` contract
+promises; a source whose words differ between builds gives every cell
+of a row the same first words.
 """
 
 from __future__ import annotations
@@ -158,6 +159,14 @@ class RunMatrix:
                 raise ConfigurationError(
                     f"tests[{index}] is not a TestCase instance: {case!r}"
                 )
+            # every outcome, an aborted one too, lists the parameters
+            try:
+                case.parameters()
+            except Exception as exc:
+                raise ConfigurationError(
+                    f"tests[{index}] ({case.test_name}): parameters() "
+                    f"raised {type(exc).__name__}: {exc}"
+                ) from None
         for seed in self.seeds:
             if not is_integer(seed) or seed < 0:
                 raise ConfigurationError(
@@ -225,32 +234,20 @@ def _run_row(generator: tuple, seed: int, tests: Sequence[TestCase],
              levels: Sequence[float]) -> Iterator[TestOutcome]:
     """Yield the outcome of each test on the row's stream, in order.
 
-    A seedable generator's first stream that builds, seeds and warms up
-    goes on the row's tape, and every cell reads a replay of it; the
-    tape's source is closed when the row ends.  A row that fails to
-    build, seed or warm up records nothing, so each of its cells tries
-    again and fails alike.
+    Every cell reads a replay of the row's tape, which builds, seeds and
+    warms up the generator on its first replay and closes it when the
+    row ends.  A build that fails records nothing, so each cell of the
+    row tries again and fails alike.
     """
     _, factory, warmup = generator
-    tape = None
-
-    def open_stream() -> RandomStream:
-        nonlocal tape
-        if tape is None:
-            stream = _started(factory, seed, warmup)
-            if not isinstance(stream, SeedableStream):
-                return stream
-            tape = Tape(stream, lambda: _started(factory, seed, warmup))
-        return tape.replay()
-
+    tape = Tape(lambda: _started(factory, seed, warmup))
     try:
         for case in tests:
             # looked up at call time, so a wrapper installed on the
             # module runs
-            yield _run_cell(open_stream, case, levels)
+            yield _run_cell(tape.replay, case, levels)
     finally:
-        if tape is not None:
-            tape.close()
+        tape.close()
 
 
 # The tasks of the run a forked worker serves, as `_run_row` arguments.
@@ -374,6 +371,25 @@ def document_has_failures(doc: ReportDocument) -> bool:
 # manifest loading
 
 
+_ROOT_KEYS = ("generators", "seeds", "levels", "tests", "output", "html",
+              "jobs")
+_GENERATOR_KEYS = ("name", "warmup")
+_SOURCE_KEYS = {"file": ("name", "path", "label", "warmup"),
+                "external": ("name", "command", "label", "warmup")}
+_TEST_KEYS = ("name", "parameters")
+
+
+def _check_keys(entry: dict, accepted: Sequence[str], what: str) -> None:
+    """Reject a key the object does not take, so a misspelling is not
+    silently ignored."""
+    for key in entry:
+        if key not in accepted:
+            raise ConfigurationError(
+                f"{what}: unknown key {key!r}; accepted keys: "
+                + ", ".join(accepted)
+            )
+
+
 def _label(entry: dict, default: str) -> str:
     label = entry.get("label", default)
     if not isinstance(label, str):
@@ -387,6 +403,8 @@ def _generator_entry(entry) -> tuple:
             "each generator entry must be an object with a 'name' string"
         )
     name = entry["name"]
+    _check_keys(entry, _SOURCE_KEYS.get(name, _GENERATOR_KEYS),
+                f"generator {name!r}")
     warmup = entry.get("warmup", 0)
     if name == "file":
         path = entry.get("path")
@@ -413,6 +431,7 @@ def _test_entry(entry) -> TestCase:
             "each test entry must be an object with a 'name' string"
         )
     name = entry["name"]
+    _check_keys(entry, _TEST_KEYS, f"test {name!r}")
     params = entry.get("parameters", {})
     if not isinstance(params, dict):
         raise ConfigurationError(
@@ -437,6 +456,7 @@ def load_manifest(path) -> RunManifest:
         raise ConfigurationError(f"manifest {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError("manifest root must be a JSON object")
+    _check_keys(data, _ROOT_KEYS, "manifest")
     for key in ("generators", "seeds", "levels", "tests"):
         if key not in data or not isinstance(data[key], list) or not data[key]:
             raise ConfigurationError(

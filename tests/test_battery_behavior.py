@@ -829,7 +829,7 @@ def test_squeeze_holds_little_beside_its_block():
     # the read holds one tape-length chunk and the kernel maps a chunk
     # of draws at a time, so no second array as long as the block is
     # made: no float copy, no per-position record, no concatenation.
-    tape = Tape(Mt19937(1), lambda: Mt19937(1))
+    tape = Tape(lambda: Mt19937(1))
     replay = tape.replay()
     case = SqueezeTest()
     tracemalloc.start()

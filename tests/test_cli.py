@@ -208,6 +208,23 @@ class TestErrorExits:
         assert "string" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"ouptut": "report.xml"}, "ouptut"),
+        ({"generators": [{"name": "mt19937", "warmpu": 100}]}, "warmpu"),
+        ({"generators": [{"name": "file", "path": "w.bin",
+                          "lable": "x"}]}, "lable"),
+        ({"generators": [{"name": "external", "command": ["true"],
+                          "path": "w.bin"}]}, "path"),
+        ({"tests": [{"name": "gap", "params": {"n_gaps": 5}}]}, "params"),
+    ], ids=["root", "generator", "file", "external", "test"])
+    def test_unknown_manifest_key(self, tmp_path, capfd, overrides, key):
+        assert main(["run", "--config",
+                     _manifest(tmp_path, **overrides)]) == 2
+        out, err = capfd.readouterr()
+        assert f"unknown key {key!r}; accepted keys: " in err
+        # nothing ran, so no report went to stdout
+        assert out == ""
+
     def test_bad_date(self, tmp_path, capfd):
         code = main(["run", "--config", _manifest(tmp_path),
                      "--date", "2025-13-40"])

@@ -384,7 +384,7 @@ class TestTape:
     def test_replays_read_past_the_cap(self, monkeypatch, make):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
         # a warmup leaves words in the source's buffer
-        tape = Tape(_warmed(make, 333), lambda: _warmed(make, 333))
+        tape = Tape(lambda: _warmed(make, 333))
         expected = _warmed(make, 333).next_block(3000)
         for sizes in ([3000], [1, 998, 1, 1, 999, 1000],
                       [600, 600, 600, 1200], [5, 2995]):
@@ -394,14 +394,13 @@ class TestTape:
 
     def test_grows_to_twice_its_size_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
-        source = Counting(Mt19937(3))
-        rest = []
+        builds = []
 
-        def fresh():
-            rest.append(Counting(Mt19937(3)))
-            return rest[-1]
+        def build():
+            builds.append(Counting(Mt19937(3)))
+            return builds[-1]
 
-        tape = Tape(source, fresh)
+        tape = Tape(build)
         replay = tape.replay()
         replay.next_block(10)
         replay.next_block(5)
@@ -412,6 +411,7 @@ class TestTape:
         # to 215 needed, then to 900 needed, then to the cap; the rest is
         # read from a fresh stream moved past the cap, at most a tape's
         # length at a time
+        source, *rest = builds
         assert source.blocks == [10, 10, 195, 685, 100]
         assert len(rest) == 1 and rest[0].blocks == [1000, 1000, 215]
         assert tape.words(10**6).size == 1000
@@ -420,7 +420,7 @@ class TestTape:
             self, monkeypatch):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
         expected = Mt19937(4).next_block(300)
-        tape = Tape(Finite(Mt19937(4), 300), None)
+        tape = Tape(lambda: Finite(Mt19937(4), 300))
         # growth asks for 2 x 200 outputs; the 300 the source holds are
         # recorded and served
         assert np.array_equal(tape.replay().next_block(200), expected[:200])
@@ -442,7 +442,7 @@ class TestTape:
             def close(self):
                 closed.append(self)
 
-        tape = Tape(Closing(1), lambda: Closing(1))
+        tape = Tape(lambda: Closing(1))
         short, long = tape.replay(), tape.replay()
         short.next_block(50)
         long.next_block(150)
@@ -452,20 +452,55 @@ class TestTape:
         tape.close()
         assert closed[1] is tape.source
 
+    def test_a_shorter_build_past_the_cap_is_closed(self, monkeypatch):
+        # a source whose second build holds fewer words than the tape
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 100)
+        closed = []
+
+        class Closing(Finite):
+            def close(self):
+                closed.append(self)
+
+        sizes = [500, 50]
+        tape = Tape(lambda: Closing(Mt19937(1), sizes.pop(0)))
+        replay = tape.replay()
+        with pytest.raises(StreamExhausted) as exc:
+            replay.next_block(150)
+        assert exc.value.available == 100
+        assert len(closed) == 1 and closed[0] is not tape.source
+
+    def test_a_build_that_fails_records_nothing(self):
+        builds = []
+
+        def build():
+            builds.append(1)
+            if len(builds) == 1:
+                raise ConfigurationError("not yet")
+            return Mt19937(5)
+
+        tape = Tape(build)
+        tape.close()  # nothing built, nothing to close
+        with pytest.raises(ConfigurationError, match="not yet"):
+            tape.replay()
+        assert np.array_equal(tape.replay().next_block(10),
+                              Mt19937(5).next_block(10))
+        tape.replay()
+        assert len(builds) == 2
+
     def test_replays_carry_the_source_range_and_name(self):
-        replay = Tape(Minstd(1), Minstd).replay()
+        replay = Tape(lambda: Minstd(1)).replay()
         assert (replay.name, replay.min_value, replay.max_value) == (
             "minstd", 1, 2**31 - 2)
         assert replay.bit_width == 31
 
     def test_recorded_words_are_read_only(self):
-        replay = Tape(Mt19937(1), Mt19937).replay()
+        replay = Tape(lambda: Mt19937(1)).replay()
         block = replay.next_block(100)
         with pytest.raises(ValueError):
             block[0] = 0
 
     def test_unread_words_are_served_again(self):
-        replay = Tape(Mt19937(2), Mt19937).replay()
+        replay = Tape(lambda: Mt19937(2)).replay()
         first = replay.next_block(50)
         replay.unread(first[20:])
         assert np.array_equal(replay.next_block(40),
@@ -515,7 +550,7 @@ class TestLongReads:
 
     def test_a_replay_read_across_the_tape_end(self, monkeypatch):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
-        tape = Tape(Mt19937(6), lambda: Mt19937(6))
+        tape = Tape(lambda: Mt19937(6))
         replay = tape.replay()
         first = replay.next_block(400)
         assert not first.flags.writeable  # a view of the tape

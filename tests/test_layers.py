@@ -7,7 +7,8 @@ module of the catalog (`rngts.battery`) or of the second-order tests
 line, not even inside a function.  Nor does the catalog import the
 stream adapters or define a stream of its own: it reads words only
 through `RandomStream.next_block`, `scan`, the distributions and the
-bit reads.
+bit reads.  The runner gives every source one path to its cells, and
+asks whether a stream is seedable only to seed it.
 """
 
 import ast
@@ -101,22 +102,24 @@ def test_adapter_imports_and_stream_subclasses_are_found():
         == {"RandomStream", "SeedableStream"}
 
 
-def _global_statements(source: str) -> set:
-    """(enclosing function, name) for each name a `global` statement
-    declares; the enclosing function is "" at module level."""
-    found = set()
-
+def _scoped_nodes(source: str):
+    """(enclosing function, node) for every node of the source; the
+    enclosing function is "" at module level."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Global):
-                found.update((scope, name) for name in child.names)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
-            else:
-                visit(child, scope)
+            yield scope, child
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+            yield from visit(child, inner)
 
-    visit(ast.parse(source), "")
-    return found
+    return visit(ast.parse(source), "")
+
+
+def _global_statements(source: str) -> set:
+    """(enclosing function, name) for each name a `global` statement
+    declares."""
+    return {(scope, name) for scope, node in _scoped_nodes(source)
+            if isinstance(node, ast.Global) for name in node.names}
 
 
 def test_only_the_worker_initializer_sets_module_state():
@@ -136,3 +139,27 @@ def test_global_statements_are_found_with_their_function():
               "        global d\n")
     assert _global_statements(source) == {
         ("", "a"), ("g", "b"), ("g", "c"), ("f", "d")}
+
+
+def _functions_naming(source: str, name: str) -> set:
+    """The enclosing function of each use of `name` as a name in the
+    source; imports and strings do not count."""
+    return {scope for scope, node in _scoped_nodes(source)
+            if isinstance(node, ast.Name) and node.id == name}
+
+
+def test_only_seeding_tells_a_seedable_source_apart():
+    # every source reaches its cells through one tape; the runner asks
+    # whether a stream is seedable only to seed it
+    source = (PACKAGE / "runner.py").read_text()
+    assert _functions_naming(source, "SeedableStream") == {"_started"}
+
+
+def test_uses_of_a_name_are_found_with_their_function():
+    source = ("from m import S\n"
+              "x = S\n"
+              "def f():\n"
+              "    def g():\n"
+              "        return isinstance(1, S)\n"
+              "    return 'S'\n")
+    assert _functions_naming(source, "S") == {"", "g"}

@@ -13,6 +13,7 @@ import json
 import os
 import re
 import struct
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -171,9 +172,32 @@ class TestRunMatrixValidation:
                            match=r"tests\[1\] is not a TestCase instance"):
             self._matrix(tests=(good, entry))
 
+    def test_tests_must_list_their_parameters(self, tmp_path,
+                                              pristine_registries):
+        good = ChisqrUniformityTest(n=2000, k=64)
+        with pytest.raises(ConfigurationError,
+                           match=r"tests\[1\] \(Unlisted-Test\): "
+                                 r"parameters\(\) raised ValueError: "
+                                 r"no parameters"):
+            self._matrix(tests=(good, _Unlisted()))
+        register_test("unlisted", _Unlisted)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "generators": [{"name": "mt19937"}], "seeds": [1],
+            "levels": [0.05],
+            "tests": [{"name": "chisqr_uniformity"}, {"name": "unlisted"}]}))
+        assert main(["run", "--config", str(config)]) == 2
+
     def test_bad_test_configuration_fails_at_construction(self):
         with pytest.raises(ConfigurationError, match="below 5"):
             ChisqrUniformityTest(n=10, k=256)
+
+
+class _Unlisted(ChisqrUniformityTest):
+    test_name = "Unlisted-Test"
+
+    def parameters(self):
+        raise ValueError("no parameters")
 
 
 class _Faulty(BatteryCase):
@@ -671,8 +695,32 @@ def _cells(doc):
             for test in seed.tests]
 
 
+class _Short(SeedableStream):
+    """The first `words` outputs of mt19937 for each seed."""
+
+    name = "short"
+    max_value = 2**32 - 1
+    words = 5000
+
+    def __init__(self):
+        super().__init__()
+        self._inner = Mt19937()
+        self._left = 0
+
+    def seed(self, s):
+        self._inner.seed(s)
+        self._reset_buffer()
+        self._left = self.words
+
+    def _generate(self, n):
+        n = min(n, self._left)
+        self._left -= n
+        return self._inner.next_block(n)
+
+
 class TestTapeRows:
-    """A seedable generator's row reads one tape of its outputs."""
+    """A row reads one tape of its generator's outputs, whatever the
+    source."""
 
     def _matrix(self, tests=_ROW_TESTS):
         return RunMatrix(
@@ -773,7 +821,8 @@ class TestTapeRows:
         # the failing seed was tried once per cell; nothing was recorded
         assert len(builds) == 1 + 3 + 1
 
-    def test_file_sources_are_opened_and_closed_per_cell(self, tmp_path):
+    def test_file_sources_are_opened_once_per_row_and_closed(self,
+                                                             tmp_path):
         words = tmp_path / "words.bin"
         words.write_bytes(Mt19937(5).next_block(50000).astype("<u4")
                           .tobytes())
@@ -788,11 +837,49 @@ class TestTapeRows:
                            seeds=(1, 2), levels=(0.05,),
                            tests=_ROW_TESTS[:3])
         doc = run_suite(matrix, date="2025-06-01")
-        assert len(opened) == 6
+        assert len(opened) == 2
         assert all(stream._fh.closed for stream in opened)
         first, second = doc.generators[0].seeds
         assert first.tests == second.tests
         assert all(t.aborted is None for t in first.tests)
+
+    def test_an_external_command_starts_once_per_row_and_past_the_tape(
+            self, monkeypatch, tmp_path):
+        # the third cell reads past a 1000-word tape onto a second start
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+        log = tmp_path / "starts"
+        script = (
+            "import struct, sys\n"
+            f"open({str(log)!r}, 'a').write('started\\n')\n"
+            "x = 1\n"
+            "for _ in range(5000):\n"
+            "    x = (69069 * x + 12345) % 2**32\n"
+            "    sys.stdout.buffer.write(struct.pack('<I', x))\n")
+        started = []
+
+        def factory():
+            started.append(runner.external_stream(
+                [sys.executable, "-c", script]))
+            return started[-1]
+
+        tests = (ChisqrUniformityTest(n=600, k=64), KsUniformityTest(n=900),
+                 ChisqrUniformityTest(n=3000, k=64))
+        matrix = RunMatrix(generators=(("lcg", factory, 7),), seeds=(1,),
+                           levels=(0.05,), tests=tests)
+        doc = run_suite(matrix, date="2025-06-01")
+        assert log.read_text().splitlines() == ["started"] * 2
+        assert len(started) == 2
+        assert all(stream._proc.poll() is not None
+                   and stream._proc.stdout.closed for stream in started)
+        expected = []
+        for case in tests:
+            stream = factory()
+            stream.warmup(7)
+            expected.append(section_of(case.execute(stream, (0.05,)),
+                                       (0.05,)))
+            stream.close()
+        assert _cells(doc) == expected
+        assert all(cell.aborted is None for cell in expected)
 
     def test_iterate_over_a_replay(self):
         iterate = _ROW_TESTS[-1]
@@ -838,30 +925,9 @@ class TestTapeRows:
             assert lines.count("built") == lines.count("closed") > 2
 
     def test_a_source_that_ends_serves_every_cell_that_fits(self):
-        class Short(SeedableStream):
-            """The first 5000 outputs of mt19937 for each seed."""
-
-            name = "short"
-            max_value = 2**32 - 1
-
-            def __init__(self):
-                super().__init__()
-                self._inner = Mt19937()
-                self._left = 0
-
-            def seed(self, s):
-                self._inner.seed(s)
-                self._reset_buffer()
-                self._left = 5000
-
-            def _generate(self, n):
-                n = min(n, self._left)
-                self._left -= n
-                return self._inner.next_block(n)
-
         # the tape grows to 3000, then asks for 6000 and records 5000
         matrix = RunMatrix(
-            generators=(("short", Short, 0),), seeds=(1,), levels=(0.05,),
+            generators=(("short", _Short, 0),), seeds=(1,), levels=(0.05,),
             tests=(ChisqrUniformityTest(n=3000, k=64),
                    ChisqrUniformityTest(n=4000, k=64),
                    GapTest(n_gaps=300),
@@ -872,6 +938,25 @@ class TestTapeRows:
         assert _cells(doc) == expected
         assert [cell.aborted for cell in expected] == [None] * 3 + [
             "short: stream exhausted, 5000 of 6000 outputs available"]
+
+    def test_a_source_that_ends_past_the_tape_serves_all_it_holds(
+            self, monkeypatch):
+        # both cells read past a 1000-word tape onto a source that ends
+        monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
+
+        class Shorter(_Short):
+            words = 4300
+
+        matrix = RunMatrix(
+            generators=(("short", Shorter, 0),), seeds=(1,), levels=(0.05,),
+            tests=(ChisqrUniformityTest(n=4500, k=64),
+                   GapTest(n_gaps=2000)))
+        doc = run_suite(matrix, date="2025-06-01")
+        expected = [section_of(outcome, matrix.levels)
+                    for outcome in _fresh_outcomes(matrix)]
+        assert _cells(doc) == expected
+        assert [cell.aborted for cell in expected] == [
+            "short: stream exhausted, 4300 of 4500 outputs available", None]
 
     def test_job_count_does_not_change_the_bytes(self, monkeypatch):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
