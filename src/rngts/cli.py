@@ -20,9 +20,9 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
+import contextlib
 import datetime
 import sys
-from typing import Optional
 
 from .errors import ConfigurationError, ReportParseError
 from .report import parse_xml, render_html, write_xml
@@ -37,23 +37,13 @@ from .runner import (
 _STYLESHEET = "xml2html.xsl"
 
 
-def _default_jobs() -> Optional[int]:
-    raw = os.environ.get("RNGTS_JOBS")
-    if raw is None:
-        return None
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"RNGTS_JOBS={raw!r} is not an integer")
-    if jobs < 1:
-        raise ConfigurationError("RNGTS_JOBS must be at least 1")
-    return jobs
-
-
 def _check_date(text: str) -> str:
+    # fromisoformat also takes 20250601 and week dates such as 2025-W01-1
     try:
-        datetime.date.fromisoformat(text)
+        exact = datetime.date.fromisoformat(text).isoformat() == text
     except ValueError:
+        exact = False
+    if not exact:
         raise ConfigurationError(f"--date {text!r} is not a YYYY-MM-DD date")
     return text
 
@@ -68,14 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a manifest")
     run.add_argument("--config", required=True, metavar="MANIFEST",
                      help="JSON run description")
-    run.add_argument("--out", metavar="XML",
-                     help="report path (overrides the manifest; '-' for stdout)")
+    run.add_argument("--out", metavar="XML", default="-",
+                     help="report path ('-', the default, for stdout)")
     run.add_argument("--html", metavar="HTML",
                      help="also render an HTML report to this path")
-    run.add_argument("--jobs", type=int, metavar="N",
+    run.add_argument("--jobs", type=int, metavar="N", default=1,
                      help="forked worker processes, at most one per task "
                           "(a row, or a cell when rows are fewer than "
-                          "jobs; default: RNGTS_JOBS, manifest, or 1)")
+                          "jobs; default: 1)")
     run.add_argument("--date", metavar="YYYY-MM-DD",
                      help="pin the report date (default: today)")
 
@@ -88,37 +78,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _progress(name, seed, outcome) -> None:
+    state = "aborted" if outcome.aborted else "done"
+    line = (f"{name} seed={seed} {outcome.test_name}: {state} "
+            f"{outcome.wall_s:.3f} s {outcome.words} words")
+    if outcome.aborted:
+        line += f": {outcome.aborted}"
+    print(line, file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
-    manifest = load_manifest(args.config)
-    jobs = args.jobs
-    if jobs is None:
-        jobs = _default_jobs()
-    if jobs is None:
-        jobs = manifest.jobs
-    if jobs is None:
-        jobs = 1
-    if jobs < 1:
+    matrix = load_manifest(args.config)
+    if args.jobs < 1:
         raise ConfigurationError("--jobs must be at least 1")
-    date = _check_date(args.date) if args.date else None
-
-    def progress(name, seed, outcome):
-        state = "aborted" if outcome.aborted else "done"
-        line = (f"{name} seed={seed} {outcome.test_name}: {state} "
-                f"{outcome.wall_s:.3f} s {outcome.words} words")
-        if outcome.aborted:
-            line += f": {outcome.aborted}"
-        print(line, file=sys.stderr)
-
-    doc = run_suite(manifest.matrix, progress=progress, jobs=jobs, date=date)
-
-    out = args.out if args.out is not None else manifest.output
-    if out is None or out == "-":
-        write_xml(doc, sys.stdout.buffer, stylesheet_href=_STYLESHEET)
-    else:
+    date = None if args.date is None else _check_date(args.date)
+    if (args.html is not None and args.out != "-"
+            and os.path.realpath(args.out) == os.path.realpath(args.html)):
+        # two handles on one file would interleave the two reports
+        raise ConfigurationError("--out and --html name the same file")
+    with contextlib.ExitStack() as files:
+        # both reports are opened before the first cell, so a path that
+        # cannot be written costs no results
+        out = (sys.stdout.buffer if args.out == "-"
+               else files.enter_context(open(args.out, "wb")))
+        html = (None if args.html is None
+                else files.enter_context(open(args.html, "wb")))
+        doc = run_suite(matrix, progress=_progress, jobs=args.jobs, date=date)
         write_xml(doc, out, stylesheet_href=_STYLESHEET)
-    html = args.html if args.html is not None else manifest.html
-    if html is not None:
-        render_html(doc, html)
+        if html is not None:
+            render_html(doc, html)
     return 1 if document_has_failures(doc) else 0
 
 

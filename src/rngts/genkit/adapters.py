@@ -12,7 +12,20 @@ from ..errors import ConfigurationError
 from .base import RandomStream
 
 
-class FileStream(RandomStream):
+class _WordReader(RandomStream):
+    """Little-endian unsigned 32-bit words read from the binary file
+    object `_fh`; a partial trailing word is dropped."""
+
+    min_value = 0
+    max_value = 2**32 - 1
+
+    def _generate(self, n: int) -> np.ndarray:
+        data = self._fh.read(4 * min(n, 65536)) or b""
+        usable = len(data) - len(data) % 4
+        return np.frombuffer(data[:usable], dtype="<u4").astype(np.uint64)
+
+
+class FileStream(_WordReader):
     """Reads little-endian unsigned 32-bit words from a binary file."""
 
     def __init__(self, path: str):
@@ -27,15 +40,8 @@ class FileStream(RandomStream):
                 f"{path}: length {size} is not a multiple of 4 bytes"
             )
         super().__init__()
-        self._path = path
         self._fh = fh
-        self.min_value = 0
-        self.max_value = 2**32 - 1
         self.name = f"file({os.path.basename(path)})"
-
-    def _generate(self, n: int) -> np.ndarray:
-        data = self._fh.read(4 * min(n, 65536))
-        return np.frombuffer(data, dtype="<u4").astype(np.uint64)
 
     def close(self) -> None:
         self._fh.close()
@@ -45,7 +51,7 @@ def file_stream(path: str) -> RandomStream:
     return FileStream(path)
 
 
-class ExternalStream(RandomStream):
+class ExternalStream(_WordReader):
     """Reads little-endian u32 words from a child process's standard output."""
 
     def __init__(self, command: Sequence[str]):
@@ -60,17 +66,8 @@ class ExternalStream(RandomStream):
             )
         except OSError as exc:
             raise ConfigurationError(f"cannot spawn {command[0]}: {exc}") from exc
-        self.min_value = 0
-        self.max_value = 2**32 - 1
+        self._fh = self._proc.stdout
         self.name = f"external({os.path.basename(command[0])})"
-
-    def _generate(self, n: int) -> np.ndarray:
-        want = 4 * min(n, 65536)
-        data = self._proc.stdout.read(want)
-        if data is None:
-            data = b""
-        usable = len(data) - len(data) % 4
-        return np.frombuffer(data[:usable], dtype="<u4").astype(np.uint64)
 
     def close(self) -> None:
         if self._proc.poll() is None:

@@ -179,16 +179,6 @@ class RunMatrix:
                 )
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """A RunMatrix plus output options read from a manifest file."""
-
-    matrix: RunMatrix
-    output: Optional[str] = None
-    html: Optional[str] = None
-    jobs: Optional[int] = None
-
-
 def _started(factory: Callable[[], RandomStream], seed: int,
              warmup: int) -> RandomStream:
     """A new stream of the generator, seeded and warmed up."""
@@ -371,8 +361,7 @@ def document_has_failures(doc: ReportDocument) -> bool:
 # manifest loading
 
 
-_ROOT_KEYS = ("generators", "seeds", "levels", "tests", "output", "html",
-              "jobs")
+_ROOT_KEYS = ("generators", "seeds", "levels", "tests")
 _GENERATOR_KEYS = ("name", "warmup")
 _SOURCE_KEYS = {"file": ("name", "path", "label", "warmup"),
                 "external": ("name", "command", "label", "warmup")}
@@ -445,8 +434,11 @@ def _test_entry(entry) -> TestCase:
         raise ConfigurationError(f"test {name!r}: {exc}") from None
 
 
-def load_manifest(path) -> RunManifest:
-    """Read a JSON run description and resolve it against the registries."""
+def load_manifest(path) -> RunMatrix:
+    """Read a JSON run description and resolve it against the registries.
+
+    The manifest says what a run tests; how it runs and where its
+    reports go are options of the command line."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             data = json.load(fp)
@@ -457,25 +449,16 @@ def load_manifest(path) -> RunManifest:
     if not isinstance(data, dict):
         raise ConfigurationError("manifest root must be a JSON object")
     _check_keys(data, _ROOT_KEYS, "manifest")
-    for key in ("generators", "seeds", "levels", "tests"):
+    for key in _ROOT_KEYS:
         if key not in data or not isinstance(data[key], list) or not data[key]:
             raise ConfigurationError(
                 f"manifest needs a non-empty {key!r} array"
             )
     generators = tuple(_generator_entry(e) for e in data["generators"])
     tests = tuple(_test_entry(e) for e in data["tests"])
-    jobs = data.get("jobs")
-    if jobs is not None and (not is_integer(jobs) or jobs < 1):
-        raise ConfigurationError("'jobs' must be a positive integer")
-    output = data.get("output")
-    html = data.get("html")
-    for key, value in (("output", output), ("html", html)):
-        if value is not None and not isinstance(value, str):
-            raise ConfigurationError(f"{key!r} must be a string path")
-    matrix = RunMatrix(
+    return RunMatrix(
         generators=generators,
         seeds=tuple(data["seeds"]),
         levels=tuple(data["levels"]),
         tests=tests,
     )
-    return RunManifest(matrix=matrix, output=output, html=html, jobs=jobs)

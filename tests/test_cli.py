@@ -1,4 +1,4 @@
-"""Command line behavior: subcommands, precedence, exit codes.
+"""Command line behavior: subcommands, run options, exit codes.
 
 Exit code contract: 0 clean, 1 when the produced report contains any
 FAILED verdict, 2 on configuration or parse errors.  The run
@@ -50,10 +50,11 @@ class TestListing:
 
 
 class TestRun:
-    def test_reproduces_golden_bytes(self, tmp_path, capfd):
+    @pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]])
+    def test_reproduces_golden_bytes(self, tmp_path, capfd, jobs):
         out = tmp_path / "report.xml"
         code = main(["run", "--config", _manifest(tmp_path),
-                     "--out", str(out), "--date", "2025-06-01"])
+                     "--out", str(out), "--date", "2025-06-01", *jobs])
         assert code == 0
         assert out.read_bytes() == GOLDEN.read_bytes()
         captured = capfd.readouterr()
@@ -92,14 +93,6 @@ class TestRun:
                      "--date", "2025-06-01"])
         assert code == 0
         assert capfd.readouterr().out.encode() == GOLDEN.read_bytes()
-
-    def test_manifest_output_path_used_without_flag(self, tmp_path, capfd):
-        target = tmp_path / "from_manifest.xml"
-        config = _manifest(tmp_path, output=str(target))
-        assert main(["run", "--config", config,
-                     "--date", "2025-06-01"]) == 0
-        assert target.read_bytes() == GOLDEN.read_bytes()
-        assert capfd.readouterr().out == ""
 
     def test_failed_verdict_exits_one(self, tmp_path, capfd):
         # the pinned p-value 0.7146... exceeds a 0.714 right-tail level
@@ -153,23 +146,6 @@ class TestRun:
         assert "Traceback" not in capfd.readouterr().err
         assert not [r for r in caplog.records if r.exc_info]
 
-    def test_jobs_flag_beats_garbage_env(self, tmp_path, capfd, monkeypatch):
-        monkeypatch.setenv("RNGTS_JOBS", "junk")
-        out = tmp_path / "r.xml"
-        code = main(["run", "--config", _manifest(tmp_path),
-                     "--out", str(out), "--jobs", "2",
-                     "--date", "2025-06-01"])
-        assert code == 0
-        assert out.read_bytes() == GOLDEN.read_bytes()
-
-    def test_jobs_env_applied(self, tmp_path, capfd, monkeypatch):
-        monkeypatch.setenv("RNGTS_JOBS", "4")
-        out = tmp_path / "r.xml"
-        code = main(["run", "--config", _manifest(tmp_path),
-                     "--out", str(out), "--date", "2025-06-01"])
-        assert code == 0
-        assert out.read_bytes() == GOLDEN.read_bytes()
-
 
 class TestErrorExits:
     def test_missing_manifest(self, tmp_path, capfd):
@@ -216,7 +192,12 @@ class TestErrorExits:
         ({"generators": [{"name": "external", "command": ["true"],
                           "path": "w.bin"}]}, "path"),
         ({"tests": [{"name": "gap", "params": {"n_gaps": 5}}]}, "params"),
-    ], ids=["root", "generator", "file", "external", "test"])
+        # run options are command line options only
+        ({"jobs": 2}, "jobs"),
+        ({"output": "report.xml"}, "output"),
+        ({"html": "report.html"}, "html"),
+    ], ids=["root", "generator", "file", "external", "test", "jobs", "output",
+            "html"])
     def test_unknown_manifest_key(self, tmp_path, capfd, overrides, key):
         assert main(["run", "--config",
                      _manifest(tmp_path, **overrides)]) == 2
@@ -225,27 +206,33 @@ class TestErrorExits:
         # nothing ran, so no report went to stdout
         assert out == ""
 
-    def test_bad_date(self, tmp_path, capfd):
+    @pytest.mark.parametrize("date", ["2025-13-40", "20250601", "2025-W01-1",
+                                      "2025W011", ""])
+    def test_bad_date(self, tmp_path, capfd, date):
+        code = main(["run", "--config", _manifest(tmp_path), "--date", date])
+        assert code == 2
+        out, err = capfd.readouterr()
+        assert "YYYY-MM-DD" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--out", "--html"])
+    def test_unwritable_output(self, tmp_path, capfd, flag):
+        # the destination is opened before the first cell, so no cell runs
+        target = tmp_path / "no" / "such" / "dir" / "r"
         code = main(["run", "--config", _manifest(tmp_path),
-                     "--date", "2025-13-40"])
+                     flag, str(target)])
         assert code == 2
-        assert "YYYY-MM-DD" in capfd.readouterr().err
+        out, err = capfd.readouterr()
+        assert err.startswith("error: ") and "seed=" not in err
+        assert out == ""
 
-    def test_bad_jobs_env(self, tmp_path, capfd, monkeypatch):
-        monkeypatch.setenv("RNGTS_JOBS", "zero point five")
-        code = main(["run", "--config", _manifest(tmp_path)])
-        assert code == 2
-        assert "RNGTS_JOBS" in capfd.readouterr().err
-
-    def test_nonpositive_jobs_env(self, tmp_path, capfd, monkeypatch):
-        monkeypatch.setenv("RNGTS_JOBS", "0")
-        assert main(["run", "--config", _manifest(tmp_path)]) == 2
-
-    def test_unwritable_output(self, tmp_path, capfd):
-        target = tmp_path / "no" / "such" / "dir" / "r.xml"
+    def test_out_and_html_must_differ(self, tmp_path, capfd, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code = main(["run", "--config", _manifest(tmp_path),
-                     "--out", str(target)])
+                     "--out", "r.xml", "--html", str(tmp_path / "r.xml")])
         assert code == 2
+        assert "same file" in capfd.readouterr().err
+        assert not (tmp_path / "r.xml").exists()
 
     def test_render_missing_input(self, tmp_path, capfd):
         code = main(["render", "--in", str(tmp_path / "absent.xml"),

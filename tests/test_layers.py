@@ -8,7 +8,8 @@ line, not even inside a function.  Nor does the catalog import the
 stream adapters or define a stream of its own: it reads words only
 through `RandomStream.next_block`, `scan`, the distributions and the
 bit reads.  The runner gives every source one path to its cells, and
-asks whether a stream is seedable only to seed it.
+asks whether a stream is seedable only to seed it.  No module reads the
+process environment: a run's options come from the command line alone.
 """
 
 import ast
@@ -163,3 +164,45 @@ def test_uses_of_a_name_are_found_with_their_function():
               "        return isinstance(1, S)\n"
               "    return 'S'\n")
     assert _functions_naming(source, "S") == {"", "g"}
+
+
+# the names through which the os module reads the environment
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_uses(source: str) -> list:
+    """(enclosing function, source line) for each use of `os.environ`,
+    `os.getenv` or their bytes forms, and each import of them from os."""
+    lines = source.splitlines()
+    return [(scope, lines[node.lineno - 1].strip())
+            for scope, node in _scoped_nodes(source)
+            if (isinstance(node, ast.Attribute)
+                and node.attr in ENVIRONMENT_READS
+                and isinstance(node.value, ast.Name) and node.value.id == "os")
+            or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                and {alias.name for alias in node.names} & ENVIRONMENT_READS)]
+
+
+def test_no_module_reads_the_environment():
+    # the one use sets a default for the BLAS library numpy loads
+    found = [(path.relative_to(PACKAGE).as_posix(), *use)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for use in _environment_uses(path.read_text())]
+    assert found == [
+        ("cli.py", "", 'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")')]
+
+
+def test_environment_uses_are_found_with_their_function():
+    source = ("import os\n"
+              "from os import getenv\n"
+              "x = os.environ['A']\n"
+              "def f():\n"
+              "    return os.getenv('B') or os.environb.get(b'C')\n"
+              "def g():\n"
+              "    return os.path.join('environ', 'getenv')\n")
+    assert _environment_uses(source) == [
+        ("", "from os import getenv"),
+        ("", "x = os.environ['A']"),
+        ("f", "return os.getenv('B') or os.environb.get(b'C')"),
+        ("f", "return os.getenv('B') or os.environb.get(b'C')"),
+    ]

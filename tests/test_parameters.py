@@ -228,9 +228,9 @@ class TestReportParameters:
         words = tmp_path / "words.bin"
         words.write_bytes(struct.pack("<4I", 1, 2, 3, 4))
         tests = [{"name": n, "parameters": p} for n, p in NON_DEFAULT.items()]
-        manifest = load_manifest(_write_manifest(tmp_path, tests, str(words)))
+        matrix = load_manifest(_write_manifest(tmp_path, tests, str(words)))
         buf = io.BytesIO()
-        write_xml(run_suite(manifest.matrix, date="2000-01-01"), buf)
+        write_xml(run_suite(matrix, date="2000-01-01"), buf)
         text = buf.getvalue().decode()
         blocks = re.findall(
             r'<TEST name="([^"]*)">\n\s*(?:<PARAMETERS/>|<PARAMETERS>\n'

@@ -47,7 +47,6 @@ from rngts.meta import IterateTestCase
 from rngts.report import parse_xml, write_xml
 from rngts.report import test_section_from_outcome as section_of
 from rngts.runner import (
-    RunManifest,
     RunMatrix,
     document_has_failures,
     generator_names,
@@ -1014,11 +1013,8 @@ class TestLoadManifest:
         }
 
     def test_happy_path(self, tmp_path):
-        data = self._base()
-        data.update(output="out.xml", html="out.html", jobs=4)
-        manifest = load_manifest(self._write(tmp_path, data))
-        assert isinstance(manifest, RunManifest)
-        matrix = manifest.matrix
+        matrix = load_manifest(self._write(tmp_path, self._base()))
+        assert isinstance(matrix, RunMatrix)
         assert [g[0] for g in matrix.generators] == ["mt-19937", "minstd"]
         assert [g[2] for g in matrix.generators] == [0, 100]
         assert matrix.seeds == (331, 42)
@@ -1027,9 +1023,6 @@ class TestLoadManifest:
         assert isinstance(case, ChisqrUniformityTest)
         assert (case.n, case.k) == (2000, 64)
         assert isinstance(matrix.tests[1], GapTest)
-        assert manifest.output == "out.xml"
-        assert manifest.html == "out.html"
-        assert manifest.jobs == 4
 
     def test_each_test_is_built_once(self, tmp_path, pristine_registries):
         builds = []
@@ -1044,7 +1037,7 @@ class TestLoadManifest:
         data["tests"] = [{"name": "counted_gap",
                           "parameters": {"n_gaps": 300}},
                          {"name": "counted_gap"}]
-        matrix = load_manifest(self._write(tmp_path, data)).matrix
+        matrix = load_manifest(self._write(tmp_path, data))
         assert builds == [{"n_gaps": 300}, {}]
         doc = run_suite(matrix, date="2025-06-01")
         assert len(_cells(doc)) == 8
@@ -1107,19 +1100,6 @@ class TestLoadManifest:
         with pytest.raises(ConfigurationError, match="level"):
             load_manifest(self._write(tmp_path, data))
 
-    def test_bad_jobs_and_output_types(self, tmp_path):
-        data = self._base()
-        data["jobs"] = 0
-        with pytest.raises(ConfigurationError, match="jobs"):
-            load_manifest(self._write(tmp_path, data))
-        data["jobs"] = True
-        with pytest.raises(ConfigurationError, match="jobs"):
-            load_manifest(self._write(tmp_path, data))
-        data = self._base()
-        data["output"] = 7
-        with pytest.raises(ConfigurationError, match="output"):
-            load_manifest(self._write(tmp_path, data))
-
     def test_unknown_test_name(self, tmp_path):
         data = self._base()
         data["tests"] = [{"name": "entropy_test"}]
@@ -1156,8 +1136,8 @@ class TestLoadManifest:
         words.write_bytes(struct.pack("<4I", 1, 2, 3, 4))
         data = self._base()
         data["generators"] = [{"name": "file", "path": str(words)}]
-        manifest = load_manifest(self._write(tmp_path, data))
-        label, factory, warmup = manifest.matrix.generators[0]
+        matrix = load_manifest(self._write(tmp_path, data))
+        label, factory, warmup = matrix.generators[0]
         assert label == f"file:{words}"
         stream = factory()
         assert list(stream.next_block(4)) == [1, 2, 3, 4]
@@ -1169,8 +1149,8 @@ class TestLoadManifest:
         data = self._base()
         data["generators"] = [
             {"name": "file", "path": str(words), "label": "tape-a"}]
-        manifest = load_manifest(self._write(tmp_path, data))
-        assert manifest.matrix.generators[0][0] == "tape-a"
+        matrix = load_manifest(self._write(tmp_path, data))
+        assert matrix.generators[0][0] == "tape-a"
         data["generators"] = [{"name": "file"}]
         with pytest.raises(ConfigurationError, match="path"):
             load_manifest(self._write(tmp_path, data))
@@ -1179,8 +1159,8 @@ class TestLoadManifest:
         data = self._base()
         data["generators"] = [
             {"name": "external", "command": ["python3", "-c", "pass"]}]
-        manifest = load_manifest(self._write(tmp_path, data))
-        assert manifest.matrix.generators[0][0] == "external:python3"
+        matrix = load_manifest(self._write(tmp_path, data))
+        assert matrix.generators[0][0] == "external:python3"
         data["generators"] = [{"name": "external", "command": "python3"}]
         with pytest.raises(ConfigurationError, match="command"):
             load_manifest(self._write(tmp_path, data))
@@ -1189,8 +1169,8 @@ class TestLoadManifest:
             load_manifest(self._write(tmp_path, data))
 
     def test_loaded_manifest_runs(self, tmp_path):
-        manifest = load_manifest(self._write(tmp_path, self._base()))
-        doc = run_suite(manifest.matrix, date="2025-06-01")
+        matrix = load_manifest(self._write(tmp_path, self._base()))
+        doc = run_suite(matrix, date="2025-06-01")
         assert len(doc.generators) == 2
         assert not any(
             t.aborted for g in doc.generators for s in g.seeds
