@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError, StreamExhausted, TestAborted
-from ..genkit.base import RandomStream
+from ..genkit.base import TAPE_WORDS, RandomStream
 from ..stats import (
     KsStatisticResult,
     StatisticResult,
@@ -35,6 +35,9 @@ DRAW_BUDGET = 2**24
 # The number of values of one 32-bit word: the ceiling of the ranges
 # that draws are scaled to (days, urns, side lengths).
 WORD_VALUES = 2**32
+
+# The most draws a counting test maps and counts at once: one tape.
+COUNT_BLOCK = TAPE_WORDS
 
 
 def is_integer(value) -> bool:
@@ -89,6 +92,24 @@ class Param:
                 f"{self.low}, {self.high}], got {value!r}"
             )
         return value
+
+
+def block_counts(cells: int, units: int, draws_per_unit: int,
+                 draw_cells: Callable[[int], np.ndarray]) -> np.ndarray:
+    """Counts over `cells` cells of `units` units drawn a block at a time.
+
+    `draw_cells(k)` draws the next k units and returns the cell of
+    each.  A block is as many whole units as COUNT_BLOCK draws hold, at
+    least one, so the stream is read as one call for every unit would
+    read it, and the counts are the same, while no array longer than a
+    block is made.
+    """
+    per_block = max(1, COUNT_BLOCK // draws_per_unit)
+    counts = np.zeros(cells, dtype=np.int64)
+    for start in range(0, units, per_block):
+        counts += np.bincount(draw_cells(min(per_block, units - start)),
+                              minlength=cells)
+    return counts
 
 
 def check_budget(what: str, value: int) -> None:

@@ -17,6 +17,7 @@ from ..genkit.distributions import uniform01_map, uniform_int_block
 from .base import (
     Param,
     TestCase,
+    block_counts,
     check_budget,
     chi_square_result,
     gaussian_result,
@@ -225,7 +226,7 @@ class RepetitionTest(TestCase):
                 f"stream outputs have {stream.bit_width} bits; "
                 f"cannot extract {self.bits}"
             )
-        shift = np.uint64(stream.bit_width - self.bits)
+        shift = stream.bit_width - self.bits
         ts = np.empty(self.reps, dtype=np.int64)
         done = 0
         # a block holds many repetitions, and one sort over a window of
@@ -235,7 +236,7 @@ class RepetitionTest(TestCase):
 
         def step(raw, remaining):
             nonlocal done
-            vals = raw >> shift
+            vals = raw >> raw.dtype.type(shift)
             got = at = 0
             window = first
             while got < remaining:
@@ -276,14 +277,20 @@ class GcdTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes raw draws through the one yielding integer 2*pairs."""
-        vals = uniform_int_block(stream, 1, 2**31 - 1, 2 * self.pairs)
-        gs, steps = euclid(vals[0::2], vals[1::2])
-        counts = np.bincount(
-            np.minimum(gs, self._TOP + 1) - 1, minlength=self._TOP + 1
-        )
+        total = most = 0  # division steps over all pairs, and the most
+
+        def cells(size):
+            nonlocal total, most
+            vals = uniform_int_block(stream, 1, 2**31 - 1, 2 * size)
+            gs, steps = euclid(vals[0::2], vals[1::2])
+            total += int(steps.sum())
+            most = max(most, int(steps.max()))
+            return np.minimum(gs, self._TOP + 1) - 1
+
+        counts = block_counts(self._TOP + 1, self.pairs, 2, cells)
         self.diagnostics = (
-            ("Mean Division Steps", float(steps.mean())),
-            ("Max Division Steps", int(steps.max())),
+            ("Mean Division Steps", total / self.pairs),
+            ("Max Division Steps", most),
         )
         return [chi_square_result(counts, self.cell_probabilities(),
                                   self.pairs)]

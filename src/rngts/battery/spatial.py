@@ -128,18 +128,21 @@ class BirthdaySpacingsTest(TestCase):
         return [chi_square_result(counts, pmf, self.reps)]
 
 
+def _rank_probability(rows: int, cols: int, r: int) -> Fraction:
+    """Exact P(rank = r) for a random GF(2) matrix: the product over
+    i < r of (2^rows - 2^i)(2^cols - 2^i) / (2^r - 2^i), over
+    2^(rows cols), as one Fraction of two integer products."""
+    num = den = 1
+    for i in range(r):
+        num *= ((1 << rows) - (1 << i)) * ((1 << cols) - (1 << i))
+        den *= (1 << r) - (1 << i)
+    return Fraction(num, den << (rows * cols))
+
+
 def rank_distribution(rows: int, cols: int) -> list:
     """Exact P(rank = r) for random GF(2) matrices, as Fractions."""
-    full = min(rows, cols)
-    out = []
-    for r in range(full + 1):
-        prob = Fraction(1, 2 ** (rows * cols - r * (rows + cols - r)))
-        for i in range(r):
-            prob *= 1 - Fraction(1, 2 ** (rows - i))
-            prob *= 1 - Fraction(1, 2 ** (cols - i))
-            prob /= 1 - Fraction(1, 2 ** (r - i))
-        out.append(prob)
-    return out
+    return [_rank_probability(rows, cols, r)
+            for r in range(min(rows, cols) + 1)]
 
 
 class BinaryRankTest(TestCase):
@@ -164,11 +167,11 @@ class BinaryRankTest(TestCase):
 
     def _categories(self) -> tuple[list, np.ndarray]:
         """Ranks listed per category (descending) plus a pooled-low tail."""
-        dist = rank_distribution(self.rows, self.cols)
         full = min(self.rows, self.cols)
         named = [full - i for i in range(min(3, full + 1))]
-        probs = [float(dist[r]) for r in named]
-        tail = 1.0 - float(sum(dist[r] for r in named))
+        exact = [_rank_probability(self.rows, self.cols, r) for r in named]
+        probs = [float(p) for p in exact]
+        tail = 1.0 - float(sum(exact))
         if len(named) <= full:
             probs.append(tail)
         return named, np.asarray(probs)

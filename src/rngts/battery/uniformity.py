@@ -4,7 +4,8 @@ collector, permutation, runs, max-of-t, serial correlation.
 Tests that scan a data-dependent number of draws (gap, coupon collector,
 runs) supply a per-block step to `genkit.base.scan`, which pushes
 unconsumed raw outputs back onto the stream, so every draw is accounted
-for exactly.
+for exactly.  Chi-square, serial, poker and permutation draw and count
+their sample a block at a time through `block_counts`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .base import (
     WORD_VALUES,
     Param,
     TestCase,
+    block_counts,
     check_budget,
     chi_square_result,
     gaussian_result,
@@ -67,9 +69,10 @@ class ChisqrUniformityTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes exactly n draws."""
-        u = uniform01_block(stream, self.n)
-        cells = (u * self.k).astype(np.int64)
-        counts = np.bincount(cells, minlength=self.k)
+        counts = block_counts(
+            self.k, self.n, 1,
+            lambda size: (uniform01_block(stream, size)
+                          * self.k).astype(np.int64))
         probs = np.full(self.k, 1.0 / self.k)
         return [chi_square_result(counts, probs, self.n)]
 
@@ -167,10 +170,11 @@ class SerialTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes raw draws through the one yielding digit 2*n_pairs."""
-        digits = uniform_int_block(stream, 0, self.d - 1, 2 * self.n_pairs)
-        pairs = digits.reshape(self.n_pairs, 2)
-        cells = pairs[:, 0] * self.d + pairs[:, 1]
-        counts = np.bincount(cells, minlength=self.d * self.d)
+        def cells(size):
+            digits = uniform_int_block(stream, 0, self.d - 1, 2 * size)
+            return digits[0::2] * self.d + digits[1::2]
+
+        counts = block_counts(self.d * self.d, self.n_pairs, 2, cells)
         probs = np.full(self.d * self.d, 1.0 / (self.d * self.d))
         return [chi_square_result(counts, probs, self.n_pairs)]
 
@@ -199,11 +203,13 @@ class PokerTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes raw draws through the one yielding digit 5*n_hands."""
-        digits = uniform_int_block(stream, 0, self.d - 1, 5 * self.n_hands)
-        hands = np.sort(digits.reshape(self.n_hands, 5), axis=1)
-        distinct = 1 + (np.diff(hands, axis=1) != 0).sum(axis=1)
-        rmax = min(5, self.d)
-        counts = np.bincount(distinct - 1, minlength=rmax)[:rmax]
+        def cells(size):
+            digits = uniform_int_block(stream, 0, self.d - 1, 5 * size)
+            hands = np.sort(digits.reshape(size, 5), axis=1)
+            # distinct digits less one: below min(5, d)
+            return (np.diff(hands, axis=1) != 0).sum(axis=1)
+
+        counts = block_counts(min(5, self.d), self.n_hands, 5, cells)
         return [chi_square_result(counts, self.cell_probabilities(),
                                   self.n_hands)]
 
@@ -308,10 +314,12 @@ class PermutationTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes exactly t * n_groups draws."""
-        u = uniform01_block(stream, self.t * self.n_groups)
-        f = self._rank_groups(u.reshape(self.n_groups, self.t))
         cells = math.factorial(self.t)
-        counts = np.bincount(f, minlength=cells)
+        counts = block_counts(
+            cells, self.n_groups, self.t,
+            lambda size: self._rank_groups(
+                uniform01_block(stream, self.t * size).reshape(size,
+                                                              self.t)))
         probs = np.full(cells, 1.0 / cells)
         return [chi_square_result(counts, probs, self.n_groups)]
 

@@ -5,7 +5,8 @@ any size, and outputs pushed back with `unread`, read one sequence.
 A read is generated at most TAPE_WORDS outputs at a time, so a long read
 holds one chunk beside its result, never a list of parts and their
 concatenation.  `scan` is the one loop that reads a data-dependent
-number of outputs.
+number of outputs; a block of it longer than TAPE_WORDS is held as
+uint32 when the outputs fit in 32 bits.
 A `Tape` builds one source and keeps its outputs, so that several
 readers can each read them from the start without generating them
 again.
@@ -85,10 +86,7 @@ class RandomStream:
                 # failed reads consume nothing: keep what was collected
                 if got:
                     self._buf = out[:got]
-                raise StreamExhausted(
-                    f"{self.name}: stream exhausted, {got} of {n} outputs "
-                    "available", available=got
-                )
+                raise _exhausted(self, got, n)
             chunk = np.ascontiguousarray(chunk, dtype=np.uint64)
             take = min(chunk.size, n - got)
             if chunk.size > take:
@@ -125,6 +123,15 @@ class RandomStream:
     def _reset_buffer(self) -> None:
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0
+
+
+def _exhausted(stream: RandomStream, available: int,
+               n: int) -> StreamExhausted:
+    """The error of a read of n outputs that found only `available`."""
+    return StreamExhausted(
+        f"{stream.name}: stream exhausted, {available} of {n} outputs "
+        "available", available=available
+    )
 
 
 class SeedableStream(RandomStream):
@@ -255,6 +262,29 @@ _FIRST_BLOCK = 65536
 _MAX_BLOCK = 1 << 22
 
 
+def _read_block(stream: RandomStream, n: int) -> np.ndarray:
+    """The next n raw outputs, as `next_block` returns them when n is at
+    most TAPE_WORDS or the outputs may pass 32 bits; else read a tape's
+    length at a time into one uint32 array, half the bytes of uint64.
+
+    A failed read consumes nothing: the outputs read before it are
+    pushed back, and its StreamExhausted counts them as available.
+    """
+    if n <= TAPE_WORDS or stream.max_value >= 1 << 32:
+        return stream.next_block(n)
+    out = np.empty(n, dtype=np.uint32)
+    got = 0
+    while got < n:
+        take = min(TAPE_WORDS, n - got)
+        try:
+            out[got:got + take] = stream.next_block(take)
+        except StreamExhausted as exc:
+            stream.unread(out[:got])
+            raise _exhausted(stream, got + exc.available, n) from None
+        got += take
+    return out
+
+
 def scan(stream: RandomStream, needed: int,
          step: Callable[[np.ndarray, int], tuple[int, int]],
          words_per_unit: int = 0) -> None:
@@ -270,6 +300,9 @@ def scan(stream: RandomStream, needed: int,
     With `words_per_unit`, a block holds at least that many words per
     unit still needed, clamped to [_FIRST_BLOCK, _MAX_BLOCK].
 
+    Blocks come from `_read_block`, so a step takes raw blocks of uint64
+    or, past TAPE_WORDS, of uint32.
+
     A finite stream serves every output it holds: when a read fails, the
     outputs still available are read and stepped on.  If that short
     block completes no unit, the read's StreamExhausted is raised.
@@ -281,12 +314,12 @@ def scan(stream: RandomStream, needed: int,
             size = max(block, min(words_per_unit * needed, _MAX_BLOCK))
         short = None
         try:
-            raw = stream.next_block(size)
+            raw = _read_block(stream, size)
         except StreamExhausted as exc:
             if not exc.available:
                 raise
             short = exc
-            raw = stream.next_block(exc.available)
+            raw = _read_block(stream, exc.available)
         done, consumed = step(raw, needed)
         if consumed < raw.size:
             stream.unread(raw[consumed:])

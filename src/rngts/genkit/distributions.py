@@ -67,7 +67,9 @@ def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarra
     parts = [np.empty(0, dtype=np.int64)]
 
     def step(raw, remaining):
-        digits = (raw[:raw.size - raw.size % words] - lo).reshape(-1, words)
+        # in uint64 whatever the block's dtype, so w * r cannot wrap
+        digits = np.subtract(raw[:raw.size - raw.size % words], lo,
+                             dtype=np.uint64).reshape(-1, words)
         w = digits[:, 0]
         for i in range(1, words):
             w = w * r + digits[:, i]

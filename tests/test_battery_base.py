@@ -13,7 +13,7 @@ from rngts.battery.base import (
 from rngts.battery.base import TestCase as BatteryCase
 from rngts.errors import ConfigurationError, StreamExhausted
 from rngts.errors import TestAborted as AbortedError
-from rngts.genkit.base import RandomStream, scan
+from rngts.genkit.base import TAPE_WORDS, RandomStream, scan
 from rngts.stats import StatKind, StatisticResult, Verdict
 
 
@@ -169,41 +169,61 @@ class TestResultHelpers:
 
 
 class _Zeros(RandomStream):
-    """Serves zeros and records every block size requested."""
+    """Serves zeros."""
 
     max_value = 2**32 - 1
-
-    def __init__(self):
-        super().__init__()
-        self.requests = []
-
-    def next_block(self, n):
-        self.requests.append(n)
-        return super().next_block(n)
 
     def _generate(self, n):
         return np.zeros(n, dtype=np.uint64)
 
 
+def _recording(step, sizes):
+    """`step`, appending the size of every block handed to it to `sizes`."""
+    def recorded(raw, remaining):
+        sizes.append(raw.size)
+        return step(raw, remaining)
+    return recorded
+
+
 class TestScan:
     def test_no_progress_doubles_the_block_then_aborts(self):
-        stream = _Zeros()
+        sizes = []
         with pytest.raises(AbortedError,
                            match="no progress at maximum buffer size"):
-            scan(stream, 1, lambda raw, remaining: (0, 0))
-        assert stream.requests == [65536 << i for i in range(7)]
-        assert stream.requests[-1] == 1 << 22
+            scan(_Zeros(), 1, _recording(lambda raw, remaining: (0, 0),
+                                         sizes))
+        assert sizes == [65536 << i for i in range(7)]
+        assert sizes[-1] == 1 << 22
 
     def test_hint_sizes_blocks_by_units_still_needed(self):
-        stream = _Zeros()
-        scan(stream, 100000, lambda raw, remaining:
-             (min(remaining, raw.size // 30), raw.size), words_per_unit=24)
-        # 24 words per unit left: 100000, 20000, 4000, then 800 (clamped)
-        assert stream.requests == [2400000, 480000, 96000, 65536]
-        stream = _Zeros()
-        scan(stream, 10**6, lambda raw, remaining: (remaining, raw.size),
+        sizes = []
+        scan(_Zeros(), 100000, _recording(lambda raw, remaining:
+             (min(remaining, raw.size // 30), raw.size), sizes),
              words_per_unit=24)
-        assert stream.requests == [1 << 22]
+        # 24 words per unit left: 100000, 20000, 4000, then 800 (clamped)
+        assert sizes == [2400000, 480000, 96000, 65536]
+        sizes = []
+        scan(_Zeros(), 10**6, _recording(lambda raw, remaining:
+             (remaining, raw.size), sizes), words_per_unit=24)
+        assert sizes == [1 << 22]
+
+    def test_blocks_past_a_tape_hold_32_bit_words(self):
+        # a block longer than TAPE_WORDS of a 32-bit stream is uint32;
+        # a shorter one, or one of a wider stream, is next_block's uint64
+        seen = []
+
+        def step(raw, remaining):
+            seen.append((raw.size, raw.dtype))
+            return 1, raw.size
+
+        scan(_Zeros(), 3, step, words_per_unit=TAPE_WORDS // 2)
+        wide = _Zeros()
+        wide.max_value = 2**32
+        scan(wide, 1, step, words_per_unit=2 * TAPE_WORDS)
+        assert seen == [
+            (3 * TAPE_WORDS // 2, np.uint32), (TAPE_WORDS, np.uint64),
+            (TAPE_WORDS // 2, np.uint64), (2 * TAPE_WORDS, np.uint64),
+        ]
 
     def test_hint_falls_back_on_a_short_stream(self):
         stream = _Counting(200000)

@@ -23,7 +23,12 @@ import numpy as np
 import pytest
 
 import rngts
+import rngts.battery.base as battery_base
+import rngts.battery.games as games
+import rngts.battery.uniformity as uniformity
+import rngts.genkit.base as genkit_base
 from rngts.battery.base import chi_square_result, gaussian_result, ks_result
+from rngts.battery.base import TestCase as BatteryCase
 from rngts.battery.games import (
     CrapsTest,
     GcdTest,
@@ -58,8 +63,9 @@ from rngts.battery.uniformity import (
 )
 from rngts.errors import StreamExhausted
 from rngts.genkit.adapters import ExternalStream, file_stream
-from rngts.genkit.base import RandomStream, Tape
-from rngts.genkit.engines import Mt19937
+from rngts.genkit.base import TAPE_WORDS, RandomStream, Tape
+from rngts.genkit.distributions import uniform_int_block
+from rngts.genkit.engines import Minstd, Mt19937
 from rngts.meta import CountFailsTestCase, IterateTestCase
 
 LEVELS = [0.05, 0.95]
@@ -445,24 +451,43 @@ class TestRandomWalkMemory:
         # walkers * steps = 2^24 - 1 reads 2^25 bits; one byte per bit
         # keeps the child's peak well under the 8 bytes per bit of a
         # uint64 expansion (about 590 MB)
-        script = (
-            "import resource, sys\n"
+        p, kb = _child_peak(
             "from rngts.battery.spatial import RandomWalkTest\n"
             "from rngts.genkit.engines import Mt19937\n"
             "out = RandomWalkTest(walkers=65793, steps=255).execute(\n"
             "    Mt19937(1), [0.05])\n"
-            "kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "if sys.platform == 'darwin':\n"
-            "    kb //= 1024\n"
-            "print(out.results[0].p_values['p'].hex(), kb)\n"
+            "print(out.results[0].p_values['p'].hex())\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, timeout=120,
-                              env=_child_env())
-        assert proc.returncode == 0, proc.stderr
-        p, kb = proc.stdout.split()
         assert p == "0x1.3e11812b67a16p-1"
-        assert int(kb) < 250 * 1024
+        assert kb < 250 * 1024
+
+
+# Linux keeps a process's ru_maxrss across exec, so a child started by
+# this test process would report at least this process's peak; VmHWM is
+# the peak of the child's own memory image
+_PEAK_KB = """
+import resource, sys
+try:
+    with open("/proc/self/status") as status:
+        kb = next(int(line.split()[1]) for line in status
+                  if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        kb //= 1024
+print(kb)
+"""
+
+
+def _child_peak(script):
+    """Run `script` in a new interpreter; its last line of output, and its
+    peak resident memory in KiB."""
+    proc = subprocess.run([sys.executable, "-c", script + _PEAK_KB],
+                          capture_output=True, text=True, timeout=120,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    *_, last, kb = proc.stdout.splitlines()
+    return last, int(kb)
 
 
 def _child_env():
@@ -720,69 +745,75 @@ class TestGcdRecount:
 # default-size results pinned bit for bit
 
 
-class TestPinnedDefaults:
-    """Default-size runs on Mt19937(1), recorded from the loop kernels
-    that the whole-array code replaced (minimum distance, rank, gcd,
-    squeeze, craps, repetition, Maurer, coupon, runs, parking), from
-    the full-width collision recurrence, from the per-bit expansion
-    (monkey, random walk) and from the chi-square and KS input wrappers
-    (the other nine tests, and two meta tests, whose KS of p-values no
-    other pinned run reaches): p-values of every result as float.hex,
-    raw words consumed, and diagnostics."""
+# Default-size runs on Mt19937(1), recorded from the loop kernels
+# that the whole-array code replaced (minimum distance, rank, gcd,
+# squeeze, craps, repetition, Maurer, coupon, runs, parking), from
+# the full-width collision recurrence, from the per-bit expansion
+# (monkey, random walk) and from the chi-square and KS input wrappers
+# (the other nine tests, and two meta tests, whose KS of p-values no
+# other pinned run reaches): p-values of every result as float.hex,
+# raw words consumed, and diagnostics.
+_PINNED = [
+    (MinimumDistanceTest(),
+     [{"plus": "0x1.fa648dab8462ap-1", "minus": "0x1.28ac1aa198c4ap-3"}],
+     1600000, ()),
+    (BinaryRankTest(), [{"p": "0x1.74a41c276b538p-2"}], 128000, ()),
+    (GcdTest(), [{"p": "0x1.ccd5d33fe428ap-1"}], 200000,
+     (("Mean Division Steps", 18.1683), ("Max Division Steps", 34))),
+    (SqueezeTest(), [{"p": "0x1.825e5f1400b34p-3"}], 2308617, ()),
+    (CrapsTest(),
+     [{"p": "0x1.335e926241992p-1"}, {"p": "0x1.5dfca516fa51cp-1"}],
+     1353334, (("Games Won", 98703),)),
+    (RepetitionTest(), [{"p": "0x1.4fcb2b1f2b82cp-1"}], 651088, ()),
+    (MaurersUniversalTest(), [{"p": "0x1.5212e5babfba4p-2"}], 64640,
+     (("Statistic f", 7.1815700299479035),)),
+    (CollisionTest(),
+     [{"lower": "0x1.baab78db6b468p-3", "upper": "0x1.8597f089f552ap-3"}],
+     16384, ()),
+    (CouponCollectorTest(), [{"p": "0x1.2d2d7048258f1p-1"}], 108994, ()),
+    (RunsTest(), [{"p": "0x1.258c2323dcb5ep-1"}], 27172, ()),
+    (ParkingLotTest(), [{"p": "0x1.3b1eac4d6cdacp-1"}], 24000,
+     (("Cars Parked", 3512),)),
+    (Monkey20BitTest(), [{"p": "0x1.eff1f47421630p-2"}], 65537,
+     (("Missing Words", 141610),)),
+    (RandomWalkTest(), [{"p": "0x1.433dbc5b3ba1bp-3"}], 63125, ()),
+    (ChisqrUniformityTest(), [{"p": "0x1.e88ede98a1afcp-1"}], 100000,
+     ()),
+    (KsUniformityTest(),
+     [{"plus": "0x1.4ea6b8a5414acp-2", "minus": "0x1.db906b02f72b4p-1"}],
+     100000, ()),
+    (GapTest(), [{"p": "0x1.549a1d2be4456p-1"}], 20112, ()),
+    (SerialTest(), [{"p": "0x1.6a0552249e874p-1"}], 50000, ()),
+    (PokerTest(), [{"p": "0x1.ff04cca6e0bd8p-2"}], 50000, ()),
+    (PermutationTest(), [{"p": "0x1.07f00baf73ac5p-3"}], 60000, ()),
+    (MaxOfTTest(),
+     [{"plus": "0x1.4d53061ad345ep-2", "minus": "0x1.99ba814ddd659p-2"}],
+     80000, ()),
+    (SerialCorrelationTest(), [{"p": "0x1.79afacb3c19f0p-3"}], 100000,
+     ()),
+    (BirthdaySpacingsTest(), [{"p": "0x1.bfa7c94fec8dfp-3"}], 102400,
+     ()),
+    (IterateTestCase(KsUniformityTest(n=1000), repetitions=20),
+     [{"p": "0x1.b91c400c33fabp-3"}], 20000,
+     (("Successful Repetitions", 20),)),
+    (CountFailsTestCase(ChisqrUniformityTest(n=5000, k=64), 20,
+                        (0.05, 0.95)),
+     [{"0.05": "0x1.0e8015650c468p-2", "0.95": "0x1.0e8015650c470p-2"}],
+     100000, (("Failures at 0.05", 2), ("Failures at 0.95", 2))),
+]
+_PINNED_IDS = ["minimum_distance", "binary_rank", "gcd", "squeeze", "craps",
+               "repetition", "maurers_universal", "collision", "coupon",
+               "runs", "parking", "monkey", "random_walk",
+               "chisqr_uniformity", "ks_uniformity", "gap", "serial", "poker",
+               "permutation", "max_of_t", "serial_correlation",
+               "birthday_spacings", "iterate_ks", "count_fails_chisqr"]
 
-    @pytest.mark.parametrize("case, p_values, words, diagnostics", [
-        (MinimumDistanceTest(),
-         [{"plus": "0x1.fa648dab8462ap-1", "minus": "0x1.28ac1aa198c4ap-3"}],
-         1600000, ()),
-        (BinaryRankTest(), [{"p": "0x1.74a41c276b538p-2"}], 128000, ()),
-        (GcdTest(), [{"p": "0x1.ccd5d33fe428ap-1"}], 200000,
-         (("Mean Division Steps", 18.1683), ("Max Division Steps", 34))),
-        (SqueezeTest(), [{"p": "0x1.825e5f1400b34p-3"}], 2308617, ()),
-        (CrapsTest(),
-         [{"p": "0x1.335e926241992p-1"}, {"p": "0x1.5dfca516fa51cp-1"}],
-         1353334, (("Games Won", 98703),)),
-        (RepetitionTest(), [{"p": "0x1.4fcb2b1f2b82cp-1"}], 651088, ()),
-        (MaurersUniversalTest(), [{"p": "0x1.5212e5babfba4p-2"}], 64640,
-         (("Statistic f", 7.1815700299479035),)),
-        (CollisionTest(),
-         [{"lower": "0x1.baab78db6b468p-3", "upper": "0x1.8597f089f552ap-3"}],
-         16384, ()),
-        (CouponCollectorTest(), [{"p": "0x1.2d2d7048258f1p-1"}], 108994, ()),
-        (RunsTest(), [{"p": "0x1.258c2323dcb5ep-1"}], 27172, ()),
-        (ParkingLotTest(), [{"p": "0x1.3b1eac4d6cdacp-1"}], 24000,
-         (("Cars Parked", 3512),)),
-        (Monkey20BitTest(), [{"p": "0x1.eff1f47421630p-2"}], 65537,
-         (("Missing Words", 141610),)),
-        (RandomWalkTest(), [{"p": "0x1.433dbc5b3ba1bp-3"}], 63125, ()),
-        (ChisqrUniformityTest(), [{"p": "0x1.e88ede98a1afcp-1"}], 100000,
-         ()),
-        (KsUniformityTest(),
-         [{"plus": "0x1.4ea6b8a5414acp-2", "minus": "0x1.db906b02f72b4p-1"}],
-         100000, ()),
-        (GapTest(), [{"p": "0x1.549a1d2be4456p-1"}], 20112, ()),
-        (SerialTest(), [{"p": "0x1.6a0552249e874p-1"}], 50000, ()),
-        (PokerTest(), [{"p": "0x1.ff04cca6e0bd8p-2"}], 50000, ()),
-        (PermutationTest(), [{"p": "0x1.07f00baf73ac5p-3"}], 60000, ()),
-        (MaxOfTTest(),
-         [{"plus": "0x1.4d53061ad345ep-2", "minus": "0x1.99ba814ddd659p-2"}],
-         80000, ()),
-        (SerialCorrelationTest(), [{"p": "0x1.79afacb3c19f0p-3"}], 100000,
-         ()),
-        (BirthdaySpacingsTest(), [{"p": "0x1.bfa7c94fec8dfp-3"}], 102400,
-         ()),
-        (IterateTestCase(KsUniformityTest(n=1000), repetitions=20),
-         [{"p": "0x1.b91c400c33fabp-3"}], 20000,
-         (("Successful Repetitions", 20),)),
-        (CountFailsTestCase(ChisqrUniformityTest(n=5000, k=64), 20,
-                            (0.05, 0.95)),
-         [{"0.05": "0x1.0e8015650c468p-2", "0.95": "0x1.0e8015650c470p-2"}],
-         100000, (("Failures at 0.05", 2), ("Failures at 0.95", 2))),
-    ], ids=["minimum_distance", "binary_rank", "gcd", "squeeze", "craps",
-            "repetition", "maurers_universal", "collision", "coupon",
-            "runs", "parking", "monkey", "random_walk", "chisqr_uniformity",
-            "ks_uniformity", "gap", "serial", "poker", "permutation",
-            "max_of_t", "serial_correlation", "birthday_spacings",
-            "iterate_ks", "count_fails_chisqr"])
+
+class TestPinnedDefaults:
+    """Default-size runs on Mt19937(1), pinned bit for bit (see _PINNED)."""
+
+    @pytest.mark.parametrize("case, p_values, words, diagnostics",
+                             _PINNED, ids=_PINNED_IDS)
     def test_matches_recorded_run(self, case, p_values, words, diagnostics):
         stream = Mt19937(1)
         out = case.execute(stream, LEVELS)
@@ -825,10 +856,11 @@ class TestPinnedDefaults:
 
 
 def test_squeeze_holds_little_beside_its_block():
-    # The default cell reads one block of 24 words per game.  Beside it,
-    # the read holds one tape-length chunk and the kernel maps a chunk
-    # of draws at a time, so no second array as long as the block is
-    # made: no float copy, no per-position record, no concatenation.
+    # The default cell reads one block of 24 words per game, held as
+    # 4-byte words.  Beside it, the read holds one tape-length chunk and
+    # the kernel maps a chunk of draws at a time, so no second array as
+    # long as the block is made: no float copy, no per-position record,
+    # no concatenation.
     tape = Tape(lambda: Mt19937(1))
     replay = tape.replay()
     case = SqueezeTest()
@@ -839,8 +871,114 @@ def test_squeeze_holds_little_beside_its_block():
     finally:
         tracemalloc.stop()
     assert out.aborted is None
-    block_bytes = 8 * case._WORDS_PER_GAME * case.games
-    assert peak < 1.6 * block_bytes, peak / block_bytes
+    block_bytes = 4 * case._WORDS_PER_GAME * case.games
+    assert peak < 2 * block_bytes, peak / block_bytes
+
+
+# ---------------------------------------------------------------------------
+# counting tests read a block at a time
+
+
+_COUNTING = ["chisqr_uniformity", "serial", "poker", "permutation", "gcd"]
+
+
+def _spy_counts(monkeypatch, counted):
+    """Record the counts that the counting tests hand to
+    chi_square_result."""
+    def spy(counts, probs, sample_size):
+        counted.append(np.array(counts))
+        return chi_square_result(counts, probs, sample_size)
+    for module in (uniformity, games):
+        monkeypatch.setattr(module, "chi_square_result", spy)
+
+
+class TestBlockCounts:
+    @pytest.mark.parametrize(
+        "case, p_values, words, diagnostics",
+        [_PINNED[_PINNED_IDS.index(name)] for name in _COUNTING],
+        ids=_COUNTING)
+    def test_small_blocks_match_the_recorded_run(
+            self, monkeypatch, case, p_values, words, diagnostics):
+        counted = []
+        _spy_counts(monkeypatch, counted)
+        case.execute(Mt19937(1), LEVELS)  # one block at default sizes
+        # no default size is a multiple of 999 draws; a block holds 499
+        # pairs, 199 hands or 199 groups of 5
+        monkeypatch.setattr(battery_base, "COUNT_BLOCK", 999)
+        stream = Mt19937(1)
+        out = case.execute(stream, LEVELS)
+        assert _hex_p_values(out) == p_values
+        assert out.diagnostics == diagnostics
+        whole, blocked = counted
+        assert np.array_equal(whole, blocked)
+        reference = Mt19937(1)
+        reference.next_block(words)
+        assert stream.next_block(1)[0] == reference.next_block(1)[0]
+
+    def test_a_block_holds_at_least_one_unit(self, monkeypatch):
+        monkeypatch.setattr(battery_base, "COUNT_BLOCK", 3)
+        small = PokerTest(n_hands=1000).execute(Mt19937(2), LEVELS)
+        monkeypatch.undo()
+        assert small == PokerTest(n_hands=1000).execute(Mt19937(2), LEVELS)
+
+    def test_chisqr_peak_rss_at_the_draw_budget(self):
+        # 2^24 draws counted a block at a time; held whole, as uint64,
+        # float64 and int64 arrays, they took about 420 MB
+        p, kb = _child_peak(
+            "from rngts.battery.uniformity import ChisqrUniformityTest\n"
+            "from rngts.genkit.engines import Mt19937\n"
+            "out = ChisqrUniformityTest(n=2**24).execute(Mt19937(1),\n"
+            "                                            [0.05])\n"
+            "print(out.results[0].p_values['p'].hex())\n"
+        )
+        assert p == "0x1.29f1b1d11857cp-4"
+        assert kb < 100 * 1024
+
+
+# ---------------------------------------------------------------------------
+# scan steps read 32-bit blocks as they read 64-bit ones
+
+
+def _uniform_ints(stream):
+    return uniform_int_block(stream, 1, 2**31 - 1, 300000).tolist()
+
+
+_WIDE = [GapTest(), CouponCollectorTest(), RunsTest(),
+         SqueezeTest(games=20000), CrapsTest(games=20000), RepetitionTest(),
+         _uniform_ints]
+_WIDE_IDS = ["gap", "coupon", "runs", "squeeze", "craps", "repetition",
+             "uniform_int_block"]
+
+
+class TestWideBlocks:
+    @pytest.mark.parametrize("engine", [Mt19937, Minstd],
+                             ids=["mt19937", "minstd"])
+    @pytest.mark.parametrize("what", _WIDE, ids=_WIDE_IDS)
+    def test_uint32_and_uint64_blocks_agree(self, monkeypatch, engine,
+                                            what):
+        # every block is longer than a tape; on minstd, uniform_int_block
+        # combines two words per value
+        monkeypatch.setattr(genkit_base, "_FIRST_BLOCK", 2 * TAPE_WORDS)
+        read = genkit_base._read_block
+        dtypes = set()
+
+        def narrow(stream, n):
+            raw = read(stream, n)
+            dtypes.add(raw.dtype)
+            return raw
+
+        results = []
+        for reader in (narrow, lambda s, n: read(s, n).astype(np.uint64)):
+            monkeypatch.setattr(genkit_base, "_read_block", reader)
+            stream = engine(1)
+            if isinstance(what, BatteryCase):
+                out = what.execute(stream, LEVELS)
+                assert out.aborted is None
+            else:
+                out = what(stream)
+            results.append((out, int(stream.next_block(1)[0])))
+        assert dtypes == {np.dtype(np.uint32)}
+        assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
