@@ -6,6 +6,10 @@ rank and gcd work on whole arrays; squeeze plays lockstep lanes over
 one chunk of draws at a time; parking, which is sequential by nature,
 is a loop over Python floats.  Craps, coupon, runs, repetition and
 squeeze share one pointer-doubling walk, `_walk`, over their units.
+Integer arrays are as wide as the values they hold, worked out from the
+block length, the value bits or the column count: squeeze's records,
+Maurer's and coupon's sort keys, gcd's operands and GF(2) rows of the
+default sizes are all 32-bit.
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
@@ -35,6 +39,13 @@ _SQUEEZE_WALK = 8192
 # the horizon
 _LENGTH_BITS = _SQUEEZE_HORIZON.bit_length()
 _K0 = 2147483648.0
+# Maurer's log2 terms are summed this many at a time
+_MAURER_CHUNK = 1 << 16
+
+
+def _index_type(n):
+    """int32 if it holds every index up to n, else int64."""
+    return np.int32 if n < 2**31 else np.int64
 
 
 def _squeeze_game(raw, to_u, start, cap):
@@ -95,6 +106,9 @@ def _squeeze_records(raw, to_u):
         last = np.append(first[1:], True)
         begun[lane[last]] = end[last]
         records.append((start << _LENGTH_BITS) | (end - start))
+    # free the lockstep buffers, which the loop's row views also hold,
+    # before the records are joined
+    del u, fin, row, flags
     if not records:
         return np.zeros(0, dtype=np.int64)
     records = np.concatenate(records)
@@ -123,17 +137,24 @@ def squeeze_kernel(raw, to_u, counts, games_needed, cap):
     made.  Returns (games_done, consumed, aborted).
     """
     records = _squeeze_records(raw, to_u)
-    starts = records >> _LENGTH_BITS
-    lengths = records & ((1 << _LENGTH_BITS) - 1)
+    # positions and lengths are at most the block's length
+    index = _index_type(raw.shape[0])
+    lengths = (records & ((1 << _LENGTH_BITS) - 1)).astype(index)
+    records >>= _LENGTH_BITS
+    starts = records.astype(index)
+    del records
     ends = starts + lengths
     m = starts.size
-    # the record of the game after each one, or m where none is recorded
+    # the record of the game after each one, or m where none is recorded;
+    # narrowed only after `take`, which would widen int32 indexes again
     after = np.searchsorted(starts, ends)
     after[starts.take(after, mode="clip") != ends] = m
+    after = after.astype(index)
     played = []
     done = at = aborted = 0
     while done < games_needed:
-        j = int(np.searchsorted(starts, at))
+        # a key of the records' type, or searchsorted converts them all
+        j = int(np.searchsorted(starts, index(at)))
         if j < m and starts[j] == at:
             w = min(_SQUEEZE_WALK, m - j)
             chain = np.minimum(after[j:j + w] - j, w)
@@ -155,8 +176,9 @@ def squeeze_kernel(raw, to_u, counts, games_needed, cap):
             done += 1
             at += steps
     if done:
-        cells = np.clip(np.concatenate(played), 6, 48) - 6
-        counts += np.bincount(cells, minlength=counts.size)
+        played = np.concatenate(played)
+        np.clip(played, 6, 48, out=played)
+        counts += np.bincount(played, minlength=6 + counts.size)[6:]
     return done, at, aborted
 
 
@@ -284,14 +306,21 @@ def previous_occurrence(vals):
 
     Sorting value-then-index keys orders equal values by position, so
     an entry's predecessor in that order is its previous occurrence.
-    Values and indexes must fit in 64 bits together.
+    Values are nonnegative integers.  The keys are uint32 when the
+    largest value's bits and the index bits come to at most 32, and
+    uint64 otherwise, so those bits must fit in 64 together.  Returns
+    an int64 array.
     """
     n = vals.shape[0]
-    shift = np.uint64(max(n - 1, 1).bit_length())
-    keys = np.sort((vals.astype(np.uint64) << shift)
-                   | np.arange(n, dtype=np.uint64))
-    order = (keys & np.uint64((1 << int(shift)) - 1)).astype(np.int64)
-    keys >>= shift
+    shift = max(n - 1, 1).bit_length()
+    top = int(vals.max()) if n else 0
+    key = np.uint32 if top.bit_length() + shift <= 32 else np.uint64
+    keys = vals.astype(key)
+    keys <<= key(shift)
+    keys |= np.arange(n, dtype=key)
+    keys.sort()
+    order = keys & key((1 << shift) - 1)
+    keys >>= key(shift)
     same = keys[1:] == keys[:-1]
     prev = np.full(n, -1, dtype=np.int64)
     prev[order[1:][same]] = order[:-1][same]
@@ -330,22 +359,32 @@ def euclid(a, b):
 
     Euclid's algorithm runs over the whole array at once; each round
     takes one division step on the pairs still live and retires those
-    whose remainder reached 0.  Returns (gcds, steps) as int64 arrays.
+    whose remainder reached 0.  The pairs are int32 when every operand
+    lies strictly between -2^31 and 2^31, as gcd's draws in
+    [1, 2^31 - 1] do, and int64 otherwise.  Returns (gcds, steps) as
+    arrays of that type.
     """
-    gs = np.array(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    steps = np.zeros(gs.size, dtype=np.int64)
-    live = np.flatnonzero(b)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    lo = min(int(a.min(initial=0)), int(b.min(initial=0)))
+    hi = max(int(a.max(initial=0)), int(b.max(initial=0)))
+    width = np.int32 if -2**31 < lo and hi < 2**31 else np.int64
+    gs = a.astype(width)
+    b = b.astype(width, copy=False)
+    steps = np.zeros(gs.size, dtype=width)
+    live = np.flatnonzero(b).astype(_index_type(gs.size))
     x, y = gs[live], b[live]
     s = 0
     while live.size:
         x, y = y, x % y
         s += 1
         done = y == 0
-        gs[live[done]] = x[done]
-        steps[live[done]] = s
-        keep = ~done
-        live, x, y = live[keep], x[keep], y[keep]
+        if done.any():
+            ended = live[done]
+            gs[ended] = x[done]
+            steps[ended] = s
+            keep = ~done
+            live, x, y = live[keep], x[keep], y[keep]
     return gs, steps
 
 
@@ -402,31 +441,30 @@ def min_squared_distance(xs, ys):
 def gf2_rank_counts(mats, cols):
     """Census of GF(2) ranks of bit-packed matrices.
 
-    mats has one row of `cols` bits per uint64 entry, shape
-    (n_matrices, rows).  Gaussian elimination runs on all matrices at
-    once, from the most significant column down: each matrix with a
-    pivot in the column swaps it into row `rank` and clears the column
-    from the rows below.  Returns counts indexed by rank.
+    mats has one row of `cols` bits per entry, shape (n_matrices,
+    rows); rows are held as uint32 when cols <= 32, else as uint64.
+    Gaussian elimination runs on all matrices at once, from the most
+    significant column down, and moves no row: a matrix with an unused
+    row having the column's bit takes the first such row as its pivot,
+    marks it used, and XORs it into every unused row having the bit.
+    That clears the pivot row itself, which no later column reads, as
+    only unused rows are searched and changed.  The rank is the number
+    of pivots.  Returns counts indexed by rank.
     """
-    m = mats.copy()
+    word = np.uint32 if cols <= 32 else np.uint64
+    m = mats.astype(word)
     n, rows = m.shape
+    unused = np.ones((n, rows), dtype=bool)
     rank = np.zeros(n, dtype=np.int64)
-    row_ids = np.arange(rows)
+    every = np.arange(n)
     for bit in range(cols - 1, -1, -1):
-        has = ((m >> np.uint64(bit)) & np.uint64(1)).astype(bool)
-        has &= row_ids >= rank[:, None]
-        live = np.flatnonzero(has.any(axis=1))
-        top = rank[live]
-        hit = has[live]
-        pivot = hit.argmax(axis=1)
-        prow = m[live, pivot]
-        m[live, pivot] = m[live, top]
-        m[live, top] = prow
-        # rows between top and the pivot lack the bit, so after the swap
-        # the rows to clear are the other rows that had it
-        hit[np.arange(live.size), pivot] = False
-        m[live] ^= prow[:, None] * hit
-        rank[live] += 1
+        has = (m & word(1 << bit)).astype(bool)
+        has &= unused
+        pivot = has.argmax(axis=1)  # row 0 where no row has the bit
+        found = has[every, pivot]
+        unused[every, pivot] &= ~found
+        m ^= m[every, pivot][:, None] * has
+        rank += found
     return np.bincount(rank, minlength=min(rows, cols) + 1)
 
 
@@ -436,11 +474,18 @@ def maurer_sum(vals, q, k):
     Blocks q..q+k-1 are tested; a value unseen before has distance
     i + 1 for 0-based index i.  log2 comes from math.log2 over the
     distinct distances (np.log2 rounds differently on some integers),
-    and a cumulative sum adds them in order, as a loop would.
+    and a cumulative sum adds them in order, as a loop would.  The sum
+    runs _MAURER_CHUNK terms at a time, each chunk's first term carrying
+    the total so far, so the additions are those of one cumulative sum.
     """
-    i = np.arange(q, q + k)
-    d = i - previous_occurrence(vals[:q + k])[q:]
+    d = previous_occurrence(vals[:q + k])[q:]
+    np.subtract(np.arange(q, q + k), d, out=d)
     seen = np.flatnonzero(np.bincount(d))
     log2 = np.zeros(seen[-1] + 1)
     log2[seen] = [math.log2(x) for x in seen.tolist()]
-    return float(np.cumsum(log2[d])[-1])
+    total = 0.0
+    for at in range(0, k, _MAURER_CHUNK):
+        terms = log2[d[at:at + _MAURER_CHUNK]]
+        terms[0] += total
+        total = float(np.cumsum(terms, out=terms)[-1])
+    return total

@@ -78,7 +78,8 @@ class CollisionTest(TestCase):
         """Consumes exactly n draws."""
         u = uniform01_block(stream, self.n)
         urns = (u * self.m).astype(np.int64)
-        c = self.n - np.unique(urns).size
+        urns.sort()
+        c = int(np.count_nonzero(urns[1:] == urns[:-1]))  # n - distinct
         pmf, cdf = collision_null_distribution(self.m, self.n)
         lower = float(cdf[c])                         # P(C <= c)
         upper = float(cdf[c - 1]) if c > 0 else 0.0   # 1 - P(C >= c)
@@ -154,7 +155,7 @@ class BinaryRankTest(TestCase):
 
     test_name = "Binary-Rank-Test"
 
-    # a row of bits is packed in one 64-bit word
+    # a row of bits is packed in one word of at most 64 bits
     PARAMS = (
         Param("rows", "Rows", 32, 1, 64),
         Param("cols", "Columns", 32, 1, 64),
@@ -179,7 +180,7 @@ class BinaryRankTest(TestCase):
     def run(self, stream: RandomStream):
         """Consumes ceil(n_matrices*rows*cols / width) raw draws via bits."""
         rows = read_fields(stream, self.n_matrices * self.rows, self.cols)
-        mats = rows.astype(np.uint64).reshape(self.n_matrices, self.rows)
+        mats = rows.reshape(self.n_matrices, self.rows)
         rank_counts = gf2_rank_counts(mats, self.cols)
         named, probs = self._categories()
         counts = [int(rank_counts[r]) for r in named]

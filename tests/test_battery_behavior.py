@@ -872,7 +872,7 @@ def test_squeeze_holds_little_beside_its_block():
         tracemalloc.stop()
     assert out.aborted is None
     block_bytes = 4 * case._WORDS_PER_GAME * case.games
-    assert peak < 2 * block_bytes, peak / block_bytes
+    assert peak < 1.5 * block_bytes, peak / block_bytes
 
 
 # ---------------------------------------------------------------------------

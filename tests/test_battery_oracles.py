@@ -36,6 +36,7 @@ from rngts.battery.kernels import (
     maurer_sum,
     min_squared_distance,
     parking_kernel,
+    previous_occurrence,
     repetition_times,
     runs_kernel,
     squeeze_kernel,
@@ -227,7 +228,11 @@ class TestRankOracle:
         ], dtype=np.uint64)
         assert list(gf2_rank_counts(mats, 5)) == [0, 1, 2, 2]
 
-    @pytest.mark.parametrize("rows, cols", [(6, 9), (9, 6), (32, 32)])
+    # rows of at most 32 columns are uint32, wider ones uint64
+    @pytest.mark.parametrize("rows, cols", [
+        (6, 9), (9, 6), (32, 32), (5, 1), (40, 31), (20, 32), (40, 33),
+        (12, 64),
+    ])
     def test_batch_matches_scalar_elimination(self, rows, cols):
         rng = np.random.default_rng(rows * 100 + cols)
         # sparse bits spread the ranks over several values
@@ -705,10 +710,35 @@ class TestGcdOracle:
         b = rng.integers(1, 2**31 - 1, 3000)
         gs, steps = euclid(a, b)
         for i in range(a.size):
-            x, y, s = int(a[i]), int(b[i]), 0
-            while y:
-                x, y, s = y, x % y, s + 1
-            assert (gs[i], steps[i]) == (x, s)
+            assert (gs[i], steps[i]) == _euclid_loop(a[i], b[i])
+
+    @pytest.mark.parametrize("top, width", [
+        (2**31 - 1, np.int32), (2**31, np.int64), (2**62 + 1, np.int64),
+    ])
+    def test_width_switch_matches_scalar_euclid(self, top, width):
+        # operands below 2^31 run in int32, and one of 2^31 or more puts
+        # every pair in int64; either way the gcds and steps are exact
+        edge = [1, 2, top - 1, top]
+        rng = np.random.default_rng(top % 1000)
+        drawn = rng.integers(1, top, 200, endpoint=True).tolist()
+        pairs = ([(x, y) for x in edge for y in edge]  # with equal pairs
+                 + [(x, 0) for x in edge] + [(0, x) for x in edge]
+                 + list(zip(drawn[::2], drawn[1::2])))
+        a = np.array([x for x, _ in pairs], dtype=np.int64)
+        b = np.array([y for _, y in pairs], dtype=np.int64)
+        gs, steps = euclid(a, b)
+        assert gs.dtype == width and steps.dtype == width
+        for (x, y), g, s in zip(pairs, gs.tolist(), steps.tolist()):
+            assert g == math.gcd(x, y)
+            assert (g, s) == _euclid_loop(x, y)
+
+
+def _euclid_loop(x, y):
+    """gcd and division steps of one pair, by Python integers."""
+    x, y, s = int(x), int(y), 0
+    while y:
+        x, y, s = y, x % y, s + 1
+    return x, s
 
 
 # ---------------------------------------------------------------------------
@@ -1233,14 +1263,36 @@ class TestWholeArrayKernels:
             assert times.tolist() == want
             assert consumed == want_consumed
 
+    # the sum runs a chunk of terms at a time: k below, at and past the
+    # chunk, and not a multiple of it
     @pytest.mark.parametrize("L, q, k", [
         (1, 20, 1), (2, 40, 500), (4, 160, 5000), (8, 2560, 25600),
-        (12, 40960, 100000),
+        (12, 40960, 100000), (3, 80, kernels._MAURER_CHUNK),
+        (5, 320, 2 * kernels._MAURER_CHUNK + 7),
     ])
     def test_maurer_matches_loop(self, L, q, k):
         rng = np.random.default_rng(L)
         vals = rng.integers(0, 2**L, q + k)
-        assert maurer_sum(vals, q, k) == _maurer_loop(vals, q, k, 2**L)
+        got = maurer_sum(vals, q, k)
+        assert got.hex() == _maurer_loop(vals, q, k, 2**L).hex()
+
+    # value bits plus index bits of 32 sort uint32 keys, and of 33
+    # uint64 keys; values that differ only in their top bit must not meet
+    @pytest.mark.parametrize("value_bits", [20, 21])
+    @pytest.mark.parametrize("n", [2049, 4096])
+    def test_previous_occurrence_at_the_key_width(self, n, value_bits):
+        rng = np.random.default_rng(n + value_bits)
+        top = 1 << (value_bits - 1)
+        vals = rng.integers(0, 8, n) + top * rng.integers(0, 2, n)
+        vals[-1] = top  # the largest value has value_bits bits
+        assert (n - 1).bit_length() + value_bits in (32, 33)
+        last = {}
+        want = []
+        for i, v in enumerate(vals.tolist()):
+            want.append(last.get(v, -1))
+            last[v] = i
+        for dtype in (np.int64, np.uint64, np.uint32):
+            assert previous_occurrence(vals.astype(dtype)).tolist() == want
 
     @pytest.mark.parametrize("d", [1621, 7957, 57803])
     def test_maurer_log2_comes_from_math(self, d):

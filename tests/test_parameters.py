@@ -13,9 +13,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import resource
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rngts
 from rngts import runner
 from rngts.cli import main
 from rngts.errors import ConfigurationError
@@ -238,6 +242,27 @@ class TestReportParameters:
         got = [(test, *(line.strip() for line in lines.splitlines()))
                for test, lines in blocks]
         assert got == NON_DEFAULT_XML
+
+
+def test_no_cell_imports_numpy_ma():
+    # np.unique's first call imports numpy.ma, about 15 ms; one cell of
+    # every catalog test, in a fresh interpreter, must not pay for it
+    script = (
+        "import sys\n"
+        "from rngts.genkit.engines import Mt19937\n"
+        "from rngts.runner import resolve_test\n"
+        f"for name, kwargs in {NON_DEFAULT!r}.items():\n"
+        "    case = resolve_test(name)(**kwargs)\n"
+        "    assert case.execute(Mt19937(1), [0.05]).aborted is None, name\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(rngts.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 _FUZZ = [
