@@ -236,7 +236,7 @@ class RepetitionTest(TestCase):
 
         def step(raw, remaining):
             nonlocal done
-            vals = raw >> raw.dtype.type(shift)
+            vals = raw >> np.uint32(shift)
             got = at = 0
             window = first
             while got < remaining:

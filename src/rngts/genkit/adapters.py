@@ -22,7 +22,7 @@ class _WordReader(RandomStream):
     def _generate(self, n: int) -> np.ndarray:
         data = self._fh.read(4 * min(n, 65536)) or b""
         usable = len(data) - len(data) % 4
-        return np.frombuffer(data[:usable], dtype="<u4").astype(np.uint64)
+        return np.frombuffer(data[:usable], dtype="<u4")
 
 
 class FileStream(_WordReader):

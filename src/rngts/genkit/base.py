@@ -1,12 +1,14 @@
-"""Stream model: raw integer generators with a declared inclusive range.
+"""Stream model: raw generators of 32-bit words with a declared
+inclusive range.
 
-Engines produce blocks for speed; the base class buffers so blocks of
-any size, and outputs pushed back with `unread`, read one sequence.
-A read is generated at most TAPE_WORDS outputs at a time, so a long read
-holds one chunk beside its result, never a list of parts and their
+A stream's outputs are unsigned 32-bit words: its declared range lies
+in [0, 2^32), and every block it serves is uint32.  Engines produce
+blocks for speed; the base class buffers so blocks of any size, and
+outputs pushed back with `unread`, read one sequence.  A read is
+generated at most TAPE_WORDS outputs at a time, so a long read holds
+one chunk beside its result, never a list of parts and their
 concatenation.  `scan` is the one loop that reads a data-dependent
-number of outputs; a block of it longer than TAPE_WORDS is held as
-uint32 when the outputs fit in 32 bits.
+number of outputs.
 A `Tape` builds one source and keeps its outputs, so that several
 readers can each read them from the start without generating them
 again.
@@ -22,11 +24,14 @@ from ..errors import ConfigurationError, StreamExhausted, TestAborted
 
 
 class RandomStream:
-    """Source of raw unsigned integer outputs in [min_value, max_value].
+    """Source of raw 32-bit words in [min_value, max_value].
 
     Subclasses implement `_generate(n)` returning a numpy array of at most
-    n outputs (any unsigned dtype); an empty array signals exhaustion.
-    Streams are single-owner: not safe for concurrent draws.
+    n outputs (any integer dtype; `next_block` converts it to uint32); an
+    empty array signals exhaustion.
+    A read that must generate outputs of a stream declaring max_value
+    of 2^32 or more raises ConfigurationError, so no output is
+    truncated.  Streams are single-owner: not safe for concurrent draws.
     """
 
     name: str = "stream"
@@ -34,7 +39,7 @@ class RandomStream:
     max_value: int = 1
 
     def __init__(self):
-        self._buf = np.empty(0, dtype=np.uint64)
+        self._buf = np.empty(0, dtype=np.uint32)
         self._pos = 0
         # outputs served by next_block, less those unread
         self.served = 0
@@ -53,7 +58,7 @@ class RandomStream:
         raise NotImplementedError
 
     def next_block(self, n: int) -> np.ndarray:
-        """Return exactly n raw outputs as uint64, or raise StreamExhausted.
+        """Return exactly n raw outputs as uint32, or raise StreamExhausted.
 
         Outputs not buffered are asked of `_generate` at most TAPE_WORDS
         at a time.  A read that one generated chunk serves returns that
@@ -69,11 +74,16 @@ class RandomStream:
             self._pos += n
             self.served += n
             return out
+        if self.max_value >= 1 << 32:
+            raise ConfigurationError(
+                f"{self.name}: declares outputs up to {self.max_value}, "
+                "wider than the 32-bit words a stream serves"
+            )
         out = None
         if avail:
-            out = np.empty(n, dtype=np.uint64)
+            out = np.empty(n, dtype=np.uint32)
             out[:avail] = self._buf[self._pos:]
-        self._buf = np.empty(0, dtype=np.uint64)
+        self._buf = np.empty(0, dtype=np.uint32)
         self._pos = 0
         got = avail
         while got < n:
@@ -81,13 +91,16 @@ class RandomStream:
                 chunk = self._generate(min(n - got, TAPE_WORDS))
             except StreamExhausted:
                 # an inner stream ran out, so this one ends here too
-                chunk = np.empty(0, dtype=np.uint64)
+                chunk = np.empty(0, dtype=np.uint32)
             if chunk.size == 0:
                 # failed reads consume nothing: keep what was collected
                 if got:
                     self._buf = out[:got]
-                raise _exhausted(self, got, n)
-            chunk = np.ascontiguousarray(chunk, dtype=np.uint64)
+                raise StreamExhausted(
+                    f"{self.name}: stream exhausted, {got} of {n} outputs "
+                    "available", available=got
+                )
+            chunk = np.ascontiguousarray(chunk, dtype=np.uint32)
             take = min(chunk.size, n - got)
             if chunk.size > take:
                 self._buf = chunk[take:]
@@ -95,7 +108,7 @@ class RandomStream:
                 out = chunk[:n]
             else:
                 if out is None:
-                    out = np.empty(n, dtype=np.uint64)
+                    out = np.empty(n, dtype=np.uint32)
                 out[got:got + take] = chunk[:take]
             got += take
         self.served += n
@@ -105,7 +118,7 @@ class RandomStream:
         """Push raw outputs back; they are served again before new ones."""
         if len(values) == 0:
             return
-        values = np.ascontiguousarray(values, dtype=np.uint64)
+        values = np.ascontiguousarray(values, dtype=np.uint32)
         self._buf = np.concatenate([values, self._buf[self._pos:]])
         self._pos = 0
         self.served -= values.size
@@ -121,17 +134,8 @@ class RandomStream:
             left -= step
 
     def _reset_buffer(self) -> None:
-        self._buf = np.empty(0, dtype=np.uint64)
+        self._buf = np.empty(0, dtype=np.uint32)
         self._pos = 0
-
-
-def _exhausted(stream: RandomStream, available: int,
-               n: int) -> StreamExhausted:
-    """The error of a read of n outputs that found only `available`."""
-    return StreamExhausted(
-        f"{stream.name}: stream exhausted, {available} of {n} outputs "
-        "available", available=available
-    )
 
 
 class SeedableStream(RandomStream):
@@ -150,7 +154,7 @@ class SeedableStream(RandomStream):
         raise NotImplementedError
 
 
-# The most outputs a Tape records: 2 MiB of uint64.
+# The most outputs a Tape records: 1 MiB of uint32.
 TAPE_WORDS = 1 << 18
 
 
@@ -180,7 +184,7 @@ class Tape:
     def __init__(self, build: Callable[[], RandomStream]):
         self._build = build
         self.source = None
-        self._words = np.empty(TAPE_WORDS, dtype=np.uint64)
+        self._words = np.empty(TAPE_WORDS, dtype=np.uint32)
         self._size = 0
 
     def words(self, stop: int) -> np.ndarray:
@@ -262,29 +266,6 @@ _FIRST_BLOCK = 65536
 _MAX_BLOCK = 1 << 22
 
 
-def _read_block(stream: RandomStream, n: int) -> np.ndarray:
-    """The next n raw outputs, as `next_block` returns them when n is at
-    most TAPE_WORDS or the outputs may pass 32 bits; else read a tape's
-    length at a time into one uint32 array, half the bytes of uint64.
-
-    A failed read consumes nothing: the outputs read before it are
-    pushed back, and its StreamExhausted counts them as available.
-    """
-    if n <= TAPE_WORDS or stream.max_value >= 1 << 32:
-        return stream.next_block(n)
-    out = np.empty(n, dtype=np.uint32)
-    got = 0
-    while got < n:
-        take = min(TAPE_WORDS, n - got)
-        try:
-            out[got:got + take] = stream.next_block(take)
-        except StreamExhausted as exc:
-            stream.unread(out[:got])
-            raise _exhausted(stream, got + exc.available, n) from None
-        got += take
-    return out
-
-
 def scan(stream: RandomStream, needed: int,
          step: Callable[[np.ndarray, int], tuple[int, int]],
          words_per_unit: int = 0) -> None:
@@ -300,8 +281,7 @@ def scan(stream: RandomStream, needed: int,
     With `words_per_unit`, a block holds at least that many words per
     unit still needed, clamped to [_FIRST_BLOCK, _MAX_BLOCK].
 
-    Blocks come from `_read_block`, so a step takes raw blocks of uint64
-    or, past TAPE_WORDS, of uint32.
+    Blocks come from `next_block`, so a step takes uint32 blocks.
 
     A finite stream serves every output it holds: when a read fails, the
     outputs still available are read and stepped on.  If that short
@@ -314,12 +294,12 @@ def scan(stream: RandomStream, needed: int,
             size = max(block, min(words_per_unit * needed, _MAX_BLOCK))
         short = None
         try:
-            raw = _read_block(stream, size)
+            raw = stream.next_block(size)
         except StreamExhausted as exc:
             if not exc.available:
                 raise
             short = exc
-            raw = _read_block(stream, exc.available)
+            raw = stream.next_block(exc.available)
         done, consumed = step(raw, needed)
         if consumed < raw.size:
             stream.unread(raw[consumed:])

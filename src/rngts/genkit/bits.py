@@ -24,8 +24,8 @@ def read_bits(stream: RandomStream, n_bits: int) -> np.ndarray:
     """Return n_bits bits as a uint8 array of 0s and 1s, unpacked from
     the big-endian bytes of outputs shifted to the top."""
     w = stream.bit_width
-    top = (_words(stream, n_bits) << np.uint64(64 - w)).astype(">u8")
-    bits = np.unpackbits(top.view(np.uint8).reshape(-1, 8), axis=1, count=w)
+    top = (_words(stream, n_bits) << np.uint32(32 - w)).astype(">u4")
+    bits = np.unpackbits(top.view(np.uint8).reshape(-1, 4), axis=1, count=w)
     return bits.ravel()[:n_bits]
 
 

@@ -17,10 +17,7 @@ from .base import RandomStream, scan
 
 def uniform01_map(stream: RandomStream, raw: np.ndarray) -> np.ndarray:
     """Map raw outputs of `stream` to [0, 1) as a float64 array."""
-    u = (raw.astype(np.float64) - stream.min_value) / stream.range_size
-    if stream.range_size > 2**53:
-        np.minimum(u, np.nextafter(1.0, 0.0), out=u)
-    return u
+    return (raw.astype(np.float64) - stream.min_value) / stream.range_size
 
 
 def uniform01_block(stream: RandomStream, n: int) -> np.ndarray:
@@ -67,7 +64,7 @@ def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarra
     parts = [np.empty(0, dtype=np.int64)]
 
     def step(raw, remaining):
-        # in uint64 whatever the block's dtype, so w * r cannot wrap
+        # in uint64, so w * r cannot wrap
         digits = np.subtract(raw[:raw.size - raw.size % words], lo,
                              dtype=np.uint64).reshape(-1, words)
         w = digits[:, 0]

@@ -63,14 +63,11 @@ class _MultiplicativeLcg(SeedableStream):
         self._x = self._remap_seed(s)
         self._reset_buffer()
 
-    def _step(self, n: int) -> np.ndarray:
+    def _generate(self, n: int) -> np.ndarray:
         """Advance by min(n, _BLOCK) steps; return those states as int64."""
         out = (self._table[:min(n, _BLOCK)] * self._x) % self._m
         self._x = int(out[-1])
         return out
-
-    def _generate(self, n: int) -> np.ndarray:
-        return self._step(n).astype(np.uint64)
 
 
 class Minstd(_MultiplicativeLcg):
@@ -129,9 +126,9 @@ class Ecuyer1988(SeedableStream):
         self._reset_buffer()
 
     def _generate(self, n: int) -> np.ndarray:
-        z = (self._c1._step(n) - self._c2._step(n)) % self.max_value
+        z = (self._c1._generate(n) - self._c2._generate(n)) % self.max_value
         z[z == 0] = self.max_value
-        return z.astype(np.uint64)
+        return z
 
 
 class Mt19937(SeedableStream):
@@ -193,7 +190,7 @@ class LaggedFibonacci1279(SeedableStream):
 
     def seed(self, s: int) -> None:
         filler = Minstd(seed=s)
-        self._hist = filler.next_block(self._LONG).astype(np.uint32)
+        self._hist = filler.next_block(self._LONG)
         self._initial_left = self._LONG
         self._reset_buffer()
 
@@ -201,14 +198,13 @@ class LaggedFibonacci1279(SeedableStream):
         if self._initial_left > 0:
             start = self._LONG - self._initial_left
             c = min(n, self._initial_left)
-            out = self._hist[start:start + c].copy()
             self._initial_left -= c
-            return out.astype(np.uint64)
+            return self._hist[start:start + c]
         c = min(n, self._SHORT)
         gap = self._LONG - self._SHORT
         new = self._hist[gap:gap + c] + self._hist[:c]
         self._hist = np.concatenate([self._hist[c:], new])
-        return new.astype(np.uint64)
+        return new
 
 
 class ShuffledStream(SeedableStream):
@@ -242,7 +238,9 @@ class ShuffledStream(SeedableStream):
 
     def _slots(self, words: np.ndarray) -> np.ndarray:
         """The table slot each word addresses when it is the last output."""
-        return (words - self.min_value) * self._size // self.range_size
+        # in uint64, so the product cannot wrap
+        return (np.subtract(words, self.min_value, dtype=np.uint64)
+                * self._size // self.range_size)
 
     def _generate(self, n: int) -> np.ndarray:
         # each output refills its slot with one inner word, so drawing

@@ -207,22 +207,20 @@ class TestScan:
              (remaining, raw.size), sizes), words_per_unit=24)
         assert sizes == [1 << 22]
 
-    def test_blocks_past_a_tape_hold_32_bit_words(self):
-        # a block longer than TAPE_WORDS of a 32-bit stream is uint32;
-        # a shorter one, or one of a wider stream, is next_block's uint64
+    def test_every_block_holds_32_bit_words(self):
+        # at any size, though _Zeros generates uint64
         seen = []
 
         def step(raw, remaining):
             seen.append((raw.size, raw.dtype))
             return 1, raw.size
 
-        scan(_Zeros(), 3, step, words_per_unit=TAPE_WORDS // 2)
-        wide = _Zeros()
-        wide.max_value = 2**32
-        scan(wide, 1, step, words_per_unit=2 * TAPE_WORDS)
+        scan(_Zeros(), 4, step, words_per_unit=TAPE_WORDS // 2)
+        scan(_Zeros(), 1, step)
         assert seen == [
-            (3 * TAPE_WORDS // 2, np.uint32), (TAPE_WORDS, np.uint64),
-            (TAPE_WORDS // 2, np.uint64), (2 * TAPE_WORDS, np.uint64),
+            (2 * TAPE_WORDS, np.uint32), (3 * TAPE_WORDS // 2, np.uint32),
+            (TAPE_WORDS, np.uint32), (TAPE_WORDS // 2, np.uint32),
+            (65536, np.uint32),
         ]
 
     def test_hint_falls_back_on_a_short_stream(self):

@@ -26,7 +26,7 @@ import rngts
 import rngts.battery.base as battery_base
 import rngts.battery.games as games
 import rngts.battery.uniformity as uniformity
-import rngts.genkit.base as genkit_base
+from rngts.battery import CATALOG
 from rngts.battery.base import chi_square_result, gaussian_result, ks_result
 from rngts.battery.base import TestCase as BatteryCase
 from rngts.battery.games import (
@@ -63,9 +63,10 @@ from rngts.battery.uniformity import (
 )
 from rngts.errors import StreamExhausted
 from rngts.genkit.adapters import ExternalStream, file_stream
-from rngts.genkit.base import TAPE_WORDS, RandomStream, Tape
+from rngts.genkit.base import RandomStream, Tape
+from rngts.genkit.bits import read_bits, read_fields
 from rngts.genkit.distributions import uniform_int_block
-from rngts.genkit.engines import Minstd, Mt19937
+from rngts.genkit.engines import Minstd, Mt19937, ShuffledStream
 from rngts.meta import CountFailsTestCase, IterateTestCase
 
 LEVELS = [0.05, 0.95]
@@ -936,48 +937,69 @@ class TestBlockCounts:
 
 
 # ---------------------------------------------------------------------------
-# scan steps read 32-bit blocks as they read 64-bit ones
+# every consumer of raw words reads 32-bit blocks as it reads 64-bit ones
 
 
-def _uniform_ints(stream):
-    return uniform_int_block(stream, 1, 2**31 - 1, 300000).tolist()
+# small sizes of each catalog test, by alias
+_SMALL = {
+    "chisqr_uniformity": dict(n=4000, k=64),
+    "ks_uniformity": dict(n=1000),
+    "gap": dict(n_gaps=1000),
+    "serial": dict(d=10, n_pairs=1000),
+    "poker": dict(n_hands=1000),
+    "coupon_collector": dict(n_segments=1000),
+    "permutation": dict(n_groups=1000),
+    "runs": dict(n_runs=1000),
+    "max_of_t": dict(n_groups=1000),
+    "collision": dict(m=2**16, n=2**12),
+    "serial_correlation": dict(n=1000),
+    "birthday_spacings": dict(m=2**16, n=64, reps=20),
+    "binary_rank": dict(n_matrices=500),
+    "parking_lot": dict(attempts=500),
+    "minimum_distance": dict(points=200, reps=20),
+    "squeeze": dict(games=2000),
+    "craps": dict(games=1000),
+    "random_walk": dict(walkers=300, steps=11),
+    "repetition": dict(bits=12, reps=50),
+    "gcd": dict(pairs=1000),
+    "maurers_universal": dict(L=4, Q=160, K=2000),
+    "monkey_20bit": {},
+}
+
+_CONSUMERS = [cls(**_SMALL[alias]) for alias, cls in CATALOG] + [
+    lambda s: uniform_int_block(s, 1, 2**31 - 1, 3000),
+    lambda s: read_bits(s, 10001),
+    lambda s: read_fields(s, 1000, 40),
+    lambda s: ShuffledStream(s).next_block(5000),
+]
+_CONSUMER_IDS = [alias for alias, _ in CATALOG] + [
+    "uniform_int_block", "read_bits", "read_fields", "shuffled"]
 
 
-_WIDE = [GapTest(), CouponCollectorTest(), RunsTest(),
-         SqueezeTest(games=20000), CrapsTest(games=20000), RepetitionTest(),
-         _uniform_ints]
-_WIDE_IDS = ["gap", "coupon", "runs", "squeeze", "craps", "repetition",
-             "uniform_int_block"]
-
-
-class TestWideBlocks:
+class TestWordWidth:
     @pytest.mark.parametrize("engine", [Mt19937, Minstd],
                              ids=["mt19937", "minstd"])
-    @pytest.mark.parametrize("what", _WIDE, ids=_WIDE_IDS)
-    def test_uint32_and_uint64_blocks_agree(self, monkeypatch, engine,
-                                            what):
-        # every block is longer than a tape; on minstd, uniform_int_block
-        # combines two words per value
-        monkeypatch.setattr(genkit_base, "_FIRST_BLOCK", 2 * TAPE_WORDS)
-        read = genkit_base._read_block
-        dtypes = set()
-
-        def narrow(stream, n):
-            raw = read(stream, n)
-            dtypes.add(raw.dtype)
-            return raw
-
+    @pytest.mark.parametrize("what", _CONSUMERS, ids=_CONSUMER_IDS)
+    def test_widened_blocks_give_the_same_results(self, monkeypatch,
+                                                   engine, what):
+        # numpy keeps uint32 arithmetic in uint32, so arithmetic on raw
+        # words that can pass 2^32 must widen them first; with every
+        # block widened to uint64 before the consumer sees it, results
+        # and words drawn stay the same
+        read = RandomStream.next_block
         results = []
-        for reader in (narrow, lambda s, n: read(s, n).astype(np.uint64)):
-            monkeypatch.setattr(genkit_base, "_read_block", reader)
+        for widen in (False, True):
+            if widen:
+                monkeypatch.setattr(
+                    RandomStream, "next_block",
+                    lambda self, n: read(self, n).astype(np.uint64))
             stream = engine(1)
             if isinstance(what, BatteryCase):
                 out = what.execute(stream, LEVELS)
                 assert out.aborted is None
             else:
-                out = what(stream)
-            results.append((out, int(stream.next_block(1)[0])))
-        assert dtypes == {np.dtype(np.uint32)}
+                out = what(stream).tolist()
+            results.append((out, stream.served))
         assert results[0] == results[1]
 
 

@@ -599,7 +599,7 @@ class TestUniform01:
         assert np.array_equal(uniform01_block(s, 2), [0.0, 0.75])
 
     def test_never_reaches_one(self):
-        top = 2**63 - 1
+        top = 2**32 - 1
         s = Scripted([top, top], max_value=top)
         u = uniform01_block(s, 2)
         assert np.all(u < 1.0)

@@ -283,6 +283,21 @@ class TestRunSuite:
         assert aborted.analyses == ()
         assert healthy.aborted is None and healthy.analyses
 
+    def test_a_stream_wider_than_32_bits_aborts_its_cells(self):
+        # its words would be truncated to 32 bits, so none is read
+        tests = (ChisqrUniformityTest(n=2000, k=64),
+                 GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500))
+        matrix = RunMatrix(
+            generators=(("wide", _Wide, 0), ("mt19937", Mt19937, 0)),
+            seeds=(1,), levels=(0.05,), tests=tests,
+        )
+        wide, narrow = run_suite(matrix, date="2025-06-01").generators
+        for cell in wide.seeds[0].tests:
+            assert "wide-mt" in cell.aborted and "32-bit" in cell.aborted
+            assert cell.analyses == ()
+        assert all(cell.aborted is None and cell.analyses
+                   for cell in narrow.seeds[0].tests)
+
     def test_unexpected_error_in_run_aborts_only_its_cell(
             self, tmp_path, pristine_registries, caplog):
         register_test("faulty_test", _Faulty)
@@ -715,6 +730,16 @@ class _Short(SeedableStream):
         n = min(n, self._left)
         self._left -= n
         return self._inner.next_block(n)
+
+
+class _Wide(Mt19937):
+    """mt19937's words, declared as a range one past 32 bits."""
+
+    name = "wide-mt"
+
+    def __init__(self):
+        super().__init__()
+        self.max_value = 2**32
 
 
 class TestTapeRows:
