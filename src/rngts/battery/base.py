@@ -28,7 +28,7 @@ from ..stats import (
 # The ceiling of every count argument, and of each product of counts
 # that sizes one cell's draws.  It admits every default (the largest is
 # binary rank's 32 * 32 * 4000 bits) and a 64 x 64 rank census of 4000
-# matrices.  Whole-array cells at the budget peak at 0.4-0.8 GB
+# matrices.  Whole-array cells at the budget peak at 0.3-0.45 GB
 # (max-of-t with 2^24 groups is the largest).
 DRAW_BUDGET = 2**24
 

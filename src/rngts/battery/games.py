@@ -50,7 +50,8 @@ class SqueezeTest(TestCase):
 
     _GAME_CAP = 10000
     # raw words read per game still needed: a game takes 23.07 on
-    # average, and the lockstep kernel wants one large buffer
+    # average, and the lockstep kernel wants large blocks, which scan
+    # caps at 2^20 words
     _WORDS_PER_GAME = 24
 
     PARAMS = (Param("games", "Number of Games", 100000, 1),)

@@ -8,8 +8,8 @@ is a loop over Python floats.  Craps, coupon, runs, repetition and
 squeeze share one pointer-doubling walk, `_walk`, over their units.
 Integer arrays are as wide as the values they hold, worked out from the
 block length, the value bits or the column count: squeeze's records,
-Maurer's and coupon's sort keys, gcd's operands and GF(2) rows of the
-default sizes are all 32-bit.
+Maurer's and coupon's sort keys and occurrence indexes, gcd's operands
+and GF(2) rows of the default sizes are all 32-bit.
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
@@ -27,8 +27,9 @@ import numpy as np
 
 
 # Squeeze lanes start _SQUEEZE_SPAN words apart and each plays
-# _SQUEEZE_HORIZON draws; on Mt19937(1) at the default block these sizes
-# leave 77 of 100000 games to the scalar loop.  The lockstep maps
+# _SQUEEZE_HORIZON draws; on Mt19937(1) these sizes leave 77 of 100000
+# games to the scalar loop in one 2.4M-word block, and 78 in the three
+# blocks of at most 2^20 words that the test reads.  The lockstep maps
 # _SQUEEZE_CHUNK draws of every lane at a time, and the chain is walked
 # over at most _SQUEEZE_WALK records per `_walk`.
 _SQUEEZE_SPAN = 4096
@@ -89,11 +90,13 @@ def _squeeze_records(raw, to_u):
     for t0 in range(0, h, _SQUEEZE_CHUNK):
         c = min(_SQUEEZE_CHUNK, h - t0)
         np.copyto(u[:c], to_u(window[:, t0:t0 + c]).T)
+        # a step's four calls take most of the lockstep's time; outputs
+        # passed by position and putmask cost the least call overhead
         for row, flags in zip(u[:c], fin[:c]):
-            np.multiply(k, row, out=k)
-            np.ceil(k, out=k)
-            np.less_equal(k, 1.0, out=flags)
-            np.copyto(k, _K0, where=flags)
+            np.multiply(k, row, k)
+            np.ceil(k, k)
+            np.less_equal(k, 1.0, flags)
+            np.putmask(k, flags, _K0)
         # finished games in lane order, each lane's in draw order
         lane, t = np.divmod(np.flatnonzero(fin[:c].T), c)
         if lane.size == 0:
@@ -309,7 +312,7 @@ def previous_occurrence(vals):
     Values are nonnegative integers.  The keys are uint32 when the
     largest value's bits and the index bits come to at most 32, and
     uint64 otherwise, so those bits must fit in 64 together.  Returns
-    an int64 array.
+    indexes of `_index_type(n)`.
     """
     n = vals.shape[0]
     shift = max(n - 1, 1).bit_length()
@@ -322,7 +325,7 @@ def previous_occurrence(vals):
     order = keys & key((1 << shift) - 1)
     keys >>= key(shift)
     same = keys[1:] == keys[:-1]
-    prev = np.full(n, -1, dtype=np.int64)
+    prev = np.full(n, -1, dtype=_index_type(n))
     prev[order[1:][same]] = order[:-1][same]
     return prev
 
@@ -479,7 +482,7 @@ def maurer_sum(vals, q, k):
     the total so far, so the additions are those of one cumulative sum.
     """
     d = previous_occurrence(vals[:q + k])[q:]
-    np.subtract(np.arange(q, q + k), d, out=d)
+    np.subtract(np.arange(q, q + k, dtype=d.dtype), d, out=d)
     seen = np.flatnonzero(np.bincount(d))
     log2 = np.zeros(seen[-1] + 1)
     log2[seen] = [math.log2(x) for x in seen.tolist()]

@@ -264,6 +264,8 @@ class _Replay(RandomStream):
 
 _FIRST_BLOCK = 65536
 _MAX_BLOCK = 1 << 22
+# the largest block a `words_per_unit` hint asks for: 4 MiB of uint32
+_MAX_HINT_BLOCK = 4 * TAPE_WORDS
 
 
 def scan(stream: RandomStream, needed: int,
@@ -278,8 +280,10 @@ def scan(stream: RandomStream, needed: int,
     size.  A block that completes no unit doubles the next one, up to
     _MAX_BLOCK; no progress at that size aborts the test.
 
-    With `words_per_unit`, a block holds at least that many words per
-    unit still needed, clamped to [_FIRST_BLOCK, _MAX_BLOCK].
+    With `words_per_unit`, a block holds that many words per unit still
+    needed, clamped to [_FIRST_BLOCK, _MAX_HINT_BLOCK], or the doubled
+    size if that is larger.  A scan holds one block at a time: each is
+    dropped before the next is read.
 
     Blocks come from `next_block`, so a step takes uint32 blocks.
 
@@ -291,7 +295,7 @@ def scan(stream: RandomStream, needed: int,
     while needed > 0:
         size = block
         if words_per_unit:
-            size = max(block, min(words_per_unit * needed, _MAX_BLOCK))
+            size = max(block, min(words_per_unit * needed, _MAX_HINT_BLOCK))
         short = None
         try:
             raw = stream.next_block(size)
@@ -303,6 +307,7 @@ def scan(stream: RandomStream, needed: int,
         done, consumed = step(raw, needed)
         if consumed < raw.size:
             stream.unread(raw[consumed:])
+        del raw
         needed -= done
         if done == 0:
             if short is not None:

@@ -29,25 +29,39 @@ def read_bits(stream: RandomStream, n_bits: int) -> np.ndarray:
     return bits.ravel()[:n_bits]
 
 
+# fields cut at a time: a chunk's index, shift and value arrays take a
+# few hundred KiB whatever the count
+_FIELD_CHUNK = 1 << 14
+
+
 def read_fields(stream: RandomStream, count: int,
                 value_bits: int) -> np.ndarray:
-    """Return `count` integers of `value_bits` bits each (big-endian).
+    """Return `count` integers of `value_bits` bits each (big-endian), as
+    the narrowest unsigned type that holds them.
 
     Each field is cut from the output holding its last bit, shifted
     right, and from the outputs before it, shifted left.  A shift of
     64 or more, which numpy turns into 0, reaches only outputs outside
-    the field.
+    the field; so does a shift of an output before the first, for which
+    the first output stands in.  Fields are cut _FIELD_CHUNK at a time,
+    so beside the outputs and the result only one chunk's arrays are
+    held.
     """
     w = stream.bit_width
-    # earlier outputs a field may reach into; zeros pad the first ones
+    # earlier outputs a field may reach into
     back = (value_bits + w - 2) // w
-    words = np.concatenate([np.zeros(back, dtype=np.uint64),
-                            _words(stream, count * value_bits)])
-    ends = back * w + value_bits * np.arange(1, count + 1)
-    last = (ends - 1) // w
-    right = ((last + 1) * w - ends).astype(np.uint64)
-    vals = words[last] >> right
-    for s in range(1, back + 1):
-        vals |= words[last - s] << (np.uint64(s * w) - right)
-    vals &= np.uint64((1 << value_bits) - 1)
-    return vals.astype(np.int64)
+    words = _words(stream, count * value_bits)
+    top = (1 << value_bits) - 1
+    out = np.empty(count, dtype=np.min_scalar_type(top))
+    for at in range(0, count, _FIELD_CHUNK):
+        stop = min(at + _FIELD_CHUNK, count)
+        ends = value_bits * np.arange(at + 1, stop + 1)
+        last = (ends - 1) // w
+        right = ((last + 1) * w - ends).astype(np.uint64)
+        vals = words[last].astype(np.uint64) >> right
+        for s in range(1, back + 1):
+            before = words[np.maximum(last - s, 0)].astype(np.uint64)
+            vals |= before << (np.uint64(s * w) - right)
+        vals &= np.uint64(top)
+        out[at:stop] = vals
+    return out

@@ -146,6 +146,8 @@ class Mt19937(SeedableStream):
         self.min_value = 0
         self.max_value = 2**32 - 1
         self._bg = np.random.MT19937()
+        # serves the bit generator's 32-bit outputs as uint32, in order
+        self._words = np.random.Generator(self._bg)
         self.seed(seed)
 
     def seed(self, s: int) -> None:
@@ -167,7 +169,7 @@ class Mt19937(SeedableStream):
         self._reset_buffer()
 
     def _generate(self, n: int) -> np.ndarray:
-        return self._bg.random_raw(n)
+        return self._words.integers(0, 2**32, n, dtype=np.uint32)
 
 
 class LaggedFibonacci1279(SeedableStream):

@@ -30,6 +30,8 @@ from .errors import ConfigurationError
 _SQRT_PI = 1.7724538509055160273
 _SQRT_2 = math.sqrt(2.0)
 _MAX_ITER = 500
+# ks_statistic takes its maxima this many sorted entries at a time
+_KS_CHUNK = 1 << 16
 
 
 class StatKind(enum.Enum):
@@ -246,15 +248,25 @@ def chi_square_pvalue(chi2: float, dof: int) -> float:
 
 
 def ks_statistic(samples) -> tuple[float, float]:
-    """(K+, K-) of a sample against the uniform law on [0, 1]."""
+    """(K+, K-) of a sample against the uniform law on [0, 1].
+
+    The maxima of i/n - x_(i) and x_(i) - (i-1)/n are taken _KS_CHUNK
+    entries at a time, so beside the sorted sample only one chunk's
+    arrays are held; a max over chunk maxima is the max over all.
+    """
     xs = np.sort(np.asarray(samples, dtype=np.float64))
     n = xs.size
     if n == 0:
         raise ConfigurationError("KS needs a non-empty sample")
-    i = np.arange(1, n + 1, dtype=np.float64)
+    above, below = [], []
+    for at in range(0, n, _KS_CHUNK):
+        part = xs[at:at + _KS_CHUNK]
+        i = np.arange(at + 1, at + part.size + 1, dtype=np.float64)
+        above.append((i / n - part).max())
+        below.append((part - (i - 1.0) / n).max())
     root = math.sqrt(n)
-    k_plus = root * max(0.0, float((i / n - xs).max()))
-    k_minus = root * max(0.0, float((xs - (i - 1.0) / n).max()))
+    k_plus = root * max(0.0, float(np.max(above)))
+    k_minus = root * max(0.0, float(np.max(below)))
     if not (k_plus <= root and k_minus <= root):
         raise ConfigurationError("KS statistics must lie in [0, sqrt(n)]")
     return k_plus, k_minus

@@ -1,5 +1,7 @@
 """Catalog infrastructure: pooling, result helpers, TestCase plumbing."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -200,12 +202,30 @@ class TestScan:
         scan(_Zeros(), 100000, _recording(lambda raw, remaining:
              (min(remaining, raw.size // 30), raw.size), sizes),
              words_per_unit=24)
-        # 24 words per unit left: 100000, 20000, 4000, then 800 (clamped)
-        assert sizes == [2400000, 480000, 96000, 65536]
+        # 24 words per unit left, clamped to [2^16, 2^20]: 100000 and
+        # 65048 units (clamped), then 30096, 6020 and 1204 (clamped)
+        assert sizes == [1 << 20, 1 << 20, 722304, 144480, 65536]
         sizes = []
         scan(_Zeros(), 10**6, _recording(lambda raw, remaining:
              (remaining, raw.size), sizes), words_per_unit=24)
-        assert sizes == [1 << 22]
+        assert sizes == [1 << 20]
+
+    def test_a_block_is_dropped_before_the_next_is_read(self):
+        # beside the stream, a scan holds one block at a time
+        held = []
+
+        class Watched(_Zeros):
+            def next_block(self, n):
+                assert all(ref() is None for ref in held)
+                return super().next_block(n)
+
+        def step(raw, remaining):
+            held.append(weakref.ref(raw))
+            return 1, raw.size // 2
+
+        scan(Watched(), 3, step, words_per_unit=TAPE_WORDS)
+        scan(Watched(), 3, step)
+        assert len(held) == 6
 
     def test_every_block_holds_32_bit_words(self):
         # at any size, though _Zeros generates uint64

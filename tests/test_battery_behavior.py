@@ -468,22 +468,23 @@ class TestRandomWalkMemory:
 # the peak of the child's own memory image
 _PEAK_KB = """
 import resource, sys
-try:
-    with open("/proc/self/status") as status:
-        kb = next(int(line.split()[1]) for line in status
-                  if line.startswith("VmHWM:"))
-except (OSError, StopIteration):
-    kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":
-        kb //= 1024
-print(kb)
+def _peak_kb():
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return kb // 1024 if sys.platform == "darwin" else kb
 """
 
 
 def _child_peak(script):
     """Run `script` in a new interpreter; its last line of output, and its
-    peak resident memory in KiB."""
-    proc = subprocess.run([sys.executable, "-c", script + _PEAK_KB],
+    peak resident memory in KiB.  The script may call `_peak_kb()` for
+    its peak so far."""
+    proc = subprocess.run([sys.executable, "-c",
+                           _PEAK_KB + script + "print(_peak_kb())\n"],
                           capture_output=True, text=True, timeout=120,
                           env=_child_env())
     assert proc.returncode == 0, proc.stderr
@@ -874,6 +875,94 @@ def test_squeeze_holds_little_beside_its_block():
     assert out.aborted is None
     block_bytes = 4 * case._WORDS_PER_GAME * case.games
     assert peak < 1.5 * block_bytes, peak / block_bytes
+
+
+def _squeeze_traced_peak(games):
+    """tracemalloc's peak while SqueezeTest(games) reads a taped twister."""
+    replay = Tape(lambda: Mt19937(1)).replay()
+    tracemalloc.start()
+    try:
+        out = SqueezeTest(games=games).execute(replay, LEVELS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.aborted is None
+    return peak
+
+
+class TestBoundedWorkingSet:
+    """Beside its draws, a cell holds at most a block-sized working set."""
+
+    def test_squeeze_block_does_not_grow_with_the_games(self):
+        # a scan block holds at most 2^20 words, so twice the games add
+        # little; a block of 24 words per game, capped at 2^22 words,
+        # held about 1.75 times as much
+        small = _squeeze_traced_peak(100000)
+        large = _squeeze_traced_peak(200000)
+        assert large <= 1.2 * small, large / small
+
+    def test_catalog_row_peak_rss(self):
+        # the 22 default tests on one twister, over the child's peak after
+        # import and manifest build; a 9.6 MB squeeze block and bit
+        # fields cut all at once as int64 rose about 24 MB
+        line, kb = _child_peak(
+            "from rngts.battery import CATALOG\n"
+            "from rngts.genkit.engines import Mt19937\n"
+            "from rngts.runner import RunMatrix, run_suite\n"
+            "matrix = RunMatrix(\n"
+            "    generators=(('mt19937', Mt19937, 0),), seeds=(1,),\n"
+            "    levels=(0.01, 0.05, 0.95, 0.99),\n"
+            "    tests=tuple(cls() for _, cls in CATALOG))\n"
+            "base = _peak_kb()\n"
+            "aborted = []\n"
+            "run_suite(matrix, progress=lambda name, seed, outcome:\n"
+            "          aborted.append(outcome.aborted), jobs=1)\n"
+            "print(len(aborted), aborted.count(None), base)\n"
+        )
+        cells, finished, base = map(int, line.split())
+        assert cells == finished == 22
+        assert kb - base <= 20 * 1024, (kb - base) / 1024
+
+    def test_ks_peak_rss_at_the_draw_budget(self):
+        # beside the draws and their sorted copy, the KS maxima are taken
+        # a chunk at a time; over whole arrays they peaked at about 680 MB
+        p, kb = _child_peak(
+            "from rngts.battery.uniformity import KsUniformityTest\n"
+            "from rngts.genkit.engines import Mt19937\n"
+            "out = KsUniformityTest(n=2**24).execute(Mt19937(1), [0.05])\n"
+            "ps = out.results[0].p_values\n"
+            "print(ps['plus'].hex(), ps['minus'].hex())\n"
+        )
+        assert p == "0x1.81dce42b8e01bp-3 0x1.beea4cc5b12abp-2"
+        assert kb < 400 * 1024
+
+    def test_max_of_t_peak_rss_at_the_draw_budget(self):
+        # the group maxima beside the draws, then KS; over whole arrays
+        # the KS maxima peaked at about 810 MB
+        p, kb = _child_peak(
+            "from rngts.battery.uniformity import MaxOfTTest\n"
+            "from rngts.genkit.engines import Mt19937\n"
+            "out = MaxOfTTest(t=1, n_groups=2**24).execute(Mt19937(1),\n"
+            "                                              [0.05])\n"
+            "ps = out.results[0].p_values\n"
+            "print(ps['plus'].hex(), ps['minus'].hex())\n"
+        )
+        assert p == "0x1.81dce42b8e01bp-3 0x1.beea4cc5b12abp-2"
+        assert kb < 550 * 1024
+
+    def test_maurer_peak_rss_at_the_draw_budget(self):
+        # 2^21 8-bit fields cut a chunk at a time into uint8, and int32
+        # occurrence indexes; four int64 arrays over every field peaked
+        # at about 136 MB
+        p, kb = _child_peak(
+            "from rngts.battery.games import MaurersUniversalTest\n"
+            "from rngts.genkit.engines import Mt19937\n"
+            "out = MaurersUniversalTest(L=8, K=2**21 - 2560).execute(\n"
+            "    Mt19937(1), [0.05])\n"
+            "print(out.results[0].p_values['p'].hex())\n"
+        )
+        assert p == "0x1.ff2b4c58ccd28p-1"
+        assert kb < 110 * 1024
 
 
 # ---------------------------------------------------------------------------

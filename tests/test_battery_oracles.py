@@ -1292,7 +1292,9 @@ class TestWholeArrayKernels:
             want.append(last.get(v, -1))
             last[v] = i
         for dtype in (np.int64, np.uint64, np.uint32):
-            assert previous_occurrence(vals.astype(dtype)).tolist() == want
+            got = previous_occurrence(vals.astype(dtype))
+            assert got.dtype == np.int32  # indexes below 2^31
+            assert got.tolist() == want
 
     @pytest.mark.parametrize("d", [1621, 7957, 57803])
     def test_maurer_log2_comes_from_math(self, d):

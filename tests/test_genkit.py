@@ -16,6 +16,7 @@ import pytest
 from rngts.errors import ConfigurationError, StreamExhausted
 from rngts.genkit.adapters import ExternalStream, FileStream
 from rngts.genkit import base as genkit_base
+from rngts.genkit import bits as genkit_bits
 from rngts.genkit.base import RandomStream, Tape
 from rngts.genkit.bits import read_bits, read_fields
 from rngts.genkit.distributions import uniform01_block, uniform_int_block
@@ -188,6 +189,30 @@ class TestMt19937:
         got = [*g.next_block(1), *g.next_block(623), *g.next_block(700),
                *g.next_block(1)]
         assert np.array_equal(got, Mt19937(4357).next_block(1325))
+
+    def test_serves_the_bit_generators_raw_words(self):
+        # reads of mixed sizes across 2^18 words equal numpy's raw 32-bit
+        # outputs, after seeding, after a reseed and after load_state
+        sizes = (1, 623, 70001, 2**18 - 1, 2**18 + 5, 3, 2**17)
+        key = np.random.default_rng(4).integers(0, 2**32, 624,
+                                                dtype=np.uint32)
+        g = Mt19937(12)
+        ref = np.random.MT19937()
+        for start in ("seed", "reseed", "load_state"):
+            if start == "load_state":
+                g.load_state(key)
+                ref.state = {"bit_generator": "MT19937",
+                             "state": {"key": key, "pos": 624}}
+            else:
+                g.seed(12 if start == "seed" else 13)
+                ref.state = np.random.RandomState(
+                    12 if start == "seed" else 13).get_state(legacy=False)
+            for n in sizes:
+                got = g.next_block(n)
+                assert got.dtype == np.uint32
+                assert np.array_equal(got,
+                                      ref.random_raw(n).astype(np.uint32))
+        assert g._generate(4).dtype == np.uint32
 
     def test_load_state_shape_checked(self):
         with pytest.raises(ConfigurationError):
@@ -665,6 +690,11 @@ class TestUniformInt:
 # bit access
 
 
+# the narrowest unsigned type holding a field, by field width
+_FIELD_TYPES = {1: np.uint8, 5: np.uint8, 7: np.uint8, 8: np.uint8,
+                24: np.uint32, 33: np.uint64, 64: np.uint64}
+
+
 class TestBitReads:
     def test_msb_first_bit_order(self):
         s = Scripted([0xA, 0x5], max_value=0xF)
@@ -689,9 +719,21 @@ class TestBitReads:
             count = min(count, 400 * width // L)
             got = read_fields(Scripted(raw, max_value=2**width - 1),
                               count, L)
-            assert got.dtype == np.int64
-            assert got.tolist() \
-                == _fields_by_expansion(raw, width, count, L).tolist()
+            assert got.dtype == _FIELD_TYPES[L]
+            # the oracle's int64 sum wraps a 64-bit field mod 2^64
+            assert got.tolist() == _fields_by_expansion(
+                raw, width, count, L).astype(got.dtype).tolist()
+
+    @pytest.mark.parametrize("L", [1, 7, 24, 33, 64])
+    def test_fields_cut_a_chunk_at_a_time(self, monkeypatch, L):
+        # chunks of 7 fields, across word boundaries, cut what the bit
+        # expansion gives
+        monkeypatch.setattr(genkit_bits, "_FIELD_CHUNK", 7)
+        raw = np.random.default_rng(L).integers(0, 2**13, 400)
+        count = min(100, 400 * 13 // L)
+        got = read_fields(Scripted(raw, max_value=2**13 - 1), count, L)
+        assert got.tolist() == _fields_by_expansion(
+            raw, 13, count, L).astype(got.dtype).tolist()
 
     @pytest.mark.parametrize("width", [1, 8, 19, 20, 31, 32])
     def test_bits_match_shift_expansion(self, width):
