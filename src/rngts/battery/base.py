@@ -28,8 +28,9 @@ from ..stats import (
 # The ceiling of every count argument, and of each product of counts
 # that sizes one cell's draws.  It admits every default (the largest is
 # binary rank's 32 * 32 * 4000 bits) and a 64 x 64 rank census of 4000
-# matrices.  Whole-array cells at the budget peak at 0.3-0.45 GB
-# (max-of-t with 2^24 groups is the largest).
+# matrices.  Whole-array cells at the budget peak at 0.2-0.45 GB
+# (serial correlation over 2^24 draws peaks at 0.42 GB; KS and max-of-t,
+# which sort raw words or only the maxima they map, at 0.23 GB).
 DRAW_BUDGET = 2**24
 
 # The number of values of one 32-bit word: the ceiling of the ranges

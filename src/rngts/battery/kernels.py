@@ -4,8 +4,9 @@ Every kernel is plain Python over numpy arrays.  Craps, coupon
 collector, runs, repetition, Maurer's sums, minimum distance, GF(2)
 rank and gcd work on whole arrays; squeeze plays lockstep lanes over
 one chunk of draws at a time; parking, which is sequential by nature,
-is a loop over Python floats.  Craps, coupon, runs, repetition and
-squeeze share one pointer-doubling walk, `_walk`, over their units.
+is a loop over Python floats.  Craps, coupon, repetition and squeeze
+share one pointer-doubling walk, `_walk`, over their units; runs finds
+its chain of breaks in closed form, over raw words.
 Integer arrays are as wide as the values they hold, worked out from the
 block length, the value bits or the column count: squeeze's records,
 Maurer's and coupon's sort keys and occurrence indexes, gcd's operands
@@ -42,6 +43,8 @@ _LENGTH_BITS = _SQUEEZE_HORIZON.bit_length()
 _K0 = 2147483648.0
 # Maurer's log2 terms are summed this many at a time
 _MAURER_CHUNK = 1 << 16
+# row maxima are taken over about this many words at a time
+_MAXIMA_CHUNK = 1 << 16
 
 
 def _index_type(n):
@@ -276,32 +279,65 @@ def coupon_kernel(w, limit, d, t, counts, segments_needed, cap):
     return done, int(acc[g - 1]) + 1, aborted
 
 
-def runs_kernel(u, counts, runs_needed, cap):
+def runs_kernel(raw, counts, runs_needed, cap):
     """Scan maximal ascending runs, discarding the breaking draw after each.
 
-    A run starting at s breaks at the first descent after s (one
-    searchsorted over the descents), and the next run starts after the
-    breaking draw, so a walk over the break indexes chains the runs.
-    A run aborts once it passes `cap` draws; one that the buffer does
-    not break is rolled back.
+    `raw` holds raw words: the map to uniforms is strictly increasing,
+    so words ascend and descend where their uniforms do.  A run
+    starting at s breaks at the first descent after s, and the next run
+    starts after the breaking draw, at d + 1.  That start breaks at d + 1
+    if it is a descent too, and otherwise at the first descent of the
+    next cluster of consecutive descents.  So the chain of runs enters
+    each cluster at its first descent and breaks at every other one,
+    and all the breaks are found at once, with no walk.  A run aborts
+    once it passes `cap` draws; one that the buffer does not break is
+    rolled back.
 
     counts has 6 cells for run lengths 1..5 and >= 6.
     Returns (runs, consumed, aborted); consumption includes the breaker.
     """
-    n = u.shape[0]
-    descents = np.flatnonzero(u[1:] <= u[:-1]) + 1
-    starts = np.arange(n + 1)
-    brk = np.append(descents, n)[np.searchsorted(descents, starts,
-                                                  side="right")]
-    length = brk - starts
-    firsts, s = _walk(np.where((brk < n) & (length <= cap), brk + 1, -1),
-                      runs_needed)
-    done = firsts.size
-    aborted = int(done < runs_needed and length[s] > cap)
+    n = raw.shape[0]
+    descents = np.flatnonzero(raw[1:] <= raw[:-1])
+    descents += 1
+    # each descent's offset from its cluster's first: the clusters' first
+    # descents carry their own index forward through the cluster
+    at = np.arange(descents.size, dtype=descents.dtype)
+    head = np.zeros(descents.size, dtype=descents.dtype)
+    first = np.not_equal(descents[1:], descents[:-1] + 1)
+    head[1:][first] = at[1:][first]
+    np.maximum.accumulate(head, out=head)
+    breaks = descents[((at - head) & 1) == 0]
+    # run k starts after break k - 1 and ends at break k, or at the
+    # buffer's end where no break is left
+    starts = np.zeros(breaks.size + 1, dtype=breaks.dtype)
+    np.add(breaks, 1, out=starts[1:])
+    length = np.append(breaks, n) - starts
+    done = min(runs_needed, breaks.size)
+    over = np.flatnonzero(length[:done] > cap)
+    if over.size:
+        done = int(over[0])
+    aborted = int(done < runs_needed and length[done] > cap)
     if done:
-        counts += np.bincount(np.minimum(length[firsts], 6) - 1,
+        counts += np.bincount(np.minimum(length[:done], 6) - 1,
                               minlength=counts.size)
-    return done, s, aborted
+    return done, int(starts[done]), aborted
+
+
+def row_maxima(g):
+    """The largest entry of each row of the 2-d array g.
+
+    numpy reduces short rows one at a time, which is slow, so whole
+    rows of about _MAXIMA_CHUNK words at a time are transposed into a
+    contiguous chunk and reduced down its columns, across the rows at
+    once.
+    """
+    n, t = g.shape
+    rows = max(1, _MAXIMA_CHUNK // t)
+    out = np.empty(n, dtype=g.dtype)
+    for at in range(0, n, rows):
+        np.max(np.ascontiguousarray(g[at:at + rows].T), axis=0,
+               out=out[at:at + rows])
+    return out
 
 
 def previous_occurrence(vals):

@@ -10,6 +10,8 @@ their sample a block at a time through `block_counts`.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from .base import (
     gaussian_result,
     ks_result,
 )
-from .kernels import coupon_kernel, runs_kernel
+from .kernels import coupon_kernel, row_maxima, runs_kernel
 
 
 def _stirling2_rows(n: int, k: int) -> list:
@@ -85,8 +87,13 @@ class KsUniformityTest(TestCase):
     PARAMS = (Param("n", "Number of Numbers", 100000, 1),)
 
     def run(self, stream: RandomStream):
-        """Consumes exactly n draws."""
-        u = uniform01_block(stream, self.n)
+        """Consumes exactly n draws.
+
+        The draws are sorted as raw words, in a copy the test owns, and
+        the sorted words are mapped: the map is increasing, so their
+        uniforms are the sorted sample, which KS does not sort again.
+        """
+        u = uniform01_map(stream, np.sort(stream.next_block(self.n)))
         return [ks_result(u)]
 
 
@@ -172,7 +179,9 @@ class SerialTest(TestCase):
         """Consumes raw draws through the one yielding digit 2*n_pairs."""
         def cells(size):
             digits = uniform_int_block(stream, 0, self.d - 1, 2 * size)
-            return digits[0::2] * self.d + digits[1::2]
+            # a cell passes 32 bits once d passes 2^16
+            return (np.multiply(digits[0::2], self.d, dtype=np.int64)
+                    + digits[1::2])
 
         counts = block_counts(self.d * self.d, self.n_pairs, 2, cells)
         probs = np.full(self.d * self.d, 1.0 / (self.d * self.d))
@@ -297,7 +306,13 @@ class PermutationTest(TestCase):
             np.asarray(group, dtype=np.float64).reshape(1, -1))[0])
 
     @staticmethod
-    def _rank_groups(g: np.ndarray) -> np.ndarray:
+    def _rank_by_swaps(g: np.ndarray) -> np.ndarray:
+        """Knuth's algorithm P over each row of g, one step per position.
+
+        For r = t, ..., 2, s is the last position of the largest of the
+        row's first r entries, the rank becomes f r + s, and entries s
+        and r - 1 swap places.
+        """
         g = g.copy()
         n, t = g.shape
         rows = np.arange(n)
@@ -312,16 +327,58 @@ class PermutationTest(TestCase):
             g[:, r - 1] = tmp
         return f
 
+    @staticmethod
+    def _rank_groups(g: np.ndarray) -> np.ndarray:
+        """Algorithm P's rank of each row of g, of raw words or uniforms.
+
+        A row of distinct entries has one of t! orders, and its Lehmer
+        code (for each entry, how many later entries are smaller, in
+        the mixed radix (t-1)!, ..., 1!) is that order's index among
+        the orderings of range(t) in lexicographic order.  So a table of
+        algorithm P's rank of every ordering turns the codes, found by
+        t (t - 1) / 2 column comparisons, into ranks.  A row with equal
+        entries is ranked by algorithm P itself: its tie rule goes by
+        where entries stand after the earlier swaps, not where they
+        were drawn.
+        """
+        n, t = g.shape
+        cols = np.ascontiguousarray(g.T)
+        code = np.zeros(n, dtype=np.intp)
+        tied = np.zeros(n, dtype=bool)
+        less = np.empty((t - 1, n), dtype=bool)
+        for i in range(t - 1):
+            later = cols[i + 1:]
+            code *= t - i
+            np.less(later, cols[i], out=less[:t - 1 - i])
+            code += less[:t - 1 - i].sum(axis=0)
+            tied |= (later == cols[i]).any(axis=0)
+        f = _pattern_ranks(t)[code]
+        if tied.any():
+            at = np.flatnonzero(tied)
+            f[at] = PermutationTest._rank_by_swaps(g[at])
+        return f
+
     def run(self, stream: RandomStream):
         """Consumes exactly t * n_groups draws."""
         cells = math.factorial(self.t)
+        # raw words have the order of their uniforms
         counts = block_counts(
             cells, self.n_groups, self.t,
             lambda size: self._rank_groups(
-                uniform01_block(stream, self.t * size).reshape(size,
-                                                              self.t)))
+                stream.next_block(self.t * size).reshape(size, self.t)))
         probs = np.full(cells, 1.0 / cells)
         return [chi_square_result(counts, probs, self.n_groups)]
+
+
+@functools.lru_cache(maxsize=None)
+def _pattern_ranks(t: int) -> np.ndarray:
+    """Algorithm P's rank of every ordering of range(t), in
+    lexicographic order, as read-only int64: t! entries, at most
+    40320."""
+    orders = np.array(list(itertools.permutations(range(t))))
+    ranks = PermutationTest._rank_by_swaps(orders)
+    ranks.flags.writeable = False
+    return ranks
 
 
 class RunsTest(TestCase):
@@ -344,7 +401,7 @@ class RunsTest(TestCase):
 
         def step(raw, remaining):
             done, consumed, aborted = runs_kernel(
-                uniform01_map(stream, raw), counts, remaining, self._RUN_CAP
+                raw, counts, remaining, self._RUN_CAP
             )
             if aborted:
                 raise TestAborted(
@@ -370,9 +427,18 @@ class MaxOfTTest(TestCase):
         check_budget("t * n_groups", self.t * self.n_groups)
 
     def run(self, stream: RandomStream):
-        """Consumes exactly t * n_groups draws."""
-        u = uniform01_block(stream, self.t * self.n_groups)
-        v = u.reshape(self.n_groups, self.t).max(axis=1) ** self.t
+        """Consumes exactly t * n_groups draws.
+
+        The map is increasing, so each group's largest raw word maps to
+        its largest uniform, and only the maxima are mapped.  The powers
+        are sorted in place, so KS sorts no copy of them.
+        """
+        maxima = row_maxima(stream.next_block(
+            self.t * self.n_groups).reshape(self.n_groups, self.t))
+        v = uniform01_map(stream, maxima)
+        del maxima
+        v **= self.t
+        v.sort()
         return [ks_result(v)]
 
 

@@ -172,9 +172,11 @@ class Tape:
     every stream it returns yields the same outputs.  The first replay
     builds the tape's source; a build that raises records nothing, so
     the next replay builds again.  The tape records the source's outputs
-    as its replays ask for them, growing to max(needed, 2 x recorded)
-    outputs, up to TAPE_WORDS; a source that ends sooner is recorded
-    through its last output.  A replay that reads past a full tape
+    as its replays ask for them, through the last output asked for, up
+    to TAPE_WORDS; a source that ends sooner is recorded through its
+    last output.  The tape's array is allocated whole, so recording
+    ahead of the reads would save no copy, only generate outputs that
+    no replay may read.  A replay that reads past a full tape
     continues on its own stream from `build()`, moved past the recorded
     outputs.  A replay read that the tape alone serves is a read-only
     view of the recorded outputs; a longer one is assembled by
@@ -190,11 +192,10 @@ class Tape:
     def words(self, stop: int) -> np.ndarray:
         """The recorded outputs, first recording through `stop` if the
         tape has room for them."""
-        cap = self._words.size
-        if self._size < min(stop, cap):
-            grow = min(max(stop, 2 * self._size), cap)
+        stop = min(stop, self._words.size)
+        if self._size < stop:
             try:
-                block = self.source.next_block(grow - self._size)
+                block = self.source.next_block(stop - self._size)
             except StreamExhausted as exc:
                 block = self.source.next_block(exc.available)
             self._words[self._size:self._size + block.size] = block

@@ -16,7 +16,14 @@ from .base import RandomStream, scan
 
 
 def uniform01_map(stream: RandomStream, raw: np.ndarray) -> np.ndarray:
-    """Map raw outputs of `stream` to [0, 1) as a float64 array."""
+    """Map raw outputs of `stream` to [0, 1) as a float64 array.
+
+    The map is strictly increasing over the stream's range: distinct
+    integers below 2^32, less one minimum and divided by one range of
+    at most 2^32, differ by far more than a float64 rounds away.  So
+    tests of order alone (runs, permutation, the maxima of max-of-t and
+    KS's sort) may compare raw words instead of their uniforms.
+    """
     return (raw.astype(np.float64) - stream.min_value) / stream.range_size
 
 
@@ -46,32 +53,36 @@ def _int_params(stream: RandomStream, a: int,
 
 
 def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarray:
-    """n unbiased draws from {a, ..., b} as an int64 array.
+    """n unbiased draws from {a, ..., b}, as uint32 when 0 <= a and
+    b < 2^32, and as int64 otherwise.
 
     With R the stream's range size and m = b - a + 1, a candidate is one
     output minus the minimum when m <= R.  Otherwise it combines the
     smallest number k of outputs with R^k >= m, most significant first,
     as sum of w_i R^(k-i) (Boost's uniform_int); R^k may not pass 2^63.
     A candidate below R^k - R^k mod m is accepted as a + candidate mod m.
+    One output's candidate and its residue are worked in 32 bits, from
+    the draw on, unless m is 2^32; combined ones in 64 bits.
 
     Reads through `scan`: consumes raw outputs exactly through the one
     yielding the n-th accepted value, and a finite stream holding that
     many serves them.
     """
     m, words, limit = _int_params(stream, a, b)
-    lo = np.uint64(stream.min_value)
+    # in uint64 when outputs combine, so w * r cannot wrap
+    cand = np.uint32 if words == 1 and m < 2**32 else np.uint64
+    value = np.uint32 if 0 <= a and b < 2**32 else np.int64
     r = np.uint64(stream.range_size)
-    parts = [np.empty(0, dtype=np.int64)]
+    parts = [np.empty(0, dtype=value)]
 
     def step(raw, remaining):
-        # in uint64, so w * r cannot wrap
-        digits = np.subtract(raw[:raw.size - raw.size % words], lo,
-                             dtype=np.uint64).reshape(-1, words)
+        digits = np.subtract(raw[:raw.size - raw.size % words],
+                             stream.min_value, dtype=cand).reshape(-1, words)
         w = digits[:, 0]
         for i in range(1, words):
             w = w * r + digits[:, i]
         acc = np.flatnonzero(w < limit)[:remaining]
-        parts.append(a + (w[acc] % m).astype(np.int64))
+        parts.append(a + (w[acc] % cand(m)).astype(value, copy=False))
         if acc.size == remaining:
             return remaining, (int(acc[-1]) + 1) * words
         return acc.size, w.size * words

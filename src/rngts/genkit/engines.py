@@ -25,13 +25,19 @@ _BLOCK = 4096
 def _power_table(a: int, m: int) -> np.ndarray:
     """A[j] = a^(j+1) mod m for j < _BLOCK, as read-only int64.
 
-    Built once per (a, m) and shared by every engine with that pair.
+    Built once per (a, m) by doubling: with the first k entries known,
+    A[k + j] = A[j] * a^k mod m, and a^k is A[k - 1].  Entries lie below
+    m <= 2^31, so the products stay below 2^62.  Shared by every engine
+    with that pair.
     """
     table = np.empty(_BLOCK, dtype=np.int64)
-    acc = 1
-    for j in range(_BLOCK):
-        acc = (acc * a) % m
-        table[j] = acc
+    table[0] = a % m
+    k = 1
+    while k < _BLOCK:
+        c = min(k, _BLOCK - k)
+        np.multiply(table[:c], table[k - 1], out=table[k:k + c])
+        table[k:k + c] %= m
+        k *= 2
     table.flags.writeable = False
     return table
 

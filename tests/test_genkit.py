@@ -17,9 +17,14 @@ from rngts.errors import ConfigurationError, StreamExhausted
 from rngts.genkit.adapters import ExternalStream, FileStream
 from rngts.genkit import base as genkit_base
 from rngts.genkit import bits as genkit_bits
+from rngts.genkit import engines
 from rngts.genkit.base import RandomStream, Tape
 from rngts.genkit.bits import read_bits, read_fields
-from rngts.genkit.distributions import uniform01_block, uniform_int_block
+from rngts.genkit.distributions import (
+    uniform01_block,
+    uniform01_map,
+    uniform_int_block,
+)
 from rngts.genkit.engines import (
     Ecuyer1988,
     LaggedFibonacci1279,
@@ -127,6 +132,21 @@ class TestEcuyer1988:
         assert g.min_value == 1 and g.max_value == 2147483562
         out = g.next_block(20000)
         assert out.min() >= 1 and out.max() <= 2147483562
+
+
+class TestPowerTable:
+    # every (a, m) pair a built-in engine steps with
+    @pytest.mark.parametrize("lcg", [
+        Minstd, Randu, engines._Ecuyer1988First, engines._Ecuyer1988Second,
+    ], ids=["minstd", "randu", "ecuyer1988_first", "ecuyer1988_second"])
+    def test_matches_the_scalar_recurrence(self, lcg):
+        acc, want = 1, []
+        for _ in range(engines._BLOCK):
+            acc = acc * lcg._a % lcg._m
+            want.append(acc)
+        table = engines._power_table(lcg._a, lcg._m)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.tolist() == want
 
 
 def _mt_scalar(seed, count):
@@ -417,7 +437,7 @@ class TestTape:
             got = np.concatenate([replay.next_block(k) for k in sizes])
             assert np.array_equal(got, expected)
 
-    def test_grows_to_twice_its_size_up_to_the_cap(self, monkeypatch):
+    def test_records_only_what_its_replays_ask_for(self, monkeypatch):
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
         builds = []
 
@@ -432,12 +452,12 @@ class TestTape:
         replay.next_block(200)
         tape.replay().next_block(900)
         replay.next_block(2000)
-        # the source moves forward only: 10, then 10 more (twice 10), then
-        # to 215 needed, then to 900 needed, then to the cap; the rest is
-        # read from a fresh stream moved past the cap, at most a tape's
-        # length at a time
+        # the source moves forward only, each time through the last
+        # output asked for: to 10, 15, 215 and 900, then to the cap; the
+        # rest is read from a fresh stream moved past the cap, at most a
+        # tape's length at a time
         source, *rest = builds
-        assert source.blocks == [10, 10, 195, 685, 100]
+        assert source.blocks == [10, 5, 200, 685, 100]
         assert len(rest) == 1 and rest[0].blocks == [1000, 1000, 215]
         assert tape.words(10**6).size == 1000
 
@@ -446,8 +466,9 @@ class TestTape:
         monkeypatch.setattr(genkit_base, "TAPE_WORDS", 1000)
         expected = Mt19937(4).next_block(300)
         tape = Tape(lambda: Finite(Mt19937(4), 300))
-        # growth asks for 2 x 200 outputs; the 300 the source holds are
-        # recorded and served
+        # the tape records the 200 outputs asked for, then the 100 more
+        # a read of 300 asks for; a read of 301 finds the source ended
+        # and serves the 300 it held
         assert np.array_equal(tape.replay().next_block(200), expected[:200])
         replay = tape.replay()
         assert np.array_equal(replay.next_block(300), expected)
@@ -629,6 +650,25 @@ class TestUniform01:
         u = uniform01_block(s, 2)
         assert np.all(u < 1.0)
 
+    @pytest.mark.parametrize("make", [
+        Minstd, Randu, Ecuyer1988, Mt19937, LaggedFibonacci1279,
+        lambda: ShuffledStream(Minstd()),
+    ], ids=["minstd", "randu", "ecuyer1988", "mt19937", "lagged_fibonacci",
+            "shuffled"])
+    def test_strictly_increasing_over_the_range(self, make):
+        # runs, permutation, max-of-t and KS compare raw words in place
+        # of their uniforms, which holds while no two words map to equal
+        # or swapped uniforms: checked at both ends of the range and on
+        # a sample of adjacent words
+        s = make()
+        lo, hi = s.min_value, s.max_value
+        rng = np.random.default_rng(31)
+        below = np.concatenate([[lo, hi - 1], rng.integers(lo, hi, 100000)])
+        u = uniform01_map(s, below.astype(np.uint32))
+        above = uniform01_map(s, (below + 1).astype(np.uint32))
+        assert np.all(u < above)
+        assert u[0] == 0.0 and above[1] < 1.0
+
 
 class TestUniformInt:
     def test_scripted_rejection_and_consumption(self):
@@ -648,6 +688,18 @@ class TestUniformInt:
         s = Scripted(range(8), max_value=7)
         out = uniform_int_block(s, 0, 7, 8)
         assert list(out) == list(range(8))
+
+    def test_value_type_holds_the_interval(self):
+        # uint32 wherever a and b fit it, also when outputs combine
+        assert uniform_int_block(Mt19937(1), 0, 9, 5).dtype == np.uint32
+        assert uniform_int_block(Minstd(1), 1, 2**31 - 1, 5).dtype \
+            == np.uint32
+        assert uniform_int_block(Mt19937(1), -3, 3, 5).dtype == np.int64
+        assert uniform_int_block(Minstd(1), 0, 2**32, 5).dtype == np.int64
+        # 2^32 values of a 2^32-value stream: every word, unchanged
+        full = uniform_int_block(Mt19937(1), 0, 2**32 - 1, 1000)
+        assert full.dtype == np.uint32
+        assert np.array_equal(full, Mt19937(1).next_block(1000))
 
     def test_interval_validation(self):
         with pytest.raises(ConfigurationError):
