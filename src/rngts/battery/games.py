@@ -50,9 +50,10 @@ class SqueezeTest(TestCase):
 
     _GAME_CAP = 10000
     # raw words read per game still needed: a game takes 23.07 on
-    # average, and the lockstep kernel wants large blocks, which scan
-    # caps at 2^20 words
+    # average, and the lockstep kernel wants large blocks, up to 2^20
+    # words (4 MiB)
     _WORDS_PER_GAME = 24
+    _MAX_BLOCK = 1 << 20
 
     PARAMS = (Param("games", "Number of Games", 100000, 1),)
 
@@ -71,7 +72,7 @@ class SqueezeTest(TestCase):
                 )
             return done, consumed
 
-        scan(stream, self.games, step, words_per_unit=self._WORDS_PER_GAME)
+        scan(stream, self.games, step, self._WORDS_PER_GAME, self._MAX_BLOCK)
         return [chi_square_result(counts, SQUEEZE_CELL_PROBS, self.games)]
 
 

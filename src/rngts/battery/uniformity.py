@@ -153,7 +153,8 @@ class GapTest(TestCase):
                 )
             return hits.size, raw.size
 
-        scan(stream, self.n_gaps, step)
+        # a draw is a hit with probability beta - alpha
+        scan(stream, self.n_gaps, step, 1.0 / (self.beta - self.alpha))
         return [chi_square_result(counts, self.cell_probabilities(),
                                   self.n_gaps)]
 
@@ -409,7 +410,8 @@ class RunsTest(TestCase):
                 )
             return done, consumed
 
-        scan(stream, self.n_runs, step)
+        # a run and the draw after it take e draws on average
+        scan(stream, self.n_runs, step, math.e)
         return [chi_square_result(counts, self._PROBS, self.n_runs)]
 
 

@@ -64,8 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also render an HTML report to this path")
     run.add_argument("--jobs", type=int, metavar="N", default=1,
                      help="forked worker processes, at most one per task "
-                          "(a row, or a cell when rows are fewer than "
-                          "jobs; default: 1)")
+                          "(a row, or a run of a row's cells when rows are "
+                          "fewer than jobs; default: 1)")
     run.add_argument("--date", metavar="YYYY-MM-DD",
                      help="pin the report date (default: today)")
 
@@ -139,5 +139,21 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main() -> int:
+    """The `rngts` command: `main()`, then a quick exit.
+
+    The process ends as soon as this returns, so the interpreter's final
+    full collections, over about 24k objects after a catalog run, would
+    only delay it; frozen, the objects are left out of them.  The reports
+    are already closed, and stdio is still flushed at exit.  Tests call
+    `main()` instead, many times in one process, and freeze nothing.
+    """
+    code = main()
+    import gc
+
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -16,6 +16,7 @@ again.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -265,13 +266,13 @@ class _Replay(RandomStream):
 
 _FIRST_BLOCK = 65536
 _MAX_BLOCK = 1 << 22
-# the largest block a `words_per_unit` hint asks for: 4 MiB of uint32
-_MAX_HINT_BLOCK = 4 * TAPE_WORDS
+# the words a hinted block reads beyond the expected need of its units
+_HINT_SLACK = 64
 
 
 def scan(stream: RandomStream, needed: int,
          step: Callable[[np.ndarray, int], tuple[int, int]],
-         words_per_unit: int = 0) -> None:
+         words_per_unit: float = 0.0, max_block: int = _FIRST_BLOCK) -> None:
     """Feed raw blocks of `stream` to `step` until `needed` units are done.
 
     `step(raw, remaining)` scans one block and returns (units_done,
@@ -281,10 +282,12 @@ def scan(stream: RandomStream, needed: int,
     size.  A block that completes no unit doubles the next one, up to
     _MAX_BLOCK; no progress at that size aborts the test.
 
-    With `words_per_unit`, a block holds that many words per unit still
-    needed, clamped to [_FIRST_BLOCK, _MAX_HINT_BLOCK], or the doubled
-    size if that is larger.  A scan holds one block at a time: each is
-    dropped before the next is read.
+    Blocks hold _FIRST_BLOCK words.  With `words_per_unit`, the words a
+    unit takes on average by the test's own law, a block holds that many
+    words per unit still needed plus _HINT_SLACK, at most `max_block`,
+    so a scan reads about what it needs; after a block that completed
+    no unit, it holds at least the doubled size.  A scan holds one
+    block at a time: each is dropped before the next is read.
 
     Blocks come from `next_block`, so a step takes uint32 blocks.
 
@@ -292,11 +295,13 @@ def scan(stream: RandomStream, needed: int,
     outputs still available are read and stepped on.  If that short
     block completes no unit, the read's StreamExhausted is raised.
     """
-    block = _FIRST_BLOCK
+    grown = 0
     while needed > 0:
-        size = block
+        size = _FIRST_BLOCK
         if words_per_unit:
-            size = max(block, min(words_per_unit * needed, _MAX_HINT_BLOCK))
+            size = min(math.ceil(words_per_unit * needed) + _HINT_SLACK,
+                       max_block)
+        size = max(size, grown)
         short = None
         try:
             raw = stream.next_block(size)
@@ -317,4 +322,4 @@ def scan(stream: RandomStream, needed: int,
                 raise TestAborted(
                     "scanner made no progress at maximum buffer size"
                 )
-            block = min(size * 2, _MAX_BLOCK)
+            grown = min(size * 2, _MAX_BLOCK)

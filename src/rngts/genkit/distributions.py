@@ -87,5 +87,7 @@ def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarra
             return remaining, (int(acc[-1]) + 1) * words
         return acc.size, w.size * words
 
-    scan(stream, n, step)
+    # a candidate of `words` outputs is accepted with probability
+    # limit / R^k
+    scan(stream, n, step, words * stream.range_size ** words / limit)
     return np.concatenate(parts)

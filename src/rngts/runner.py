@@ -4,9 +4,10 @@ A run is a full cross product: generators (outer), then seeds, then
 tests.  A row is one generator and seed; every cell of it reads the
 generator's outputs from the start of the seed's stream after the
 warmup, so cells are independent.  A task is a whole row when there
-are at least as many rows as jobs, else a single cell; tasks may run
-concurrently in forked worker processes, at most one per task, and the
-report is assembled in matrix order regardless of completion order.
+are at least as many rows as jobs, else a contiguous run of a row's
+cells, one per job; tasks may run concurrently in forked worker
+processes, at most one per task, which send each cell as it ends, and
+the report is assembled in matrix order regardless of completion order.
 A test is a `TestCase` instance, built once by `load_manifest` or by the
 caller; every cell of its column runs that instance.
 
@@ -27,6 +28,8 @@ from __future__ import annotations
 import datetime
 import json
 import logging
+import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence
@@ -240,64 +243,183 @@ def _run_row(generator: tuple, seed: int, tests: Sequence[TestCase],
         tape.close()
 
 
-# The tasks of the run a forked worker serves, as `_run_row` arguments.
-# They are set by the pool's initializer, whose arguments fork hands
-# over without pickling, so tasks may hold lambdas, closures, instances
-# of locally defined tests, and file or external generators.
-_worker_tasks: list = []
+# A worker's message: task index, cell index and payload length, then
+# the pickled outcome, or the reason the cell aborted.  A task index
+# travels to the workers as one _INDEX.
+_HEADER = "<IIQ"
+_INDEX = "<I"
 
 
-def _init_worker(tasks: list) -> None:
-    global _worker_tasks
-    _worker_tasks = tasks
+def _serve(tasks: list, indexes: int, results: int) -> None:
+    """A forked worker's loop: run each task whose index it reads from
+    the `indexes` pipe, and write each cell to `results` as it ends.
+
+    Every write to `indexes` is a whole number of indexes of at most
+    PIPE_BUF bytes, so each read takes one whole index.  An outcome that
+    cannot be pickled is sent as the reason its cell aborts."""
+    import pickle
+    import struct
+
+    while True:
+        head = os.read(indexes, struct.calcsize(_INDEX))
+        if not head:
+            return
+        (index,) = struct.unpack(_INDEX, head)
+        for cell, outcome in enumerate(_run_row(*tasks[index])):
+            try:
+                payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                payload = pickle.dumps(f"{type(exc).__name__}: {exc}")
+            message = memoryview(struct.pack(_HEADER, index, cell,
+                                             len(payload)) + payload)
+            while message:
+                message = message[os.write(results, message):]
 
 
-def _run_task(index: int) -> list:
-    return list(_run_row(*_worker_tasks[index]))
+def _forked_cells(tasks: list, workers: int, codes: list) -> Iterator[tuple]:
+    """Run `tasks` in `workers` forked processes and yield (task index,
+    cell index, outcome or abort reason) for each cell as it arrives;
+    `codes` gets the exit code of each worker as it ends.
+
+    Fork hands each worker the tasks without pickling, so tasks may hold
+    lambdas, closures, instances of locally defined tests, and file or
+    external generators.  The workers take task indexes from one pipe,
+    fed as it drains, and each writes its cells to a pipe of its own.
+    """
+    import pickle
+    import select
+    import selectors
+    import signal
+    import struct
+
+    if not hasattr(os, "fork"):
+        raise ConfigurationError(
+            "jobs above 1 need fork(), which this platform lacks"
+        )
+    # set-up every worker would repeat, done once before forking:
+    # Mt19937 reaches numpy.random lazily, about 14 ms a process
+    import numpy.random  # noqa: F401
+
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            # else a worker's first write would repeat what is buffered
+            stream.flush()
+    pending = memoryview(b"".join(struct.pack(_INDEX, index)
+                                  for index in range(len(tasks))))
+    header = struct.calcsize(_HEADER)
+    take, give = os.pipe()
+    children = {}  # a worker's results pipe -> its pid
+    selector = None
+    try:
+        for _ in range(workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (give, read_end, *children):
+                        os.close(fd)
+                    _serve(tasks, take, write_end)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            children[read_end] = pid
+        os.close(take)
+        take = -1
+        os.set_blocking(give, False)
+        selector = selectors.DefaultSelector()
+        selector.register(give, selectors.EVENT_WRITE)
+        for fd in children:
+            selector.register(fd, selectors.EVENT_READ, bytearray())
+        while children:
+            for key, _ in selector.select():
+                if key.fd == give:
+                    try:
+                        sent = os.write(give, pending[:select.PIPE_BUF])
+                    except BrokenPipeError:
+                        # every worker has ended
+                        sent = len(pending)
+                    pending = pending[sent:]
+                    if not pending:
+                        selector.unregister(give)
+                        os.close(give)
+                        give = -1
+                    continue
+                chunk = os.read(key.fd, 1 << 16)
+                if not chunk:
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+                    _, status = os.waitpid(children.pop(key.fd), 0)
+                    codes.append(os.waitstatus_to_exitcode(status))
+                    continue
+                buffer = key.data
+                buffer += chunk
+                while len(buffer) >= header:
+                    index, cell, size = struct.unpack_from(_HEADER, buffer)
+                    end = header + size
+                    if len(buffer) < end:
+                        break
+                    try:
+                        outcome = pickle.loads(buffer[header:end])
+                    except Exception as exc:
+                        outcome = f"{type(exc).__name__}: {exc}"
+                    del buffer[:end]
+                    yield index, cell, outcome
+    finally:
+        if selector is not None:
+            selector.close()
+        for fd in (take, give):
+            if fd >= 0:
+                os.close(fd)
+        for fd, pid in children.items():
+            # the run stopped early: its workers' cells are not wanted
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
-def _task_outcomes(tasks: list, jobs: int) -> Iterator[tuple]:
-    """Yield each task with its cells' outcomes, in task order.
+def _cell_outcomes(tasks: list, jobs: int) -> Iterator[tuple]:
+    """Yield each cell's task and outcome, in matrix order.
 
-    With `jobs` above 1 the tasks run in forked workers; a task whose
-    future raises (its worker died, or an outcome could not be pickled)
-    aborts all its cells, and the tasks already read keep theirs.
+    With `jobs` above 1 the tasks run in forked workers, which send each
+    cell as it ends: a cell is yielded once it and every earlier cell
+    have arrived.  Once the workers have ended, each cell that never
+    arrived (its worker died) aborts, and the others keep their results.
     """
     if jobs == 1:
         for task in tasks:
-            yield task, _run_row(*task)
+            for outcome in _run_row(*task):
+                yield task, outcome
         return
-    # imported here: these modules add about 18 ms to the start-up of
-    # every run, and --jobs 1 never uses them
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        raise ConfigurationError(
-            "jobs above 1 need the 'fork' start method, which this "
-            "platform lacks"
-        ) from None
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
-                             mp_context=context, initializer=_init_worker,
-                             initargs=(tasks,)) as pool:
-        futures = []
-        for index in range(len(tasks)):
-            try:
-                futures.append(pool.submit(_run_task, index))
-            except BrokenProcessPool as exc:
-                # a worker died while tasks were still being submitted
-                futures.append(Future())
-                futures[-1].set_exception(exc)
-        for task, future in zip(tasks, futures):
-            try:
-                outcomes = future.result()
-            except Exception as exc:
-                outcomes = [case.aborted(f"{type(exc).__name__}: {exc}")
-                            for case in task[2]]
-            yield task, outcomes
+    def received(key, outcome) -> tuple:
+        task = tasks[key[0]]
+        if isinstance(outcome, str):
+            outcome = task[2][key[1]].aborted(outcome)
+        return task, outcome
+
+    order = [(index, cell) for index, task in enumerate(tasks)
+             for cell in range(len(task[2]))]
+    arrived = {}
+    at = 0
+    codes = []
+    for index, cell, outcome in _forked_cells(tasks, min(jobs, len(tasks)),
+                                              codes):
+        arrived[index, cell] = outcome
+        while at < len(order) and order[at] in arrived:
+            yield received(order[at], arrived.pop(order[at]))
+            at += 1
+    failed = ", ".join(str(code) for code in sorted(set(codes)) if code)
+    reason = ("a worker process ended before the cell was sent"
+              + (f" (exit code {failed})" if failed else ""))
+    for key in order[at:]:
+        yield received(key, arrived.pop(key, reason))
 
 
 def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
@@ -305,27 +427,29 @@ def run_suite(matrix: RunMatrix, progress: Optional[Callable] = None,
     """Execute the matrix and assemble the result document.
 
     A task is a row (generator, seed) when there are at least as many
-    rows as jobs, else a single cell, so that every worker has work.
-    With `jobs` above 1, tasks run in forked worker processes, at most
-    one per task, and `progress` is called in matrix order as results
-    are read; output order and content are independent of the job
-    count.  Aborted cells (exhausted or misconfigured streams, any other
-    exception in a cell, or a worker that died) appear in the report and
+    rows as jobs; else each row is cut into `jobs` tasks of contiguous
+    cells (or one per cell, if it has fewer), so that every worker has
+    work and records the row's tape once.  With `jobs` above 1, tasks
+    run in forked worker processes, at most one per task, and
+    `progress` is called in matrix order as the cells arrive; output
+    order and content are independent of the job count.  Aborted cells
+    (exhausted or misconfigured streams, any other exception in a cell,
+    or a worker that died before sending them) appear in the report and
     never halt the run.
     """
     if jobs < 1:
         raise ConfigurationError("jobs must be at least 1")
     rows = [(gen, seed) for gen in matrix.generators for seed in matrix.seeds]
-    parts = ([matrix.tests] if len(rows) >= jobs
-             else [(case,) for case in matrix.tests])
-    tasks = [(gen, seed, part, matrix.levels)
-             for gen, seed in rows for part in parts]
+    tests = matrix.tests
+    parts = 1 if len(rows) >= jobs else min(jobs, len(tests))
+    cuts = [len(tests) * part // parts for part in range(parts + 1)]
+    tasks = [(gen, seed, tests[start:stop], matrix.levels)
+             for gen, seed in rows for start, stop in zip(cuts, cuts[1:])]
     outcomes = []
-    for ((name, _, _), seed, _, _), results in _task_outcomes(tasks, jobs):
-        for outcome in results:
-            if progress is not None:
-                progress(name, seed, outcome)
-            outcomes.append(outcome)
+    for ((name, _, _), seed, _, _), outcome in _cell_outcomes(tasks, jobs):
+        if progress is not None:
+            progress(name, seed, outcome)
+        outcomes.append(outcome)
 
     sections = []
     index = 0

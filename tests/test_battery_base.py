@@ -1,5 +1,6 @@
 """Catalog infrastructure: pooling, result helpers, TestCase plumbing."""
 
+import math
 import weakref
 
 import numpy as np
@@ -201,14 +202,34 @@ class TestScan:
         sizes = []
         scan(_Zeros(), 100000, _recording(lambda raw, remaining:
              (min(remaining, raw.size // 30), raw.size), sizes),
-             words_per_unit=24)
-        # 24 words per unit left, clamped to [2^16, 2^20]: 100000 and
-        # 65048 units (clamped), then 30096, 6020 and 1204 (clamped)
-        assert sizes == [1 << 20, 1 << 20, 722304, 144480, 65536]
+             words_per_unit=24, max_block=1 << 20)
+        # 24 words per unit left and 64 more, at most 2^20: 100000 and
+        # 65048 units (capped), then 30096, 6018, 1202, 239, 46 and 8
+        assert sizes == [1 << 20, 1 << 20, 722368, 144496, 28912, 5800,
+                         1168, 256]
         sizes = []
         scan(_Zeros(), 10**6, _recording(lambda raw, remaining:
-             (remaining, raw.size), sizes), words_per_unit=24)
+             (remaining, raw.size), sizes), words_per_unit=24,
+             max_block=1 << 20)
         assert sizes == [1 << 20]
+
+    def test_a_hinted_block_never_passes_the_first_block(self):
+        # by default a hint only shrinks blocks, to about the need
+        sizes = []
+        scan(_Zeros(), 100000, _recording(lambda raw, remaining:
+             (min(remaining, raw.size // 2), raw.size), sizes),
+             words_per_unit=2.0)
+        assert sizes == [65536] * 3 + [2 * 1696 + 64]
+        sizes = []
+        scan(_Zeros(), 1000, _recording(lambda raw, remaining:
+             (remaining, raw.size), sizes), words_per_unit=math.e)
+        assert sizes == [math.ceil(1000 * math.e) + 64]
+
+    def test_a_hinted_block_without_progress_doubles(self):
+        sizes = []
+        scan(_Zeros(), 1, _recording(lambda raw, remaining:
+             (int(raw.size > 1000), raw.size), sizes), words_per_unit=2.0)
+        assert sizes == [66, 132, 264, 528, 1056]
 
     def test_a_block_is_dropped_before_the_next_is_read(self):
         # beside the stream, a scan holds one block at a time
@@ -223,7 +244,8 @@ class TestScan:
             held.append(weakref.ref(raw))
             return 1, raw.size // 2
 
-        scan(Watched(), 3, step, words_per_unit=TAPE_WORDS)
+        scan(Watched(), 3, step, words_per_unit=TAPE_WORDS,
+             max_block=1 << 20)
         scan(Watched(), 3, step)
         assert len(held) == 6
 
@@ -235,11 +257,13 @@ class TestScan:
             seen.append((raw.size, raw.dtype))
             return 1, raw.size
 
-        scan(_Zeros(), 4, step, words_per_unit=TAPE_WORDS // 2)
+        scan(_Zeros(), 4, step, words_per_unit=TAPE_WORDS // 2,
+             max_block=1 << 20)
         scan(_Zeros(), 1, step)
         assert seen == [
-            (2 * TAPE_WORDS, np.uint32), (3 * TAPE_WORDS // 2, np.uint32),
-            (TAPE_WORDS, np.uint32), (TAPE_WORDS // 2, np.uint32),
+            (2 * TAPE_WORDS + 64, np.uint32),
+            (3 * TAPE_WORDS // 2 + 64, np.uint32),
+            (TAPE_WORDS + 64, np.uint32), (TAPE_WORDS // 2 + 64, np.uint32),
             (65536, np.uint32),
         ]
 
@@ -251,10 +275,10 @@ class TestScan:
             seen.append((int(raw[0]), raw.size))
             return 1, 1000
 
-        scan(stream, 3, step, words_per_unit=100000)
+        scan(stream, 3, step, words_per_unit=100000, max_block=1 << 20)
         # a failed read keeps its words, and the scan steps on every word
         # the stream still holds before the next read
-        assert seen == [(0, 200000), (1000, 199000), (2000, 100000)]
+        assert seen == [(0, 200000), (1000, 199000), (2000, 100064)]
         assert int(stream.next_block(1)[0]) == 3000
 
 

@@ -870,14 +870,16 @@ class TestPinnedDefaults:
         (2350000, None, 2308617),
         (2308617, None, None),
         (2308616,
-         "file(words.bin): stream exhausted, 21 of 65536 outputs available",
+         "file(words.bin): stream exhausted, 21 of 88 outputs available",
          2308595),
     ], ids=["completes", "shorter-than-hint", "exact", "one-short"])
     def test_squeeze_on_a_file_shorter_than_its_block_hint(
             self, tmp_path, length, aborted, next_word):
-        # squeeze asks for a 2400000-word block and uses 2308617 words.
-        # A file shorter than the hint serves every word it holds; one
-        # word short, the last game stays open and its 21 words are kept.
+        # squeeze reads blocks of 24 words per game still needed and 64
+        # more, and uses 2308617 words.  A file shorter than the hint
+        # serves every word it holds; one word short, the last game stays
+        # open, its 21 words are kept, and the block that would finish it
+        # asks for 24 + 64 words.
         path = tmp_path / "words.bin"
         path.write_bytes(Mt19937(1).next_block(length)
                          .astype("<u4").tobytes())
@@ -894,6 +896,31 @@ class TestPinnedDefaults:
             reference = Mt19937(1)
             reference.next_block(next_word)
             assert stream.next_block(1)[0] == reference.next_block(1)[0]
+
+
+class _Asked(Mt19937):
+    """Mt19937(1) that counts the words its reads ask for."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.asked = 0
+
+    def next_block(self, n):
+        self.asked += n
+        return super().next_block(n)
+
+
+@pytest.mark.parametrize("case", [
+    uniformity.GapTest(), uniformity.RunsTest(), BirthdaySpacingsTest(),
+], ids=["gap", "runs", "birthday_spacings"])
+def test_scans_ask_for_about_what_they_use(case):
+    # each reads a block sized by its own law's words per unit, and one
+    # small block if the first falls short, rather than 65536-word
+    # blocks: at most two slacks of 64 words beyond what it uses
+    stream = _Asked()
+    out = case.execute(stream, LEVELS)
+    assert out.aborted is None
+    assert stream.served <= stream.asked <= stream.served + 2 * 64 + 16
 
 
 def test_squeeze_holds_little_beside_its_block():

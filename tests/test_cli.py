@@ -303,6 +303,33 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "mt19937" in proc.stdout.splitlines()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_module_run_writes_the_whole_report_into_a_pipe(self, tmp_path,
+                                                            jobs):
+        # the process exits with its objects frozen out of the final
+        # collection; stdout is still flushed, and the exit code kept
+        zeros = tmp_path / "zeros.bin"
+        zeros.write_bytes(bytes(4 * 4000))
+        config = _manifest(tmp_path, generators=[
+            {"name": "mt19937"},
+            {"name": "file", "path": str(zeros), "label": "zeros"}],
+            tests=[{"name": "chisqr_uniformity",
+                    "parameters": {"n": 2000, "k": 64}}])
+        argv = [sys.executable, "-m", "rngts.cli", "run", "--config", config,
+                "--out", "-", "--jobs", jobs, "--date", "2025-06-01"]
+        proc = subprocess.run(argv, capture_output=True, timeout=60,
+                              env=_child_env())
+        assert proc.returncode == 1, proc.stderr
+        report = tmp_path / "report.xml"
+        assert main(["run", "--config", config, "--out", str(report),
+                     "--date", "2025-06-01"]) == 1
+        assert proc.stdout == report.read_bytes()
+        _manifest(tmp_path, jobs=2)
+        proc = subprocess.run(argv, capture_output=True, timeout=60,
+                              env=_child_env())
+        assert proc.returncode == 2
+        assert proc.stdout == b"" and b"error:" in proc.stderr
+
     def test_import_leaves_out_url_handling(self):
         # the report escapes attributes itself; xml.sax.saxutils, which
         # loads urllib.request, is not needed to start the CLI
@@ -315,8 +342,8 @@ class TestConsoleScript:
         assert proc.stdout.split() == ["False"]
 
     def test_import_leaves_out_the_worker_pool(self):
-        # only --jobs above 1 needs multiprocessing; loading it costs
-        # every run start-up time
+        # workers are plain forks fed by pipes; loading multiprocessing
+        # would cost every run start-up time
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, rngts.cli; print('multiprocessing' in sys.modules)"],

@@ -6,7 +6,6 @@ count.  Registry mutations are snapshotted and restored so the builtin
 catalogs stay pristine for other tests.
 """
 
-import concurrent.futures
 import copy
 import io
 import json
@@ -16,12 +15,11 @@ import struct
 import sys
 import threading
 import time
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from rngts import runner
+from rngts.battery import CATALOG
 from rngts.battery.base import TestCase as BatteryCase
 from rngts.battery.games import (CrapsTest, GcdTest, RepetitionTest,
                                  SqueezeTest)
@@ -468,26 +466,26 @@ class _UnsendableOnMinstd(ChisqrUniformityTest):
         return results
 
 
-class _InlinePool:
-    """Stands in for the worker pool: records its size and runs each
-    submitted task in this process."""
+class _Waiting(BatteryCase):
+    """Waits for `go` to exist, and aborts if it never does."""
 
-    sizes: list = []
+    test_name = "Waiting-Test"
+    go = None
 
-    def __init__(self, max_workers, mp_context, initializer, initargs):
-        self.sizes.append(max_workers)
-        initializer(*initargs)
+    def parameters(self):
+        return []
 
-    def __enter__(self):
-        return self
+    def run(self, stream):
+        deadline = time.monotonic() + 20
+        while not os.path.exists(self.go):
+            if time.monotonic() > deadline:
+                raise RuntimeError("go never appeared")
+            time.sleep(0.01)
+        return []
 
-    def __exit__(self, *exc):
-        return False
 
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+# the reason a cell aborts when the worker running it exits with code 3
+_DIED = "a worker process ended before the cell was sent (exit code 3)"
 
 
 def _xml(doc) -> bytes:
@@ -564,7 +562,7 @@ class TestWorkerProcesses:
                         date="2025-06-01")
         chisqr, gap, dead = doc.generators[0].seeds[0].tests
         assert dead.name == "Exiting-Test"
-        assert dead.aborted.startswith("BrokenProcessPool: ")
+        assert dead.aborted == _DIED
         assert dead.analyses == ()
         clean = run_suite(RunMatrix(generators=matrix.generators, seeds=(1,),
                                     levels=(0.05,), tests=tests[:2]),
@@ -583,9 +581,7 @@ class TestWorkerProcesses:
         assert code == 0
         cells = [t for s in parse_xml(str(out)).generators[0].seeds
                  for t in s.tests]
-        assert len(cells) == 2
-        assert all(t.aborted.startswith("BrokenProcessPool: ")
-                   for t in cells)
+        assert [t.aborted for t in cells] == [_DIED] * 2
 
     def test_outcome_that_cannot_travel_back_aborts_its_cell(self):
         matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
@@ -598,9 +594,9 @@ class TestWorkerProcesses:
         assert unsent.name == "Unsendable-Test" and unsent.aborted
         assert gap.aborted is None and gap.analyses
 
-    def test_an_unsendable_outcome_aborts_its_whole_row_task(self):
-        # four rows for two jobs: each task is a whole row, so the cells
-        # of a minstd row fall with the one outcome that cannot travel
+    def test_an_unsendable_outcome_aborts_only_its_cell(self):
+        # four rows for two jobs: each task is a whole row, and its cells
+        # travel back one at a time
         tests = (GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500),
                  _UnsendableOnMinstd(n=2000, k=64),
                  ChisqrUniformityTest(n=2000, k=64))
@@ -608,58 +604,123 @@ class TestWorkerProcesses:
             generators=(("mt19937", Mt19937, 0), ("minstd", Minstd, 16)),
             seeds=(1, 331), levels=(0.05,), tests=tests)
         doc = run_suite(matrix, jobs=2, date="2025-06-01")
+        alone = run_suite(matrix, date="2025-06-01")
         mt, minstd = doc.generators
-        for seed in minstd.seeds:
-            reasons = {t.aborted for t in seed.tests}
-            assert len(reasons) == 1 and reasons.pop()
-            assert all(t.analyses == () for t in seed.tests)
-        alone = RunMatrix(generators=matrix.generators[:1], seeds=(1, 331),
-                          levels=(0.05,), tests=tests)
-        assert mt == run_suite(alone, date="2025-06-01").generators[0]
-        assert all(t.aborted is None and t.analyses
-                   for seed in mt.seeds for t in seed.tests)
+        assert mt == alone.generators[0]
+        for seed, fresh in zip(minstd.seeds, alone.generators[1].seeds):
+            gap, unsent, chisqr = seed.tests
+            assert unsent.aborted and unsent.analyses == ()
+            assert (gap, chisqr) == fresh.tests[::2]
+            assert gap.aborted is None and chisqr.aborted is None
 
-    def test_pool_has_at_most_one_worker_per_cell(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(_InlinePool, "sizes", sizes)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            _InlinePool)
-        monkeypatch.setattr(runner, "_worker_tasks", [])
+    def test_a_dead_worker_keeps_the_cells_it_sent(self, tmp_path,
+                                                    monkeypatch):
+        # two rows for two jobs: each task is a whole row, whose worker
+        # exits in the row's third cell
+        go = tmp_path / "go"
+        go.touch()
+        monkeypatch.setattr(_Exiting, "go", str(go))
+        tests = (ChisqrUniformityTest(n=2000, k=64),
+                 GapTest(alpha=0.0, beta=0.5, t=8, n_gaps=500), _Exiting())
+        matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
+                           seeds=(1, 2), levels=(0.05,), tests=tests)
+        doc = run_suite(matrix, jobs=2, date="2025-06-01")
+        clean = run_suite(RunMatrix(generators=matrix.generators,
+                                    seeds=(1, 2), levels=(0.05,),
+                                    tests=tests[:2]), date="2025-06-01")
+        for seed, fresh in zip(doc.generators[0].seeds,
+                               clean.generators[0].seeds):
+            assert seed.tests[:2] == fresh.tests
+            assert seed.tests[2].aborted == _DIED
+
+    def test_progress_of_a_first_cell_comes_before_its_row_ends(
+            self, tmp_path, monkeypatch):
+        # the last cell of each row waits until the parent has reported
+        # the row's first cell
+        go = tmp_path / "go"
+        monkeypatch.setattr(_Waiting, "go", str(go))
+        matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
+                           seeds=(1, 2), levels=(0.05,),
+                           tests=(ChisqrUniformityTest(n=2000, k=64),
+                                  _Waiting()))
+
+        def progress(name, seed, outcome):
+            if outcome.test_name == "Chi-Square-Uniformity-Test":
+                go.touch()
+
+        doc = run_suite(matrix, progress=progress, jobs=2,
+                        date="2025-06-01")
+        assert all(t.aborted is None
+                   for s in doc.generators[0].seeds for t in s.tests)
+
+    def test_at_most_one_worker_per_task(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
         matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
                            seeds=(1, 2), levels=(0.05,),
                            tests=(ChisqrUniformityTest(n=2000, k=64),))
         doc = run_suite(matrix, jobs=64, date="2025-06-01")
-        assert sizes == [2]
+        assert len(forks) == 2
         assert _xml(doc) == _xml(run_suite(matrix, date="2025-06-01"))
 
-    def test_pool_broken_while_submitting_aborts_the_rest(self,
-                                                          monkeypatch):
-        class BreaksAfterOne(_InlinePool):
-            accepted = 0
-
-            def submit(self, fn, *args):
-                if self.accepted:
-                    raise BrokenProcessPool("a worker died")
-                self.accepted += 1
-                return super().submit(fn, *args)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            BreaksAfterOne)
-        monkeypatch.setattr(runner, "_worker_tasks", [])
-        doc = run_suite(_small_matrix(), jobs=2, date="2025-06-01")
+    def test_workers_that_all_die_leave_no_cell_unreported(
+            self, tmp_path, monkeypatch):
+        # each worker exits in the second cell of the first row it takes,
+        # so the last two rows are never taken, and the run still ends
+        go = tmp_path / "go"
+        go.touch()
+        monkeypatch.setattr(_Exiting, "go", str(go))
+        matrix = RunMatrix(
+            generators=(("mt19937", Mt19937, 0), ("minstd", Minstd, 16)),
+            seeds=(1, 331), levels=(0.05,),
+            tests=(ChisqrUniformityTest(n=2000, k=64), _Exiting()))
+        doc = run_suite(matrix, jobs=2, date="2025-06-01")
         cells = [t for g in doc.generators for s in g.seeds for t in s.tests]
-        # the first task, a whole row of two cells, was accepted
-        assert all(t.aborted is None and t.analyses for t in cells[:2])
-        assert [t.aborted for t in cells[2:]] == (
-            ["BrokenProcessPool: a worker died"] * 6)
+        assert [t.aborted for t in cells] == [None, _DIED] * 2 + [_DIED] * 4
+        assert cells[0].analyses and cells[2].analyses
+
+    def test_any_number_of_tasks_is_dispatched(self):
+        # more task indexes than a 64 KiB pipe holds at once
+        rows = 17000
+        matrix = RunMatrix(generators=(("minstd", Minstd, 0),),
+                           seeds=tuple(range(1, rows + 1)), levels=(0.05,),
+                           tests=(_Unsendable(),))
+        doc = run_suite(matrix, jobs=2, date="2025-06-01")
+        cells = [t for s in doc.generators[0].seeds for t in s.tests]
+        assert len(cells) == rows
+        assert all(t.name == "Unsendable-Test" and t.aborted for t in cells)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs Linux /proc")
+    def test_a_failed_fork_leaves_no_worker_and_no_pipe(self, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def second_fails():
+            if forks:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        before = os.listdir("/proc/self/fd")
+        with pytest.raises(BlockingIOError):
+            run_suite(_small_matrix(), jobs=2)
+        assert os.listdir("/proc/self/fd") == before
+        # the first worker was ended and reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
 
     def test_no_fork_means_jobs_one_only(self, tmp_path, monkeypatch):
-        import multiprocessing
-
-        def get_context(method=None):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        monkeypatch.delattr(os, "fork")
         with pytest.raises(ConfigurationError, match="fork"):
             run_suite(_small_matrix(), jobs=2)
         run_suite(_small_matrix(), jobs=1)
@@ -798,6 +859,52 @@ class TestTapeRows:
         last_row = run_suite(again, date="2025-06-01").generators[0].seeds
         assert last_row == first.generators[0].seeds[1:]
         assert len(builds) == 3
+
+    def test_a_screen_row_records_about_its_hungriest_cell(self,
+                                                           monkeypatch):
+        # birthday spacings, the hungriest of these tests, draws 102400
+        # values; scans ask for about what they need, so no tape is
+        # recorded to a whole number of 65536-word blocks
+        sizes = []
+
+        class Measured(genkit_base.Tape):
+            def close(self):
+                sizes.append(self._size)
+                super().close()
+
+        monkeypatch.setattr(runner, "Tape", Measured)
+        tests = tuple(resolve_test(name)() for name in (
+            "chisqr_uniformity", "ks_uniformity", "serial",
+            "serial_correlation", "gap", "poker", "permutation", "runs",
+            "max_of_t", "birthday_spacings"))
+        matrix = RunMatrix(generators=(("minstd", Minstd, 1009),
+                                       ("mt19937", Mt19937, 4001)),
+                           seeds=(11,), levels=(0.05,), tests=tests)
+        run_suite(matrix, date="2025-06-01")
+        assert len(sizes) == 2
+        assert all(102400 <= size <= 106000 for size in sizes), sizes
+
+    def test_a_one_row_catalog_records_one_tape_per_worker(self, tmp_path,
+                                                           monkeypatch):
+        # fewer rows than jobs: the row is cut into one run of cells per
+        # worker, not one task per cell
+        log = tmp_path / "tapes"
+        log.write_text("")
+
+        class Counted(genkit_base.Tape):
+            def __init__(self, build):
+                super().__init__(build)
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+
+        monkeypatch.setattr(runner, "Tape", Counted)
+        matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),), seeds=(1,),
+                           levels=(0.05,),
+                           tests=tuple(cls() for _, cls in CATALOG))
+        doc = run_suite(matrix, jobs=2, date="2025-06-01")
+        assert len(doc.generators[0].seeds[0].tests) == 22
+        tapes = log.read_text().split()
+        assert len(tapes) == 2 and len(set(tapes)) == 2
 
     def test_one_build_per_row_under_workers(self, tmp_path):
         # three rows for two jobs, each row within the tape: every row
