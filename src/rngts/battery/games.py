@@ -10,10 +10,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ConfigurationError, TestAborted
+from ..errors import ConfigurationError
 from ..genkit.base import RandomStream, scan
 from ..genkit.bits import read_fields
-from ..genkit.distributions import uniform01_map, uniform_int_block
+from ..genkit.distributions import int_draws, uniform01_map, \
+    uniform_int_block
 from .base import (
     Param,
     TestCase,
@@ -62,15 +63,8 @@ class SqueezeTest(TestCase):
         counts = np.zeros(SQUEEZE_CELL_PROBS.size, dtype=np.int64)
 
         def step(raw, remaining):
-            done, consumed, aborted = squeeze_kernel(
-                raw, lambda r: uniform01_map(stream, r), counts, remaining,
-                self._GAME_CAP
-            )
-            if aborted:
-                raise TestAborted(
-                    f"squeeze game exceeded {self._GAME_CAP} iterations"
-                )
-            return done, consumed
+            return squeeze_kernel(raw, lambda r: uniform01_map(stream, r),
+                                  counts, remaining, self._GAME_CAP)
 
         scan(stream, self.games, step, self._WORDS_PER_GAME, self._MAX_BLOCK)
         return [chi_square_result(counts, SQUEEZE_CELL_PROBS, self.games)]
@@ -109,39 +103,34 @@ def craps_throw_probabilities(cells: int = 21) -> np.ndarray:
 class CrapsTest(TestCase):
     """Craps games: win rate as a Gaussian, throw counts as a chi-square.
 
-    Dice are drawn by rejection as uniform_int_block(stream, 1, 6, n)
-    draws them; both reference laws are computed exactly at run time
-    from the dice-sum table.
+    Dice are the draws from {0, ..., 5} by `int_draws`, the rule by
+    which uniform_int_block(stream, 1, 6, n) draws them; both reference
+    laws are computed exactly at run time from the dice-sum table.
     """
 
     test_name = "Craps-Test"
 
     _THROW_CAP = 10000
     _CELLS = 21
+    # dice per game: a game takes 557/165 throws on average
+    _DICE_PER_GAME = 2 * 557 / 165
 
     PARAMS = (Param("games", "Number of Games", 200000, 1),)
 
     def run(self, stream: RandomStream):
         """Consumes through the draw deciding the last game."""
-        lo = stream.min_value
-        limit = stream.range_size - stream.range_size % 6
         throws = np.zeros(self._CELLS, dtype=np.int64)
         wins = 0
 
         def step(raw, remaining):
             nonlocal wins
-            done, won, consumed, aborted = craps_kernel(
-                raw.astype(np.int64) - lo, limit, throws, remaining,
-                self._THROW_CAP
-            )
-            if aborted:
-                raise TestAborted(
-                    f"craps game exceeded {self._THROW_CAP} throws"
-                )
+            dice, acc, words = int_draws(stream, raw, 0, 5)
+            done, won, used = craps_kernel(dice, throws, remaining,
+                                           self._THROW_CAP)
             wins += won
-            return done, consumed
+            return done, (int(acc[used - 1]) + 1) * words if used else 0
 
-        scan(stream, self.games, step)
+        scan(stream, self.games, step, self._DICE_PER_GAME)
         p_w = float(craps_win_probability())
         z = (wins - self.games * p_w) / math.sqrt(
             self.games * p_w * (1.0 - p_w)
@@ -208,10 +197,10 @@ class RepetitionTest(TestCase):
     """Draws until the first repeated b-bit value, binned at the exact
     law's quantiles.
 
-    Values are the high b bits of each raw output.  Each block is walked
-    in windows of max(2^14, 16 x the law's mean) values; a window that
-    completes no repetition doubles.  Repetitions end where they would
-    in one walk over the block, so the windows change no result.
+    Values are the high b bits of each raw output.  A scan block holds
+    the law's mean words per repetition still needed, but at most
+    max(2^14, 16 x the mean): one sort over about 16 repetitions costs
+    less than one over many more.
     """
 
     test_name = "Repetition-Test"
@@ -231,31 +220,17 @@ class RepetitionTest(TestCase):
         shift = stream.bit_width - self.bits
         ts = np.empty(self.reps, dtype=np.int64)
         done = 0
-        # a block holds many repetitions, and one sort over a window of
-        # about 16 of them costs less than one over the whole block
         pmf = repetition_pmf(self.bits)
-        first = max(1 << 14, int(16 * (pmf @ np.arange(pmf.size))))
+        mean = float(pmf @ np.arange(pmf.size))
 
         def step(raw, remaining):
             nonlocal done
-            vals = raw >> np.uint32(shift)
-            got = at = 0
-            window = first
-            while got < remaining:
-                times, used = repetition_times(vals[at:at + window],
-                                               remaining - got)
-                if times.size == 0:
-                    if at + window >= vals.size:
-                        break
-                    window *= 2
-                    continue
-                ts[done:done + times.size] = times
-                done += times.size
-                got += times.size
-                at += used
-            return got, at
+            times, used = repetition_times(raw >> np.uint32(shift), remaining)
+            ts[done:done + times.size] = times
+            done += times.size
+            return times.size, used
 
-        scan(stream, self.reps, step)
+        scan(stream, self.reps, step, mean, max(1 << 14, int(16 * mean)))
         n_bins = max(10, min(30, self.reps // 25))
         edges, probs = repetition_bins(self.bits, n_bins)
         cells = np.searchsorted(edges, ts, side="left")

@@ -14,10 +14,13 @@ and GF(2) rows of the default sizes are all 32-bit.
 
 Kernels that scan a data-dependent number of draws follow a common block
 protocol: they process a buffer, stop at the last *completed* unit (game,
-segment, run), and report how much they consumed plus an abort flag.  Each
-test wraps its kernel in a step for the driver `genkit.base.scan`, which
-pushes the unconsumed tail back onto the stream and refills, so
-consumption is exact regardless of buffer sizes.
+segment, run), and report how much they consumed.  A unit longer than its
+cap raises TestAborted from the kernel itself.  Each test's step for the
+driver `genkit.base.scan` is its kernel call, which the driver follows by
+pushing the unconsumed tail back onto the stream and refilling, so
+consumption is exact regardless of buffer sizes.  Craps and coupon take
+the dice and digits that `genkit.distributions.int_draws` yields and
+count consumption in those draws.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ..errors import TestAborted
 
 
 # Squeeze lanes start _SQUEEZE_SPAN words apart and each plays
@@ -135,12 +140,12 @@ def squeeze_kernel(raw, to_u, counts, games_needed, cap):
     Chains from different starts soon meet, so the true chain, walked
     from draw 0 over the records by `_walk`, finds its games recorded;
     one it does not find is played by a scalar loop, and the walk goes
-    on from the record at its end.  A game longer than `cap` aborts,
-    and one the buffer cannot finish is rolled back.
+    on from the record at its end.  A game longer than `cap` raises
+    TestAborted, and one the buffer cannot finish is rolled back.
 
     `to_u` maps raw outputs to uniforms elementwise; it is applied to
     one chunk of draws at a time, so no array as long as the buffer is
-    made.  Returns (games_done, consumed, aborted).
+    made.  Returns (games_done, consumed).
     """
     records = _squeeze_records(raw, to_u)
     # positions and lengths are at most the block's length
@@ -157,7 +162,7 @@ def squeeze_kernel(raw, to_u, counts, games_needed, cap):
     after[starts.take(after, mode="clip") != ends] = m
     after = after.astype(index)
     played = []
-    done = at = aborted = 0
+    done = at = 0
     while done < games_needed:
         # a key of the records' type, or searchsorted converts them all
         j = int(np.searchsorted(starts, index(at)))
@@ -171,12 +176,13 @@ def squeeze_kernel(raw, to_u, counts, games_needed, cap):
                 done += units.size
                 at = int(ends[j + units[-1]])
             if done < games_needed and stop < w:
-                aborted = 1  # the record at `stop` is longer than cap
-                break
+                # the record at `stop` is longer than cap
+                raise TestAborted(f"squeeze game exceeded {cap} iterations")
         else:
             steps = _squeeze_game(raw, to_u, at, cap)
-            if steps <= 0:
-                aborted = int(steps < 0)
+            if steps < 0:
+                raise TestAborted(f"squeeze game exceeded {cap} iterations")
+            if steps == 0:
                 break
             played.append([steps])
             done += 1
@@ -185,7 +191,7 @@ def squeeze_kernel(raw, to_u, counts, games_needed, cap):
         played = np.concatenate(played)
         np.clip(played, 6, 48, out=played)
         counts += np.bincount(played, minlength=6 + counts.size)[6:]
-    return done, at, aborted
+    return done, at
 
 
 def _walk(chain, needed):
@@ -208,22 +214,20 @@ def _walk(chain, needed):
     return path[:done], int(path[done])
 
 
-def craps_kernel(w, limit, throws_counts, games_needed, cap):
-    """Play craps games; dice come from inline rejection over raw offsets.
+def craps_kernel(dice, throws_counts, games_needed, cap):
+    """Play craps games over dice in 0..5, each one less than its face.
 
-    w holds raw outputs minus the stream minimum; a value below `limit`
-    yields a die as w % 6 + 1.  A throw is two consecutive accepted
-    dice wherever the games split, so all throws are read at once.  A
-    come-out throw with point v ends at the next throw summing to 7 or
-    v (one searchsorted per point), and a walk over the game ends
-    chains the games.  A game aborts once `cap` throws pass without a
-    resolution inside the buffer; one that runs out of buffer first is
-    rolled back.  Returns (games, wins, consumed, aborted).
+    A throw is two consecutive dice wherever the games split, so all
+    throws are read at once.  A come-out throw with point v ends at the
+    next throw summing to 7 or v (one searchsorted per point), and a
+    walk over the game ends chains the games.  Once `cap` throws pass
+    without a resolution inside the buffer, TestAborted is raised; a
+    game that runs out of buffer first is rolled back.  Returns (games,
+    wins, dice consumed).
     """
-    acc = np.flatnonzero(w < limit)
-    n = acc.size // 2
-    dice = w[acc[:2 * n]] % 6
-    s = dice[0::2] + dice[1::2] + 2
+    n = dice.shape[0] // 2
+    pairs = dice[:2 * n]
+    s = pairs[0::2] + pairs[1::2] + 2
     throw = np.arange(n)
     end = throw.copy()  # the throw deciding the game that starts here
     won = (s == 7) | (s == 11)
@@ -240,43 +244,38 @@ def craps_kernel(w, limit, throws_counts, games_needed, cap):
     games = first.size
     # the chain stops at a game decided past the cap (so more than cap
     # throws remain) or at one the buffer leaves undecided
-    aborted = int(games < games_needed and n - g >= cap)
-    if games == 0:
-        return 0, 0, 0, aborted
+    if games < games_needed and n - g >= cap:
+        raise TestAborted(f"craps game exceeded {cap} throws")
     throws_counts += np.bincount(np.minimum(need[first], 21) - 1,
                                  minlength=throws_counts.size)
-    wins = int(np.count_nonzero(won[first]))
-    return games, wins, int(acc[2 * g - 1]) + 1, aborted
+    return games, int(np.count_nonzero(won[first])), 2 * g
 
 
-def coupon_kernel(w, limit, d, t, counts, segments_needed, cap):
-    """Collect coupon segments; digits from inline rejection (w % d).
+def coupon_kernel(digits, d, t, counts, segments_needed, cap):
+    """Collect coupon segments over digits in 0..d-1.
 
-    A segment starting at accepted digit p ends at the latest of the d
-    next occurrences of each digit at or after p.  With one entry of
-    every digit put before the digits, that is the running maximum of
-    the next-occurrence index over all entries before p, so one pass
-    ends a segment at every start and a walk chains them.  A segment
-    aborts once `cap` digits pass without completing it; one that runs
-    out of buffer first is rolled back.
+    A segment starting at digit p ends at the latest of the d next
+    occurrences of each digit at or after p.  With one entry of every
+    digit put before the digits, that is the running maximum of the
+    next-occurrence index over all entries before p, so one pass ends a
+    segment at every start and a walk chains them.  Once `cap` digits
+    pass without completing a segment, TestAborted is raised; a segment
+    that runs out of buffer first is rolled back.
 
     counts has t - d + 1 cells for lengths d..t-1 and >= t.
-    Returns (segments, consumed, aborted).
+    Returns (segments, digits consumed).
     """
-    acc = np.flatnonzero(w < limit)
-    m = acc.size
-    digits = np.concatenate([np.arange(d), w[acc] % d])
+    m = digits.shape[0]
+    digits = np.concatenate([np.arange(d, dtype=digits.dtype), digits])
     end = np.maximum.accumulate(next_occurrence(digits))[d - 1:-1] - d
     need = end - np.arange(m) + 1
     starts, g = _walk(np.where((end < m) & (need <= cap), end + 1, -1),
                       segments_needed)
-    done = starts.size
-    aborted = int(done < segments_needed and g + cap <= m)
-    if done == 0:
-        return 0, 0, aborted
+    if starts.size < segments_needed and g + cap <= m:
+        raise TestAborted(f"coupon segment exceeded {cap} draws")
     counts += np.bincount(np.minimum(need[starts], t) - d,
                           minlength=counts.size)
-    return done, int(acc[g - 1]) + 1, aborted
+    return starts.size, g
 
 
 def runs_kernel(raw, counts, runs_needed, cap):
@@ -289,12 +288,12 @@ def runs_kernel(raw, counts, runs_needed, cap):
     if it is a descent too, and otherwise at the first descent of the
     next cluster of consecutive descents.  So the chain of runs enters
     each cluster at its first descent and breaks at every other one,
-    and all the breaks are found at once, with no walk.  A run aborts
-    once it passes `cap` draws; one that the buffer does not break is
-    rolled back.
+    and all the breaks are found at once, with no walk.  A run that
+    passes `cap` draws raises TestAborted; one that the buffer does not
+    break is rolled back.
 
     counts has 6 cells for run lengths 1..5 and >= 6.
-    Returns (runs, consumed, aborted); consumption includes the breaker.
+    Returns (runs, consumed); consumption includes the breaker.
     """
     n = raw.shape[0]
     descents = np.flatnonzero(raw[1:] <= raw[:-1])
@@ -316,11 +315,11 @@ def runs_kernel(raw, counts, runs_needed, cap):
     over = np.flatnonzero(length[:done] > cap)
     if over.size:
         done = int(over[0])
-    aborted = int(done < runs_needed and length[done] > cap)
-    if done:
-        counts += np.bincount(np.minimum(length[:done], 6) - 1,
-                              minlength=counts.size)
-    return done, int(starts[done]), aborted
+    if done < runs_needed and length[done] > cap:
+        raise TestAborted(f"ascending run exceeded {cap} draws")
+    counts += np.bincount(np.minimum(length[:done], 6) - 1,
+                          minlength=counts.size)
+    return done, int(starts[done])
 
 
 def row_maxima(g):

@@ -20,6 +20,7 @@ import numpy as np
 from ..errors import ConfigurationError, TestAborted
 from ..genkit.base import RandomStream, scan
 from ..genkit.distributions import (
+    int_draws,
     uniform01_block,
     uniform01_map,
     uniform_int_block,
@@ -225,7 +226,11 @@ class PokerTest(TestCase):
 
 
 class CouponCollectorTest(TestCase):
-    """Segment lengths needed to see all d digit values at least once."""
+    """Segment lengths needed to see all d digit values at least once.
+
+    Digits are the draws from {0, ..., d-1} by `int_draws`, the rule by
+    which uniform_int_block(stream, 0, d - 1, n) draws them.
+    """
 
     test_name = "Coupon-Collector-Test"
 
@@ -266,22 +271,17 @@ class CouponCollectorTest(TestCase):
 
     def run(self, stream: RandomStream):
         """Consumes through the draw completing the last segment."""
-        lo = stream.min_value
-        limit = stream.range_size - stream.range_size % self.d
         counts = np.zeros(self.t - self.d + 1, dtype=np.int64)
 
         def step(raw, remaining):
-            done, consumed, aborted = coupon_kernel(
-                raw.astype(np.int64) - lo, limit, self.d, self.t, counts,
-                remaining, self._SEGMENT_CAP
-            )
-            if aborted:
-                raise TestAborted(
-                    f"coupon segment exceeded {self._SEGMENT_CAP} draws"
-                )
-            return done, consumed
+            digits, acc, words = int_draws(stream, raw, 0, self.d - 1)
+            done, used = coupon_kernel(digits, self.d, self.t, counts,
+                                       remaining, self._SEGMENT_CAP)
+            return done, (int(acc[used - 1]) + 1) * words if used else 0
 
-        scan(stream, self.n_segments, step)
+        # a segment takes d H_d digits on average
+        scan(stream, self.n_segments, step,
+             self.d * math.fsum(1 / k for k in range(1, self.d + 1)))
         return [chi_square_result(counts, self.cell_probabilities(),
                                   self.n_segments)]
 
@@ -401,14 +401,7 @@ class RunsTest(TestCase):
         counts = np.zeros(6, dtype=np.int64)
 
         def step(raw, remaining):
-            done, consumed, aborted = runs_kernel(
-                raw, counts, remaining, self._RUN_CAP
-            )
-            if aborted:
-                raise TestAborted(
-                    f"ascending run exceeded {self._RUN_CAP} draws"
-                )
-            return done, consumed
+            return runs_kernel(raw, counts, remaining, self._RUN_CAP)
 
         # a run and the draw after it take e draws on average
         scan(stream, self.n_runs, step, math.e)

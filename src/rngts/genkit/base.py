@@ -264,30 +264,28 @@ class _Replay(RandomStream):
         close_stream(self._rest)
 
 
-_FIRST_BLOCK = 65536
 _MAX_BLOCK = 1 << 22
-# the words a hinted block reads beyond the expected need of its units
+# the words a block reads beyond the expected need of its units
 _HINT_SLACK = 64
 
 
 def scan(stream: RandomStream, needed: int,
          step: Callable[[np.ndarray, int], tuple[int, int]],
-         words_per_unit: float = 0.0, max_block: int = _FIRST_BLOCK) -> None:
+         words_per_unit: float, max_block: int = 65536) -> None:
     """Feed raw blocks of `stream` to `step` until `needed` units are done.
 
     `step(raw, remaining)` scans one block and returns (units_done,
     consumed): the units it completed, and the raw outputs used through
     the end of the last completed unit.  The unconsumed tail is pushed
     back onto the stream, so consumption is exact whatever the block
-    size.  A block that completes no unit doubles the next one, up to
-    _MAX_BLOCK; no progress at that size aborts the test.
+    size.
 
-    Blocks hold _FIRST_BLOCK words.  With `words_per_unit`, the words a
-    unit takes on average by the test's own law, a block holds that many
-    words per unit still needed plus _HINT_SLACK, at most `max_block`,
-    so a scan reads about what it needs; after a block that completed
-    no unit, it holds at least the doubled size.  A scan holds one
-    block at a time: each is dropped before the next is read.
+    `words_per_unit` is the words a unit takes on average by the test's
+    own law.  A block holds that many words per unit still needed plus
+    _HINT_SLACK, at most `max_block`, so a scan reads about what it
+    needs.  A block that completes no unit doubles the next one, up to
+    _MAX_BLOCK; no progress at that size aborts the test.  A scan holds
+    one block at a time: each is dropped before the next is read.
 
     Blocks come from `next_block`, so a step takes uint32 blocks.
 
@@ -297,11 +295,8 @@ def scan(stream: RandomStream, needed: int,
     """
     grown = 0
     while needed > 0:
-        size = _FIRST_BLOCK
-        if words_per_unit:
-            size = min(math.ceil(words_per_unit * needed) + _HINT_SLACK,
-                       max_block)
-        size = max(size, grown)
+        size = max(min(math.ceil(words_per_unit * needed) + _HINT_SLACK,
+                       max_block), grown)
         short = None
         try:
             raw = stream.next_block(size)

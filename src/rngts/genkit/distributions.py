@@ -1,10 +1,12 @@
 """Distributions mapping raw stream outputs to test domains.
 
 uniform01_map maps a raw output v to (v - min) / (max - min + 1), so 1.0
-is unattainable.  uniform_int_block uses rejection sampling over the
-largest multiple of the target range fitting the stream range, combining
-several outputs when one is too narrow; it never maps by modulo alone, so
-every value in [a, b] is exactly equiprobable.
+is unattainable.  int_draws holds the one rule by which raw outputs
+become integers: rejection sampling over the largest multiple of the
+target range fitting the stream range, combining several outputs when
+one is too narrow.  It never maps by modulo alone, so every value in
+[a, b] is exactly equiprobable.  uniform_int_block, and the tests that
+scan dice or digits, draw by it.
 """
 
 from __future__ import annotations
@@ -52,9 +54,15 @@ def _int_params(stream: RandomStream, a: int,
     return m, words, span - span % m
 
 
-def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarray:
-    """n unbiased draws from {a, ..., b}, as uint32 when 0 <= a and
-    b < 2^32, and as int64 otherwise.
+def _value_type(a: int, b: int) -> type:
+    """uint32 for draws from {a, ..., b} that fit 32 bits, else int64."""
+    return np.uint32 if 0 <= a and b < 2**32 else np.int64
+
+
+def int_draws(stream: RandomStream, raw: np.ndarray, a: int,
+              b: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The draws from {a, ..., b} that the raw block `raw` of `stream`
+    yields: (values, accepted, words).
 
     With R the stream's range size and m = b - a + 1, a candidate is one
     output minus the minimum when m <= R.  Otherwise it combines the
@@ -62,30 +70,44 @@ def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarra
     as sum of w_i R^(k-i) (Boost's uniform_int); R^k may not pass 2^63.
     A candidate below R^k - R^k mod m is accepted as a + candidate mod m.
     One output's candidate and its residue are worked in 32 bits, from
-    the draw on, unless m is 2^32; combined ones in 64 bits.
+    the draw on, unless m is 2^32; combined ones in 64 bits.  Values are
+    of `_value_type(a, b)`.
+
+    `words` outputs make a candidate, and `accepted` holds the index of
+    each accepted candidate, so draw i ends at raw output
+    (accepted[i] + 1) * words.  Outputs past the last whole candidate
+    yield nothing.
+    """
+    m, words, limit = _int_params(stream, a, b)
+    # in uint64 when outputs combine, so w * r cannot wrap
+    cand = np.uint32 if words == 1 and m < 2**32 else np.uint64
+    digits = np.subtract(raw[:raw.size - raw.size % words], stream.min_value,
+                         dtype=cand).reshape(-1, words)
+    w = digits[:, 0]
+    r = np.uint64(stream.range_size)
+    for i in range(1, words):
+        w = w * r + digits[:, i]
+    acc = np.flatnonzero(w < limit)
+    return a + (w[acc] % cand(m)).astype(_value_type(a, b), copy=False), \
+        acc, words
+
+
+def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarray:
+    """n unbiased draws from {a, ..., b}, by `int_draws`'s rule.
 
     Reads through `scan`: consumes raw outputs exactly through the one
     yielding the n-th accepted value, and a finite stream holding that
     many serves them.
     """
-    m, words, limit = _int_params(stream, a, b)
-    # in uint64 when outputs combine, so w * r cannot wrap
-    cand = np.uint32 if words == 1 and m < 2**32 else np.uint64
-    value = np.uint32 if 0 <= a and b < 2**32 else np.int64
-    r = np.uint64(stream.range_size)
-    parts = [np.empty(0, dtype=value)]
+    _, words, limit = _int_params(stream, a, b)
+    parts = [np.empty(0, dtype=_value_type(a, b))]
 
     def step(raw, remaining):
-        digits = np.subtract(raw[:raw.size - raw.size % words],
-                             stream.min_value, dtype=cand).reshape(-1, words)
-        w = digits[:, 0]
-        for i in range(1, words):
-            w = w * r + digits[:, i]
-        acc = np.flatnonzero(w < limit)[:remaining]
-        parts.append(a + (w[acc] % cand(m)).astype(value, copy=False))
-        if acc.size == remaining:
-            return remaining, (int(acc[-1]) + 1) * words
-        return acc.size, w.size * words
+        values, acc, _ = int_draws(stream, raw, a, b)
+        parts.append(values[:remaining])
+        if acc.size >= remaining:
+            return remaining, (int(acc[remaining - 1]) + 1) * words
+        return acc.size, raw.size - raw.size % words
 
     # a candidate of `words` outputs is accepted with probability
     # limit / R^k

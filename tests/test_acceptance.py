@@ -249,9 +249,8 @@ def test_criterion_06_calibrated_game_laws():
     need = games
     while need > 0:
         raw = stream.next_block(1 << 22)
-        done, consumed, aborted = squeeze_kernel(
+        done, consumed = squeeze_kernel(
             raw, lambda r: r / 4294967296.0, counts, need, 10000)
-        assert not aborted
         if consumed < raw.size:
             stream.unread(raw[consumed:])
         need -= done

@@ -194,7 +194,7 @@ class TestScan:
         with pytest.raises(AbortedError,
                            match="no progress at maximum buffer size"):
             scan(_Zeros(), 1, _recording(lambda raw, remaining: (0, 0),
-                                         sizes))
+                                         sizes), words_per_unit=65536)
         assert sizes == [65536 << i for i in range(7)]
         assert sizes[-1] == 1 << 22
 
@@ -246,7 +246,7 @@ class TestScan:
 
         scan(Watched(), 3, step, words_per_unit=TAPE_WORDS,
              max_block=1 << 20)
-        scan(Watched(), 3, step)
+        scan(Watched(), 3, step, words_per_unit=TAPE_WORDS)
         assert len(held) == 6
 
     def test_every_block_holds_32_bit_words(self):
@@ -259,7 +259,7 @@ class TestScan:
 
         scan(_Zeros(), 4, step, words_per_unit=TAPE_WORDS // 2,
              max_block=1 << 20)
-        scan(_Zeros(), 1, step)
+        scan(_Zeros(), 1, step, words_per_unit=TAPE_WORDS)
         assert seen == [
             (2 * TAPE_WORDS + 64, np.uint32),
             (3 * TAPE_WORDS // 2 + 64, np.uint32),

@@ -104,19 +104,22 @@ def _same(result, expected):
 
 
 class Cyclic(RandomStream):
-    """Endless repetition of a fixed raw pattern."""
+    """Endless repetition of a fixed raw pattern: one sequence whatever
+    the read sizes, each read going on where the last one stopped."""
 
     name = "cyclic"
 
     def __init__(self, pattern):
         super().__init__()
         self._pattern = np.asarray(pattern, dtype=np.uint64)
+        self._at = 0
         self.min_value = 0
         self.max_value = TWO32 - 1
 
     def _generate(self, n):
-        reps = -(-n // self._pattern.size)
-        return np.tile(self._pattern, reps)[:n]
+        out = np.resize(np.roll(self._pattern, -self._at), n)
+        self._at = (self._at + n) % self._pattern.size
+        return out
 
 
 class Replayed(RandomStream):
@@ -912,7 +915,8 @@ class _Asked(Mt19937):
 
 @pytest.mark.parametrize("case", [
     uniformity.GapTest(), uniformity.RunsTest(), BirthdaySpacingsTest(),
-], ids=["gap", "runs", "birthday_spacings"])
+    CrapsTest(games=1000), CouponCollectorTest(n_segments=1000),
+], ids=["gap", "runs", "birthday_spacings", "craps", "coupon_collector"])
 def test_scans_ask_for_about_what_they_use(case):
     # each reads a block sized by its own law's words per unit, and one
     # small block if the first falls short, rather than 65536-word
@@ -1235,6 +1239,42 @@ class TestFiniteSources:
             assert out.aborted is None
             assert _hex_p_values(out) == _hex_p_values(
                 _engine_run(case, words))
+
+
+class _TopBits(RandomStream):
+    """The top two bits of Mt19937(seed)'s words: a stream of 4 values."""
+
+    name = "top_bits"
+    max_value = 3
+
+    def __init__(self, seed):
+        super().__init__()
+        self._words = Mt19937(seed)
+
+    def _generate(self, n):
+        return self._words.next_block(n) >> np.uint32(30)
+
+
+@pytest.mark.parametrize("case, top", [
+    (CrapsTest(games=500), 5), (CouponCollectorTest(n_segments=200), 7),
+], ids=["craps", "coupon_collector"])
+def test_a_stream_narrower_than_its_draws_combines_outputs(case, top):
+    # dice and digits are drawn by uniform_int_block's rule, which
+    # combines two outputs of a 4-valued stream into each candidate: the
+    # cell plays the draws uniform_int_block makes, and reads through
+    # the raw word ending its last draw
+    stream = _TopBits(1)
+    out = case.execute(stream, LEVELS)
+    assert out.aborted is None
+    # the same draws, served one word each by a stream of 8 values
+    direct = Replayed(uniform_int_block(_TopBits(1), 0, top, 20000), 3)
+    expected = case.execute(direct, LEVELS)
+    assert expected.aborted is None
+    assert _hex_p_values(out) == _hex_p_values(expected)
+    assert out.diagnostics == expected.diagnostics
+    reference = _TopBits(1)
+    uniform_int_block(reference, 0, top, direct.served)
+    assert stream.served == reference.served
 
 
 # ---------------------------------------------------------------------------

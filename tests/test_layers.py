@@ -7,9 +7,10 @@ module of the catalog (`rngts.battery`) or of the second-order tests
 line, not even inside a function.  Nor does the catalog import the
 stream adapters or define a stream of its own: it reads words only
 through `RandomStream.next_block`, `scan`, the distributions and the
-bit reads.  The runner gives every source one path to its cells, and
-asks whether a stream is seedable only to seed it.  No module reads the
-process environment: a run's options come from the command line alone.
+bit reads, and leaves a stream's range to them.  The runner gives
+every source one path to its cells, and asks whether a stream is
+seedable only to seed it.  No module reads the process environment: a
+run's options come from the command line alone.
 """
 
 import ast
@@ -82,6 +83,40 @@ def test_catalog_imports_nothing_above_it(path):
 def test_catalog_reads_words_only_through_blocks(path):
     assert not _module_imports(path) & ADAPTERS
     assert not _base_names(path.read_text()) & STREAM_CLASSES
+
+
+# the attributes that give a stream's range of outputs; its bit width,
+# which the bit reads of a test's fields take, is not among them
+RANGE_READS = {"min_value", "max_value", "range_size"}
+
+
+def _range_reads(source: str) -> list:
+    """(enclosing function, source line) for each use of an attribute
+    named in RANGE_READS."""
+    lines = source.splitlines()
+    return [(scope, lines[node.lineno - 1].strip())
+            for scope, node in _scoped_nodes(source)
+            if isinstance(node, ast.Attribute) and node.attr in RANGE_READS]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("battery/*.py")),
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_battery_leaves_the_stream_range_to_the_distributions(path):
+    # dice, digits and uniforms come from the distributions, so one
+    # rule maps a stream's range to each
+    assert _range_reads(path.read_text()) == []
+
+
+def test_range_reads_are_found_with_their_function():
+    source = ("lo = s.min_value\n"
+              "def f(stream):\n"
+              "    width = stream.bit_width\n"
+              "    return stream.range_size - stream.max_value\n")
+    assert _range_reads(source) == [
+        ("", "lo = s.min_value"),
+        ("f", "return stream.range_size - stream.max_value"),
+        ("f", "return stream.range_size - stream.max_value"),
+    ]
 
 
 def test_relative_and_lazy_imports_are_resolved():
