@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..genkit.base import RandomStream, scan
 from ..genkit.bits import read_fields
-from ..genkit.distributions import int_draws, uniform01_map, \
+from ..genkit.distributions import scan_draws, uniform01_map, \
     uniform_int_block
 from .base import (
     Param,
@@ -103,9 +103,9 @@ def craps_throw_probabilities(cells: int = 21) -> np.ndarray:
 class CrapsTest(TestCase):
     """Craps games: win rate as a Gaussian, throw counts as a chi-square.
 
-    Dice are the draws from {0, ..., 5} by `int_draws`, the rule by
-    which uniform_int_block(stream, 1, 6, n) draws them; both reference
-    laws are computed exactly at run time from the dice-sum table.
+    Dice are the draws from {0, ..., 5} that `scan_draws` reads, as
+    uniform_int_block(stream, 1, 6, n) draws them; both reference laws
+    are computed exactly at run time from the dice-sum table.
     """
 
     test_name = "Craps-Test"
@@ -122,15 +122,14 @@ class CrapsTest(TestCase):
         throws = np.zeros(self._CELLS, dtype=np.int64)
         wins = 0
 
-        def step(raw, remaining):
+        def step(dice, remaining):
             nonlocal wins
-            dice, acc, words = int_draws(stream, raw, 0, 5)
             done, won, used = craps_kernel(dice, throws, remaining,
                                            self._THROW_CAP)
             wins += won
-            return done, (int(acc[used - 1]) + 1) * words if used else 0
+            return done, used
 
-        scan(stream, self.games, step, self._DICE_PER_GAME)
+        scan_draws(stream, 0, 5, self.games, step, self._DICE_PER_GAME)
         p_w = float(craps_win_probability())
         z = (wins - self.games * p_w) / math.sqrt(
             self.games * p_w * (1.0 - p_w)

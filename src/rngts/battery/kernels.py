@@ -18,9 +18,10 @@ segment, run), and report how much they consumed.  A unit longer than its
 cap raises TestAborted from the kernel itself.  Each test's step for the
 driver `genkit.base.scan` is its kernel call, which the driver follows by
 pushing the unconsumed tail back onto the stream and refilling, so
-consumption is exact regardless of buffer sizes.  Craps and coupon take
-the dice and digits that `genkit.distributions.int_draws` yields and
-count consumption in those draws.
+consumption is exact regardless of buffer sizes.  Craps and coupon read
+through `genkit.distributions.scan_draws` instead: they take dice and
+digits, never raw words, and count consumption in those draws, which
+scan_draws maps back to raw words.
 """
 
 from __future__ import annotations

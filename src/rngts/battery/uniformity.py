@@ -2,10 +2,11 @@
 collector, permutation, runs, max-of-t, serial correlation.
 
 Tests that scan a data-dependent number of draws (gap, coupon collector,
-runs) supply a per-block step to `genkit.base.scan`, which pushes
-unconsumed raw outputs back onto the stream, so every draw is accounted
-for exactly.  Chi-square, serial, poker and permutation draw and count
-their sample a block at a time through `block_counts`.
+runs) supply a per-block step to `genkit.base.scan`, or for coupon's
+digits to `genkit.distributions.scan_draws`, which push unconsumed raw
+outputs back onto the stream, so every draw is accounted for exactly.
+Chi-square, serial, poker and permutation draw and count their sample a
+block at a time through `block_counts`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from ..errors import ConfigurationError, TestAborted
 from ..genkit.base import RandomStream, scan
 from ..genkit.distributions import (
-    int_draws,
+    scan_draws,
     uniform01_block,
     uniform01_map,
     uniform_int_block,
@@ -228,8 +229,8 @@ class PokerTest(TestCase):
 class CouponCollectorTest(TestCase):
     """Segment lengths needed to see all d digit values at least once.
 
-    Digits are the draws from {0, ..., d-1} by `int_draws`, the rule by
-    which uniform_int_block(stream, 0, d - 1, n) draws them.
+    Digits are the draws from {0, ..., d-1} that `scan_draws` reads, as
+    uniform_int_block(stream, 0, d - 1, n) draws them.
     """
 
     test_name = "Coupon-Collector-Test"
@@ -273,15 +274,13 @@ class CouponCollectorTest(TestCase):
         """Consumes through the draw completing the last segment."""
         counts = np.zeros(self.t - self.d + 1, dtype=np.int64)
 
-        def step(raw, remaining):
-            digits, acc, words = int_draws(stream, raw, 0, self.d - 1)
-            done, used = coupon_kernel(digits, self.d, self.t, counts,
-                                       remaining, self._SEGMENT_CAP)
-            return done, (int(acc[used - 1]) + 1) * words if used else 0
+        def step(digits, remaining):
+            return coupon_kernel(digits, self.d, self.t, counts, remaining,
+                                 self._SEGMENT_CAP)
 
         # a segment takes d H_d digits on average
-        scan(stream, self.n_segments, step,
-             self.d * math.fsum(1 / k for k in range(1, self.d + 1)))
+        scan_draws(stream, 0, self.d - 1, self.n_segments, step,
+                   self.d * math.fsum(1 / k for k in range(1, self.d + 1)))
         return [chi_square_result(counts, self.cell_probabilities(),
                                   self.n_segments)]
 

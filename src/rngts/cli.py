@@ -7,7 +7,8 @@ Subcommands:
   render           convert an existing XML report to HTML
 
 Exit status is 0 for a clean run, 1 when any verdict in the produced
-report is FAILED, and 2 for configuration or parse errors.
+report is FAILED, 2 for configuration or parse errors, and 130 when the
+run is interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -137,6 +138,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # the run's workers are already ended and reaped
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def console_main() -> int:

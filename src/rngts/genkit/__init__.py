@@ -1,7 +1,8 @@
 """Generator engines, distributions, bit reads and stream adapters.
 
 Every read of a stream's words goes through `RandomStream.next_block`,
-or through `base.scan` when a test needs a data-dependent number of them.
+or through `base.scan` when a test needs a data-dependent number of them
+(`distributions.scan_draws` when they are integer draws).
 """
 
 from .base import RandomStream, SeedableStream

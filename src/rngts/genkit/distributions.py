@@ -5,11 +5,14 @@ is unattainable.  int_draws holds the one rule by which raw outputs
 become integers: rejection sampling over the largest multiple of the
 target range fitting the stream range, combining several outputs when
 one is too narrow.  It never maps by modulo alone, so every value in
-[a, b] is exactly equiprobable.  uniform_int_block, and the tests that
-scan dice or digits, draw by it.
+[a, b] is exactly equiprobable.  scan_draws is the one loop that reads
+a data-dependent number of such draws: uniform_int_block, and the tests
+that scan dice or digits, read through it.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -74,8 +77,8 @@ def int_draws(stream: RandomStream, raw: np.ndarray, a: int,
     of `_value_type(a, b)`.
 
     `words` outputs make a candidate, and `accepted` holds the index of
-    each accepted candidate, so draw i ends at raw output
-    (accepted[i] + 1) * words.  Outputs past the last whole candidate
+    each accepted candidate, from which `scan_draws` finds the raw
+    output ending each draw.  Outputs past the last whole candidate
     yield nothing.
     """
     m, words, limit = _int_params(stream, a, b)
@@ -92,24 +95,44 @@ def int_draws(stream: RandomStream, raw: np.ndarray, a: int,
         acc, words
 
 
+def scan_draws(stream: RandomStream, a: int, b: int, needed: int,
+               step: Callable[[np.ndarray, int], tuple[int, int]],
+               draws_per_unit: float) -> None:
+    """Feed draws from {a, ..., b} of `stream`, by `int_draws`'s rule,
+    to `step` until `needed` units are done.
+
+    `step(values, remaining)` scans the draws one raw block yields and
+    returns (units_done, draws_used): the units it completed, and the
+    draws used through the end of the last of them.  Raw outputs are
+    consumed through the last candidate of the last draw used, so
+    consumption is exact whatever the block size.  Reads through
+    `scan`, with blocks sized in raw outputs: `draws_per_unit` draws
+    per unit, each taking `words` outputs per candidate over the chance
+    limit / R^k that a candidate is accepted.
+    """
+    _, words, limit = _int_params(stream, a, b)
+
+    def raw_step(raw, remaining):
+        values, acc, _ = int_draws(stream, raw, a, b)
+        done, used = step(values, remaining)
+        return done, (int(acc[used - 1]) + 1) * words if used else 0
+
+    scan(stream, needed, raw_step,
+         draws_per_unit * (words * stream.range_size ** words / limit))
+
+
 def uniform_int_block(stream: RandomStream, a: int, b: int, n: int) -> np.ndarray:
     """n unbiased draws from {a, ..., b}, by `int_draws`'s rule.
 
-    Reads through `scan`: consumes raw outputs exactly through the one
-    yielding the n-th accepted value, and a finite stream holding that
-    many serves them.
+    Reads through `scan_draws`: consumes raw outputs exactly through the
+    one yielding the n-th accepted value, and a finite stream holding
+    that many serves them.
     """
-    _, words, limit = _int_params(stream, a, b)
     parts = [np.empty(0, dtype=_value_type(a, b))]
 
-    def step(raw, remaining):
-        values, acc, _ = int_draws(stream, raw, a, b)
+    def step(values, remaining):
         parts.append(values[:remaining])
-        if acc.size >= remaining:
-            return remaining, (int(acc[remaining - 1]) + 1) * words
-        return acc.size, raw.size - raw.size % words
+        return parts[-1].size, parts[-1].size
 
-    # a candidate of `words` outputs is accepted with probability
-    # limit / R^k
-    scan(stream, n, step, words * stream.range_size ** words / limit)
+    scan_draws(stream, a, b, n, step, 1)
     return np.concatenate(parts)

@@ -178,17 +178,30 @@ def test_criterion_03_exact_enumerations():
                  f"craps {Fraction(244, 495)} ({dt:.2f}s)")
 
 
-def _catalog_meta_p(name: str, seed_base: int) -> float:
-    factory = resolve_test(name)
-    ps = []
-    for seed in range(seed_base, seed_base + 100):
+def _catalog_meta_ps(names: list, seed_base: int) -> dict:
+    """The meta p-value of each named catalog test over seeds
+    seed_base..seed_base+99, from one matrix run by `run_suite`."""
+    tests = tuple(
         # half the default craps games; the verdict is identical and the
         # catalog sweep stays comfortably inside its time budget
-        case = factory(games=100000) if name == "craps_test" else factory()
-        out = case.execute(Mt19937(seed), (0.05,))
-        assert not out.aborted, (name, seed, out.aborted)
-        ps.append(_first_p(out))
-    return ks_of_pvalues(ps).p_values["p"]
+        resolve_test(name)(games=100000) if name == "craps_test"
+        else resolve_test(name)()
+        for name in names
+    )
+    matrix = RunMatrix(generators=(("mt19937", Mt19937, 0),),
+                       seeds=tuple(range(seed_base, seed_base + 100)),
+                       levels=(0.05,), tests=tests)
+    ps = {name: [] for name in names}
+    # progress sees the cells in matrix order: each seed's tests in turn
+    column = itertools.cycle(names)
+
+    def progress(_, seed, outcome):
+        name = next(column)
+        assert not outcome.aborted, (name, seed, outcome.aborted)
+        ps[name].append(_first_p(outcome))
+
+    run_suite(matrix, progress=progress, jobs=2)
+    return {name: ks_of_pvalues(ps[name]).p_values["p"] for name in names}
 
 
 def test_criterion_04_catalog_null_behavior():
@@ -196,17 +209,16 @@ def test_criterion_04_catalog_null_behavior():
 
     100 fixed seeds per test, second-order KS on the p sample, band
     (0.001, 0.999), with the suspect-value confirmation window
-    described in the module docstring.
+    described in the module docstring.  Each window runs as one matrix
+    through `run_suite` with two workers, the path a run takes.
     """
     t0 = time.perf_counter()
-    metas = {}
-    retried = []
-    for name in catalog_test_names():
-        mp = _catalog_meta_p(name, 0)
-        if not 0.001 < mp < 0.999:
-            retried.append(f"{name} ({mp:.2g} -> retry)")
-            mp = _catalog_meta_p(name, 100)
-        metas[name] = mp
+    names = catalog_test_names()
+    metas = _catalog_meta_ps(names, 0)
+    suspect = [name for name in names if not 0.001 < metas[name] < 0.999]
+    retried = [f"{name} ({metas[name]:.2g} -> retry)" for name in suspect]
+    if suspect:
+        metas.update(_catalog_meta_ps(suspect, 100))
     dt = time.perf_counter() - t0
     bad = {n: p for n, p in metas.items() if not 0.001 < p < 0.999}
     worst = min(metas, key=lambda n: min(metas[n], 1 - metas[n]))

@@ -1277,6 +1277,43 @@ def test_a_stream_narrower_than_its_draws_combines_outputs(case, top):
     assert stream.served == reference.served
 
 
+class _CountedTopBits(_TopBits):
+    """_TopBits(1) that counts the blocks read from it."""
+
+    def __init__(self):
+        super().__init__(1)
+        self.reads = 0
+
+    def next_block(self, n):
+        self.reads += 1
+        return super().next_block(n)
+
+
+@pytest.mark.parametrize("case, served, p_values", [
+    (CrapsTest(games=500), 8676,
+     ["0x1.49f4f28d84720p-4", "0x1.ae5521b5dc8e4p-5"]),
+    (CrapsTest(games=1000), 17316,
+     ["0x1.21dda9062df66p-1", "0x1.bab25840fe492p-2"]),
+    (CrapsTest(games=3000), 53430,
+     ["0x1.f895a2f701778p-4", "0x1.3cbd949ce0412p-1"]),
+    (CouponCollectorTest(n_segments=200), 8838, ["0x1.24d61ed314c06p-1"]),
+    (CouponCollectorTest(n_segments=1000), 43406, ["0x1.96eaffa0bd123p-1"]),
+], ids=["craps-500", "craps-1000", "craps-3000", "coupon-200",
+        "coupon-1000"])
+def test_a_narrow_stream_scans_its_draws_in_few_blocks(case, served,
+                                                       p_values):
+    # blocks are sized in raw words through the words per draw, here 2
+    # for every die and digit, so the first block almost always holds
+    # the cell and a second one finishes it
+    stream = _CountedTopBits()
+    out = case.execute(stream, LEVELS)
+    assert out.aborted is None
+    assert stream.reads <= 2
+    assert stream.served == served
+    assert [p for res in _hex_p_values(out) for p in res.values()] \
+        == p_values
+
+
 # ---------------------------------------------------------------------------
 # aborts stay contained and leave a reason
 

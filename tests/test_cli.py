@@ -1,7 +1,8 @@
 """Command line behavior: subcommands, run options, exit codes.
 
 Exit code contract: 0 clean, 1 when the produced report contains any
-FAILED verdict, 2 on configuration or parse errors.  The run
+FAILED verdict, 2 on configuration or parse errors, 130 when the run is
+interrupted.  The run
 subcommand with the pinned date must reproduce the golden report byte
 for byte through the whole stack (manifest, registry, suite, writer).
 """
@@ -10,6 +11,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +248,56 @@ class TestErrorExits:
                      "--out", str(tmp_path / "out.html")])
         assert code == 2
         assert "error:" in capfd.readouterr().err
+
+
+class TestInterrupt:
+    def test_interrupt_exits_130_without_a_traceback(self, tmp_path, capfd,
+                                                     monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("rngts.cli.run_suite", interrupted)
+        out = tmp_path / "report.xml"
+        assert main(["run", "--config", _manifest(tmp_path),
+                     "--out", str(out)]) == 130
+        captured = capfd.readouterr()
+        assert captured.err == "error: interrupted\n"
+        assert captured.out == ""
+        # the report was opened before the run, so it is left empty
+        assert out.read_bytes() == b""
+
+    @pytest.mark.parametrize("group", [False, True],
+                             ids=["parent", "process-group"])
+    def test_sigint_ends_a_forked_run(self, tmp_path, group):
+        # SIGINT to the parent alone, or to its whole process group as
+        # Ctrl-C at a terminal sends it; enough cells that the run is
+        # still going after its first one
+        config = _manifest(tmp_path, seeds=list(range(100)),
+                           tests=[{"name": "squeeze_test"},
+                                  {"name": "craps_test"}])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rngts.cli", "run", "--config", config,
+             "--out", str(tmp_path / "report.xml"), "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+            start_new_session=group)
+        try:
+            first = proc.stderr.readline()
+            assert b" done " in first, first
+            if group:
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
+            # the workers hold stderr open too, so this returns once the
+            # run has ended and reaped them
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, stderr
+        assert b"Traceback" not in stderr
+        assert stderr.splitlines()[-1] == b"error: interrupted"
+        assert stdout == b""
 
 
 class TestRender:

@@ -107,6 +107,37 @@ def test_battery_leaves_the_stream_range_to_the_distributions(path):
     assert _range_reads(path.read_text()) == []
 
 
+def _int_draws_uses(source: str, package: list) -> set:
+    """Each import naming `int_draws`, as a dotted name, and the
+    enclosing function of each use of it as a name or an attribute."""
+    imports = {name for name in _imported(source, package)
+               if name.rsplit(".", 1)[-1] == "int_draws"}
+    uses = {scope for scope, node in _scoped_nodes(source)
+            if (isinstance(node, ast.Name) and node.id == "int_draws")
+            or (isinstance(node, ast.Attribute) and node.attr == "int_draws")}
+    return imports | uses
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("battery/*.py")),
+                         ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_battery_steps_see_draws_not_raw_words(path):
+    # dice and digits reach a step through scan_draws, the one place
+    # that maps the draws a step used back to raw words
+    package = ["rngts", *path.relative_to(PACKAGE).parent.parts]
+    assert _int_draws_uses(path.read_text(), package) == set()
+
+
+def test_int_draws_uses_are_found():
+    source = ("from ..genkit.distributions import int_draws\n"
+              "from ..genkit import distributions\n"
+              "def step(raw):\n"
+              "    return distributions.int_draws(None, raw, 0, 5)\n"
+              "def other(raw):\n"
+              "    return int_draws(None, raw, 0, 5)\n")
+    assert _int_draws_uses(source, ["rngts", "battery"]) == {
+        "rngts.genkit.distributions.int_draws", "step", "other"}
+
+
 def test_range_reads_are_found_with_their_function():
     source = ("lo = s.min_value\n"
               "def f(stream):\n"
